@@ -16,7 +16,7 @@ import json
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Any, Sequence
+from typing import Any, Iterable, Sequence
 
 from . import catalog, serialize
 from .covers import CoverType, derive_params, surface_invariants, validate_type
@@ -34,7 +34,7 @@ from .topology import (
 #: Multiples used by verify-paper-example when no --m flag is given.
 DEFAULT_REPORT_MULTS = (5, 6, 7)
 
-CsvRows = tuple[list[str], list[list[Any]]]
+CsvRows = tuple[list[str], Iterable[list[Any]]]
 
 
 def cover_type_argument(text: str) -> CoverType:
@@ -169,12 +169,13 @@ def cmd_search(args: argparse.Namespace) -> tuple[dict[str, Any], CsvRows, int]:
         "tuples": tuple_payloads,
     }
     header = ["kk", "chi", "members", "indices"]
-    rows = [
+    # A generator: the rows are built only when CSV output consumes them.
+    rows = (
         [t.key.kk, t.key.chi,
          ";".join(",".join(map(str, m.as_tuple())) for m in t.members),
          ";".join(map(str, t.indices))]
         for t in result.tuples
-    ]
+    )
     _append_records(args, "tuple", tuple_payloads)
     return payload, (header, rows), 0
 
@@ -323,7 +324,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-results", type=int, default=None, help="truncate the sorted output"
     )
     p.add_argument(
-        "--shards", type=int, default=1, help="enumeration shards (default 1)"
+        "--shards",
+        type=int,
+        default=1,
+        help="shard count, echoed in the output; no effect yet (default 1)",
     )
     _add_common_flags(p, out=True)
     p.set_defaults(func=cmd_search)

@@ -26,9 +26,9 @@ from math import gcd
 
 from .errors import ConstraintViolation, OutOfRange
 
-#: Inclusive cap applied to every branch-data field.  Keeps the packed
-#: encoding in :mod:`bidouble.search` inside four 16-bit lanes and bounds
-#: the search configuration space.
+#: Inclusive cap applied to every branch-data field.  Keeps the members that
+#: :class:`bidouble.search.HomeoClassBucket` packs inside their 16-bit lanes.
+#: It does not keep a search small: bound 10000 means about 7.8e13 types.
 DEFAULT_FIELD_CAP = 10_000
 
 

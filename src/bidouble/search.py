@@ -1,24 +1,35 @@
-"""Bounded enumeration of cover types and Catanese tuple extraction.
+"""Bounded search for Catanese tuples, kernel on branch-pair indices.
 
 The admissibility constraints factor through the two pairs (a, n2) and
 (m2, b): each must lie in P(bound) = {(x, y): y >= 3, x > 2*y, x <= bound,
 x == y (mod 2)}, with no cross conditions.  A cover type is therefore an
 ordered pair of members of P(bound), and the branch-swap involution exchanges
-the two, so iterating over unordered pairs of P(bound) visits every
-involution orbit exactly once.  That keeps the enumeration quadratic in
-|P(bound)| instead of quartic in the bound.
+the two, so unordered pairs of P(bound) visit every involution orbit exactly
+once and a run has exactly |P|(|P|+1)/2 types.
 
-Buckets keyed by (K^2, chi) store members as packed 64-bit integers, four
-16-bit lanes in field order, so numeric order on packed values equals
-lexicographic order on types.  Tuple extraction walks combinations of
-distinct-index groups rather than filtering all k-subsets, so buckets with
-many members but few distinct indices cost nothing.
+Every invariant the search needs depends on two integers per branch pair,
+s = x + y - 2 and d = x - y: the type built from pairs i <= j has
+u, v, w, z = s_i, s_j, d_i, d_j, hence the key (K^2, chi) =
+(8*s_i*s_j, (3*s_i*s_j - d_i*d_j)/2 + s_i + s_j + 2) and the index
+r = gcd(s_i, s_j).  :func:`search` buckets the index cells (i, j) by that
+key directly and builds :class:`CoverType` objects only for buckets holding
+at least k distinct indices.  Each such bucket's tuples are sorted by
+members and the keys are walked in order, so no global sort is needed.
+
+:func:`enumerate_admissible` and :func:`group_by_homeo_class` remain the
+readable path through :mod:`bidouble.covers`; the tests check the kernel
+against them.  Buckets store members as packed integers, four 16-bit lanes
+in field order, so numeric order on packed values equals lexicographic
+order on types.  Tuple extraction walks combinations of distinct-index
+groups rather than filtering all k-subsets, so buckets with many members
+but few distinct indices cost nothing.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from math import gcd
 from typing import Iterable, Iterator
 
 from .covers import (
@@ -34,6 +45,11 @@ DEFAULT_TUPLES_PER_BUCKET = 10_000
 
 _LANE = 16
 _LANE_MASK = (1 << _LANE) - 1
+
+# The search kernel's integer key is (K^2/8) << _CHI_BITS | chi.  Fields at
+# most DEFAULT_FIELD_CAP give s = x + y - 2 < 1.5*cap, so 0 < chi < 2**32.
+_CHI_BITS = 32
+_CHI_MASK = (1 << _CHI_BITS) - 1
 
 
 def pack(t: CoverType) -> int:
@@ -55,9 +71,10 @@ class SearchConfig:
     """Parameters of one search run.
 
     ``bound`` caps every branch-data field; ``k`` is the tuple size;
-    ``max_results`` truncates the (sorted) output when set; ``shard_count``
-    splits the enumeration without affecting the result; ``tuples_per_bucket``
-    caps emission per homeomorphism class.
+    ``max_results`` truncates the (sorted) output when set;
+    ``tuples_per_bucket`` caps emission per homeomorphism class.
+    ``shard_count`` is validated and echoed by the CLI but has no effect: the
+    pair-indexed kernel runs as one shard.
     """
 
     bound: int
@@ -147,16 +164,16 @@ def group_by_homeo_class(
     types: Iterable[CoverType],
 ) -> dict[HomeoClassKey, HomeoClassBucket]:
     """Bucket types by (K^2, chi); members end up canonical, sorted, unique."""
-    accumulator: dict[HomeoClassKey, set[int]] = {}
+    accumulator: dict[HomeoClassKey, dict[int, int]] = {}
     for t in types:
         canonical = canonicalize(t)
         inv = surface_invariants(canonical)
         key = HomeoClassKey(inv.kk, inv.chi)
-        accumulator.setdefault(key, set()).add(pack(canonical))
+        accumulator.setdefault(key, {})[pack(canonical)] = inv.r
     buckets: dict[HomeoClassKey, HomeoClassBucket] = {}
-    for key, packed_set in accumulator.items():
-        packed = tuple(sorted(packed_set))
-        indices = tuple(surface_invariants(unpack(p)).r for p in packed)
+    for key, index_of in accumulator.items():
+        packed = tuple(sorted(index_of))
+        indices = tuple(index_of[p] for p in packed)
         buckets[key] = HomeoClassBucket(key=key, packed=packed, indices=indices)
     return buckets
 
@@ -195,10 +212,10 @@ def extract_k_tuples(
 
 
 def search(config: SearchConfig) -> SearchResult:
-    """Enumerate, bucket, and extract; output order is fully deterministic.
+    """Bucket branch-pair cells by key and extract; the order is deterministic.
 
     Tuples are sorted by key and then by members, and ``max_results`` is
-    applied after sorting, so ``shard_count`` can never change the result.
+    applied after sorting.  ``shard_count`` is validated and has no effect.
     Raises :class:`BoundTooLarge` above the global field cap.
     """
     if config.bound > DEFAULT_FIELD_CAP:
@@ -213,25 +230,76 @@ def search(config: SearchConfig) -> SearchResult:
         raise ValueError("shard_count must be >= 1")
     if config.tuples_per_bucket < 1:
         raise ValueError("tuples_per_bucket must be >= 1")
-    types = enumerate_admissible(config.bound, shard_count=config.shard_count)
-    buckets = group_by_homeo_class(types)
+    pairs = branch_pairs(config.bound)
+    s = [x + y - 2 for x, y in pairs]
+    d = [x - y for x, y in pairs]
+    count = len(pairs)
+    # Cell i*count + j, i <= j, is the type with (a, n2) = pairs[i] and
+    # (m2, b) = pairs[j], so u, v, w, z = s_i, s_j, d_i, d_j (see
+    # surface_invariants).  Its key packs s_i*s_j = K^2/8 above chi; plain
+    # integers for keys and cells keep the garbage collector out of the loop.
+    cells: dict[int, list[int]] = {}
+    for i in range(count):
+        si, di = s[i], d[i]
+        row = i * count
+        for j in range(i, count):
+            sj = s[j]
+            uv = si * sj
+            key = uv << _CHI_BITS | (3 * uv - di * d[j]) // 2 + si + sj + 2
+            bucket_cells = cells.get(key)
+            if bucket_cells is None:
+                cells[key] = [row + j]
+            else:
+                bucket_cells.append(row + j)
     collected: list[CataneseTuple] = []
     truncated: list[HomeoClassKey] = []
-    for key in sorted(buckets):
+    candidates = sorted(key for key, found in cells.items() if len(found) >= config.k)
+    for key in candidates:
+        homeo_key = HomeoClassKey(8 * (key >> _CHI_BITS), key & _CHI_MASK)
+        bucket = _pair_bucket(homeo_key, cells[key], pairs, s, config.k)
+        if bucket is None:
+            continue
         tuples, was_truncated = extract_k_tuples(
-            buckets[key], config.k, cap=config.tuples_per_bucket
+            bucket, config.k, cap=config.tuples_per_bucket
         )
+        tuples.sort(key=lambda t: t.members)
         collected.extend(tuples)
         if was_truncated:
-            truncated.append(key)
-    collected.sort(key=lambda t: (t.key, t.members))
+            truncated.append(homeo_key)
     clipped = config.max_results is not None and len(collected) > config.max_results
     if clipped:
         collected = collected[: config.max_results]
     return SearchResult(
         tuples=tuple(collected),
-        type_count=sum(len(b) for b in buckets.values()),
-        bucket_count=len(buckets),
+        type_count=count * (count + 1) // 2,
+        bucket_count=len(cells),
         truncated_buckets=tuple(truncated),
         clipped=clipped,
+    )
+
+
+def _pair_bucket(
+    key: HomeoClassKey,
+    cells: list[int],
+    pairs: list[tuple[int, int]],
+    s: list[int],
+    k: int,
+) -> HomeoClassBucket | None:
+    """The bucket of one key's cells, or None with fewer than k indices."""
+    count = len(pairs)
+    ij = [divmod(cell, count) for cell in cells]
+    indices = [gcd(s[i], s[j]) for i, j in ij]
+    if len(set(indices)) < k:
+        return None
+    members = []
+    for (i, j), r in zip(ij, indices):
+        (x1, y1), (x2, y2) = pairs[i], pairs[j]
+        # Canonical form: the lex-min of the two orderings, as in
+        # enumerate_admissible.
+        members.append((min((x1, y2, x2, y1), (x2, y1, x1, y2)), r))
+    members.sort()
+    return HomeoClassBucket(
+        key=key,
+        packed=tuple(pack(CoverType(*t)) for t, _ in members),
+        indices=tuple(r for _, r in members),
     )

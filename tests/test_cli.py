@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -167,6 +168,23 @@ def test_search_csv_lists_members(capsys: pytest.CaptureFixture[str]) -> None:
     lines = out.strip().splitlines()
     assert lines[0] == "kk,chi,members,indices"
     assert len(lines) == 106
+
+
+# SHA-256 of `bidouble search --bound 60` stdout, frozen from the
+# enumerate-bucket-extract implementation before the pair-indexed kernel.
+SEARCH_60_DIGESTS = {
+    "json": "9044865f9ce021f9ca37de9ff7af8510105d4dbfd6c934b0901a3555d3b9787a",
+    "csv": "9e5587b4d33761d916b2e9fa373bd422c996bdb7bdcd90db0d93982179dbb032",
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(SEARCH_60_DIGESTS))
+def test_search_stdout_matches_the_golden_digest(
+    capsys: pytest.CaptureFixture[str], fmt: str
+) -> None:
+    code, out, _ = run(capsys, "search", "--bound", "60", "--format", fmt)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == SEARCH_60_DIGESTS[fmt]
 
 
 def test_search_bound_above_cap_is_a_domain_error(

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import pytest
 
 from bidouble import (
@@ -10,13 +12,22 @@ from bidouble import (
     HomeoClassBucket,
     HomeoClassKey,
     SearchConfig,
+    SearchResult,
     enumerate_admissible,
     extract_k_tuples,
     group_by_homeo_class,
     is_catanese_tuple,
     search,
 )
-from bidouble.search import branch_pairs, pack, unpack
+from bidouble.covers import DEFAULT_FIELD_CAP
+from bidouble.search import (
+    _CHI_BITS,
+    DEFAULT_TUPLES_PER_BUCKET,
+    CataneseTuple,
+    branch_pairs,
+    pack,
+    unpack,
+)
 
 TYPE_1 = CoverType(16, 22, 52, 4)
 TYPE_2 = CoverType(28, 10, 28, 10)
@@ -231,3 +242,64 @@ def test_search_rejects_degenerate_configs() -> None:
         search(SearchConfig(bound=30, k=1))
     with pytest.raises(ValueError):
         search(SearchConfig(bound=30, shard_count=0))
+
+
+@lru_cache(maxsize=None)
+def oracle_buckets(bound: int) -> dict[HomeoClassKey, HomeoClassBucket]:
+    return group_by_homeo_class(enumerate_admissible(bound))
+
+
+def oracle_search(config: SearchConfig) -> SearchResult:
+    """The enumerate-bucket-extract path through covers.py, globally sorted."""
+    buckets = oracle_buckets(config.bound)
+    collected: list[CataneseTuple] = []
+    truncated: list[HomeoClassKey] = []
+    for key in sorted(buckets):
+        tuples, was_truncated = extract_k_tuples(
+            buckets[key], config.k, cap=config.tuples_per_bucket
+        )
+        collected.extend(tuples)
+        if was_truncated:
+            truncated.append(key)
+    collected.sort(key=lambda t: (t.key, t.members))
+    clipped = config.max_results is not None and len(collected) > config.max_results
+    if clipped:
+        collected = collected[: config.max_results]
+    return SearchResult(
+        tuples=tuple(collected),
+        type_count=sum(len(b) for b in buckets.values()),
+        bucket_count=len(buckets),
+        truncated_buckets=tuple(truncated),
+        clipped=clipped,
+    )
+
+
+@pytest.mark.parametrize("tuples_per_bucket", [1, 2, DEFAULT_TUPLES_PER_BUCKET])
+@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("bound", [3, 7, 9, 20, 31, 40])
+def test_search_kernel_matches_the_oracle(
+    bound: int, k: int, tuples_per_bucket: int
+) -> None:
+    config = SearchConfig(bound=bound, k=k, tuples_per_bucket=tuples_per_bucket)
+    assert search(config) == oracle_search(config)
+
+
+@pytest.mark.parametrize("tuples_per_bucket", [2, DEFAULT_TUPLES_PER_BUCKET])
+def test_search_kernel_matches_the_oracle_when_clipped(tuples_per_bucket: int) -> None:
+    config = SearchConfig(
+        bound=40, k=2, max_results=100, tuples_per_bucket=tuples_per_bucket
+    )
+    result = search(config)
+    assert result.clipped
+    assert result == oracle_search(config)
+
+
+def test_search_kernel_oracle_cases_reach_the_bucket_cap() -> None:
+    assert search(SearchConfig(bound=40, k=2, tuples_per_bucket=1)).truncated_buckets
+    assert search(SearchConfig(bound=40, k=3, tuples_per_bucket=2)).truncated_buckets
+
+
+def test_search_kernel_key_has_room_for_chi_at_the_field_cap() -> None:
+    # s = x + y - 2 with x <= cap and 2*y < x; d_i*d_j > 0 only lowers chi.
+    s_max = DEFAULT_FIELD_CAP + (DEFAULT_FIELD_CAP - 1) // 2 - 2
+    assert 3 * s_max * s_max // 2 + 2 * s_max + 2 < 2**_CHI_BITS
