@@ -6,6 +6,13 @@ never carries timestamps, so two identical invocations produce identical
 bytes; ``--out`` appends records to a JSONL catalog, stamped unless
 ``--no-timestamp`` is given.  Exit codes: 0 success, 1 domain error
 (reported as a JSON error object on stdout), 2 usage error.
+
+JSON output is ``json.dumps(payload, indent=2)``, except for ``search``:
+its view, which can run to tens of megabytes, is rendered once as text by
+:func:`bidouble.serialize.search_to_json_text`, byte-identical to
+``json.dumps`` of the same view but with no per-tuple dict, and written in
+one piece.  The search kernel itself runs with the cyclic garbage collector
+paused (see :func:`bidouble.search.search`).
 """
 
 from __future__ import annotations
@@ -59,7 +66,7 @@ def _timestamp(args: argparse.Namespace) -> str:
 
 
 def _append_records(
-    args: argparse.Namespace, kind: str, payloads: Sequence[dict[str, Any]]
+    args: argparse.Namespace, kind: str, payloads: Iterable[dict[str, Any]]
 ) -> None:
     if args.out is None:
         return
@@ -145,7 +152,7 @@ def cmd_discriminant(args: argparse.Namespace) -> tuple[dict[str, Any], CsvRows,
     return payload, (header, rows), 0
 
 
-def cmd_search(args: argparse.Namespace) -> tuple[dict[str, Any], CsvRows, int]:
+def cmd_search(args: argparse.Namespace) -> tuple[str, CsvRows, int]:
     config = SearchConfig(
         bound=args.bound,
         k=args.k,
@@ -153,21 +160,8 @@ def cmd_search(args: argparse.Namespace) -> tuple[dict[str, Any], CsvRows, int]:
         shard_count=args.shards,
     )
     result = search(config)
-    tuple_payloads = [serialize.tuple_to_json(t) for t in result.tuples]
-    payload = {
-        "config": {
-            "bound": config.bound,
-            "k": config.k,
-            "max_results": config.max_results,
-            "shard_count": config.shard_count,
-        },
-        "type_count": result.type_count,
-        "bucket_count": result.bucket_count,
-        "tuple_count": len(result.tuples),
-        "truncated_buckets": [serialize.key_to_json(k) for k in result.truncated_buckets],
-        "clipped": result.clipped,
-        "tuples": tuple_payloads,
-    }
+    # Rendered once, for JSON output only; CSV output reads the rows below.
+    text = serialize.search_to_json_text(config, result) if args.format == "json" else ""
     header = ["kk", "chi", "members", "indices"]
     # A generator: the rows are built only when CSV output consumes them.
     rows = (
@@ -176,8 +170,8 @@ def cmd_search(args: argparse.Namespace) -> tuple[dict[str, Any], CsvRows, int]:
          ";".join(map(str, t.indices))]
         for t in result.tuples
     )
-    _append_records(args, "tuple", tuple_payloads)
-    return payload, (header, rows), 0
+    _append_records(args, "tuple", (serialize.tuple_to_json(t) for t in result.tuples))
+    return text, (header, rows), 0
 
 
 def cmd_certify(args: argparse.Namespace) -> tuple[dict[str, Any], CsvRows, int]:
@@ -380,12 +374,14 @@ def _check_arity(parser: argparse.ArgumentParser, args: argparse.Namespace) -> N
             parser.error("--max-results must be >= 0")
 
 
-def _emit(payload: dict[str, Any], rows: CsvRows, fmt: str) -> None:
+def _emit(payload: dict[str, Any] | str, rows: CsvRows, fmt: str) -> None:
     if fmt == "csv":
         writer = csv.writer(sys.stdout, lineterminator="\n")
         header, body = rows
         writer.writerow(header)
         writer.writerows(body)
+    elif isinstance(payload, str):
+        print(payload)
     else:
         print(json.dumps(payload, indent=2, sort_keys=False))
 

@@ -27,6 +27,7 @@ but few distinct indices cost nothing.
 
 from __future__ import annotations
 
+import gc
 import itertools
 from dataclasses import dataclass
 from math import gcd
@@ -71,7 +72,7 @@ class SearchConfig:
     """Parameters of one search run.
 
     ``bound`` caps every branch-data field; ``k`` is the tuple size;
-    ``max_results`` truncates the (sorted) output when set;
+    ``max_results`` (>= 0) truncates the sorted output when set;
     ``tuples_per_bucket`` caps emission per homeomorphism class.
     ``shard_count`` is validated and echoed by the CLI but has no effect: the
     pair-indexed kernel runs as one shard.
@@ -86,9 +87,11 @@ class SearchConfig:
 
 @dataclass(frozen=True, slots=True)
 class HomeoClassBucket:
-    """All enumerated types sharing one homeomorphism key.
+    """The canonical types of one homeomorphism key.
 
-    ``packed`` holds the canonical members sorted and deduplicated;
+    :func:`group_by_homeo_class` builds one bucket per key of the types it is
+    given; :func:`search` builds one only for a key whose types have at least
+    k distinct indices.  ``packed`` holds the members sorted and deduplicated;
     ``indices`` is the divisibility index of each member, aligned by position.
     """
 
@@ -216,7 +219,15 @@ def search(config: SearchConfig) -> SearchResult:
 
     Tuples are sorted by key and then by members, and ``max_results`` is
     applied after sorting.  ``shard_count`` is validated and has no effect.
-    Raises :class:`BoundTooLarge` above the global field cap.
+    Raises :class:`BoundTooLarge` above the global field cap, and
+    :class:`ValueError` for a bound below 3, a k below 2, a negative
+    ``max_results``, or a ``shard_count`` or ``tuples_per_bucket`` below 1.
+
+    Bucketing and extraction run with the cyclic garbage collector paused,
+    and its previous state is restored on the way out, also when they raise.
+    Everything they build (ints, lists, tuples, frozen slotted dataclasses)
+    is acyclic and freed by reference counting, so no memory waits on the
+    collector; left running, it would walk the growing heap again and again.
     """
     if config.bound > DEFAULT_FIELD_CAP:
         raise BoundTooLarge(
@@ -230,42 +241,49 @@ def search(config: SearchConfig) -> SearchResult:
         raise ValueError("shard_count must be >= 1")
     if config.tuples_per_bucket < 1:
         raise ValueError("tuples_per_bucket must be >= 1")
+    if config.max_results is not None and config.max_results < 0:
+        raise ValueError("max_results must be >= 0")
     pairs = branch_pairs(config.bound)
     s = [x + y - 2 for x, y in pairs]
     d = [x - y for x, y in pairs]
     count = len(pairs)
-    # Cell i*count + j, i <= j, is the type with (a, n2) = pairs[i] and
-    # (m2, b) = pairs[j], so u, v, w, z = s_i, s_j, d_i, d_j (see
-    # surface_invariants).  Its key packs s_i*s_j = K^2/8 above chi; plain
-    # integers for keys and cells keep the garbage collector out of the loop.
-    cells: dict[int, list[int]] = {}
-    for i in range(count):
-        si, di = s[i], d[i]
-        row = i * count
-        for j in range(i, count):
-            sj = s[j]
-            uv = si * sj
-            key = uv << _CHI_BITS | (3 * uv - di * d[j]) // 2 + si + sj + 2
-            bucket_cells = cells.get(key)
-            if bucket_cells is None:
-                cells[key] = [row + j]
-            else:
-                bucket_cells.append(row + j)
-    collected: list[CataneseTuple] = []
-    truncated: list[HomeoClassKey] = []
-    candidates = sorted(key for key, found in cells.items() if len(found) >= config.k)
-    for key in candidates:
-        homeo_key = HomeoClassKey(8 * (key >> _CHI_BITS), key & _CHI_MASK)
-        bucket = _pair_bucket(homeo_key, cells[key], pairs, s, config.k)
-        if bucket is None:
-            continue
-        tuples, was_truncated = extract_k_tuples(
-            bucket, config.k, cap=config.tuples_per_bucket
-        )
-        tuples.sort(key=lambda t: t.members)
-        collected.extend(tuples)
-        if was_truncated:
-            truncated.append(homeo_key)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        # Cell i*count + j, i <= j, is the type with (a, n2) = pairs[i] and
+        # (m2, b) = pairs[j], so u, v, w, z = s_i, s_j, d_i, d_j (see
+        # surface_invariants).  Its key packs s_i*s_j = K^2/8 above chi.
+        cells: dict[int, list[int]] = {}
+        for i in range(count):
+            si, di = s[i], d[i]
+            row = i * count
+            for j in range(i, count):
+                sj = s[j]
+                uv = si * sj
+                key = uv << _CHI_BITS | (3 * uv - di * d[j]) // 2 + si + sj + 2
+                bucket_cells = cells.get(key)
+                if bucket_cells is None:
+                    cells[key] = [row + j]
+                else:
+                    bucket_cells.append(row + j)
+        collected: list[CataneseTuple] = []
+        truncated: list[HomeoClassKey] = []
+        candidates = sorted(key for key, found in cells.items() if len(found) >= config.k)
+        for key in candidates:
+            homeo_key = HomeoClassKey(8 * (key >> _CHI_BITS), key & _CHI_MASK)
+            bucket = _pair_bucket(homeo_key, cells[key], pairs, s, config.k)
+            if bucket is None:
+                continue
+            tuples, was_truncated = extract_k_tuples(
+                bucket, config.k, cap=config.tuples_per_bucket
+            )
+            tuples.sort(key=lambda t: t.members)
+            collected.extend(tuples)
+            if was_truncated:
+                truncated.append(homeo_key)
+    finally:
+        if enabled:
+            gc.enable()
     clipped = config.max_results is not None and len(collected) > config.max_results
     if clipped:
         collected = collected[: config.max_results]

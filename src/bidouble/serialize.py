@@ -9,12 +9,14 @@ strict and raise :class:`SchemaMismatch` on any shape or type drift.
 
 from __future__ import annotations
 
+import json
+from itertools import chain
 from typing import Any, Mapping
 
 from .covers import CoverType, DerivedParams, SurfaceInvariants
 from .discriminant import ArgumentStep, DiscriminantProfile, ZariskiCertificate
 from .errors import SchemaMismatch
-from .search import CataneseTuple
+from .search import CataneseTuple, SearchConfig, SearchResult
 from .topology import HomeoClassKey, TupleVerdict
 
 _PROFILE_BIG_FIELDS = ("deg_f", "deg_b", "half_deg", "genus", "cusps", "nodes")
@@ -61,6 +63,61 @@ def tuple_to_json(t: CataneseTuple) -> dict[str, Any]:
         "members": [cover_type_to_json(m) for m in t.members],
         "indices": list(t.indices),
     }
+
+
+def search_to_json_text(config: SearchConfig, result: SearchResult) -> str:
+    """The JSON view of one search run, as ``json.dumps(view, indent=2)`` renders it.
+
+    The view is the run's config and counts followed by ``"tuples"``, a list
+    of :func:`tuple_to_json` objects.  The head is rendered by :mod:`json`
+    with an empty list; each tuple is spliced in from a fixed indent-2
+    template over its integer fields, whose ``str`` is their JSON, so no
+    per-tuple dict is built.
+    """
+    head = json.dumps(
+        {
+            "config": {
+                "bound": config.bound,
+                "k": config.k,
+                "max_results": config.max_results,
+                "shard_count": config.shard_count,
+            },
+            "type_count": result.type_count,
+            "bucket_count": result.bucket_count,
+            "tuple_count": len(result.tuples),
+            "truncated_buckets": [key_to_json(k) for k in result.truncated_buckets],
+            "clipped": result.clipped,
+            "tuples": [],
+        },
+        indent=2,
+    )
+    if not result.tuples:
+        return head
+    template = _tuple_template(config.k)
+    body = ",\n".join(
+        template
+        % (*t.key, *chain.from_iterable(map(CoverType.as_tuple, t.members)), *t.indices)
+        for t in result.tuples
+    )
+    # head ends in '"tuples": []\n}'; the tuples go between the brackets.
+    # One join copies the body once more, where a chain of + would twice.
+    return "".join((head[: -len("]\n}")], "\n", body, "\n  ]\n}"))
+
+
+def _tuple_template(k: int) -> str:
+    """A k-member :func:`tuple_to_json` object as an element of the search view.
+
+    Every integer field is a ``%d`` slot, in the order kk, chi, each member's
+    ``as_tuple()``, then the indices.
+    """
+    slot = "%d"
+    shape = {
+        "key": {"kk": slot, "chi": slot},
+        "members": [{"a": slot, "b": slot, "m2": slot, "n2": slot}] * k,
+        "indices": [slot] * k,
+    }
+    text = json.dumps(shape, indent=2).replace(f'"{slot}"', slot)
+    return "\n".join("    " + line for line in text.splitlines())
 
 
 def verdict_to_json(verdict: TupleVerdict) -> dict[str, Any]:

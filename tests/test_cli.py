@@ -5,12 +5,18 @@ from __future__ import annotations
 import hashlib
 import json
 from pathlib import Path
+from typing import Any
 
 import pytest
 
-from bidouble import read_catalog
+from bidouble import SearchConfig, SearchResult, read_catalog, search
 from bidouble.cli import main
-from bidouble.serialize import certificate_from_json
+from bidouble.serialize import (
+    certificate_from_json,
+    key_to_json,
+    search_to_json_text,
+    tuple_to_json,
+)
 
 
 def run(capsys: pytest.CaptureFixture[str], *argv: str) -> tuple[int, str, str]:
@@ -159,6 +165,8 @@ def test_search_writes_catalog(
         "indices": [18, 36],
     }
     assert sum(1 for r in records if r.payload == wanted) == 1
+    # Stdout and the catalog come from two renderers; they must agree.
+    assert [r.payload for r in records] == payload["tuples"]
     assert "appended" in err
 
 
@@ -185,6 +193,51 @@ def test_search_stdout_matches_the_golden_digest(
     code, out, _ = run(capsys, "search", "--bound", "60", "--format", fmt)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == SEARCH_60_DIGESTS[fmt]
+
+
+def search_view(config: SearchConfig, result: SearchResult) -> dict[str, Any]:
+    """The search JSON view as a dict, built as the CLI built it for json.dumps."""
+    return {
+        "config": {
+            "bound": config.bound,
+            "k": config.k,
+            "max_results": config.max_results,
+            "shard_count": config.shard_count,
+        },
+        "type_count": result.type_count,
+        "bucket_count": result.bucket_count,
+        "tuple_count": len(result.tuples),
+        "truncated_buckets": [key_to_json(k) for k in result.truncated_buckets],
+        "clipped": result.clipped,
+        "tuples": [tuple_to_json(t) for t in result.tuples],
+    }
+
+
+def first_difference(got: str, want: str) -> str:
+    for number, (line, wanted) in enumerate(zip(got.splitlines(), want.splitlines()), 1):
+        if line != wanted:
+            return f"line {number}: {line!r} != {wanted!r}"
+    return f"{len(got)} characters != {len(want)}"
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        SearchConfig(bound=3),
+        *(SearchConfig(bound=b, k=k) for b in (20, 40, 60) for k in (2, 3)),
+        SearchConfig(bound=40, max_results=0),
+        SearchConfig(bound=40, max_results=7),
+        SearchConfig(bound=40, tuples_per_bucket=1),
+    ],
+    ids=repr,
+)
+def test_search_text_equals_json_dumps_of_the_view(config: SearchConfig) -> None:
+    result = search(config)
+    text = search_to_json_text(config, result)
+    expected = json.dumps(search_view(config, result), indent=2)
+    # A bare comparison would make pytest diff megabytes of text for minutes.
+    same = text == expected
+    assert same, first_difference(text, expected)
 
 
 def test_search_bound_above_cap_is_a_domain_error(

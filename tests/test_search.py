@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import gc
+import importlib
 from functools import lru_cache
 
 import pytest
@@ -242,6 +244,39 @@ def test_search_rejects_degenerate_configs() -> None:
         search(SearchConfig(bound=30, k=1))
     with pytest.raises(ValueError):
         search(SearchConfig(bound=30, shard_count=0))
+    # A negative slice would silently drop the tail (708 of 709 at bound 40).
+    with pytest.raises(ValueError, match="max_results must be >= 0"):
+        search(SearchConfig(bound=40, max_results=-1))
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_search_restores_the_collector_state(
+    enabled: bool, monkeypatch: pytest.MonkeyPatch
+) -> None:
+    search_module = importlib.import_module("bidouble.search")
+    real_extract = search_module.extract_k_tuples
+    seen: list[bool] = []
+
+    def watched_extract(*args, **kwargs):
+        seen.append(gc.isenabled())
+        return real_extract(*args, **kwargs)
+
+    def failing_extract(*args, **kwargs):
+        raise RuntimeError("extraction failed")
+
+    was_enabled = gc.isenabled()
+    try:
+        (gc.enable if enabled else gc.disable)()
+        monkeypatch.setattr(search_module, "extract_k_tuples", watched_extract)
+        assert search(SearchConfig(bound=40)).tuples
+        assert gc.isenabled() is enabled
+        assert seen and not any(seen)
+        monkeypatch.setattr(search_module, "extract_k_tuples", failing_extract)
+        with pytest.raises(RuntimeError, match="extraction failed"):
+            search(SearchConfig(bound=40))
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
 
 
 @lru_cache(maxsize=None)
