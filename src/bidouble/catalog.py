@@ -72,7 +72,8 @@ def read_catalog(path: str | PathLike[str]) -> list[CatalogRecord]:
     """Parse the JSONL file at ``path`` into records, strictly.
 
     Raises :class:`SchemaMismatch` naming the line number for invalid JSON,
-    a wrong key set, an unsupported schema version, or an unknown kind.
+    a wrong key set, an unsupported schema version (or one that is not an
+    ``int``, such as ``true`` or ``1.0``), or an unknown kind.
     """
     records: list[CatalogRecord] = []
     with open(path, encoding="utf-8") as handle:
@@ -92,7 +93,12 @@ def read_catalog(path: str | PathLike[str]) -> list[CatalogRecord]:
                     f"got {sorted(obj)}"
                 )
             version = obj["schema_version"]
-            if version != SCHEMA_VERSION:
+            # true and 1.0 compare equal to 1, but only an int is a version.
+            if (
+                isinstance(version, bool)
+                or not isinstance(version, int)
+                or version != SCHEMA_VERSION
+            ):
                 raise SchemaMismatch(
                     f"line {lineno}: unsupported schema_version {version!r} "
                     f"(expected {SCHEMA_VERSION})"

@@ -1,4 +1,4 @@
-"""Bounded search for Catanese tuples, kernel on branch-pair indices.
+"""Bounded search for Catanese tuples, kernel on pairs of s-classes.
 
 The admissibility constraints factor through the two pairs (a, n2) and
 (m2, b): each must lie in P(bound) = {(x, y): y >= 3, x > 2*y, x <= bound,
@@ -7,14 +7,20 @@ ordered pair of members of P(bound), and the branch-swap involution exchanges
 the two, so unordered pairs of P(bound) visit every involution orbit exactly
 once and a run has exactly |P|(|P|+1)/2 types.
 
-Every invariant the search needs depends on two integers per branch pair,
-s = x + y - 2 and d = x - y: the type built from pairs i <= j has
+Every invariant the search needs depends on two even integers per branch
+pair, s = x + y - 2 and d = x - y: the type built from pairs i <= j has
 u, v, w, z = s_i, s_j, d_i, d_j, hence the key (K^2, chi) =
 (8*s_i*s_j, (3*s_i*s_j - d_i*d_j)/2 + s_i + s_j + 2) and the index
-r = gcd(s_i, s_j).  :func:`search` buckets the index cells (i, j) by that
-key directly and builds :class:`CoverType` objects only for buckets holding
-at least k distinct indices.  Each such bucket's tuples are sorted by
-members and the keys are walked in order, so no global sort is needed.
+r = gcd(s_i, s_j).  Within one value of s, d names the pair, so
+:func:`search` works on s-classes.  For an unordered pair of s values
+sa <= sb, every cell has the product P = sa*sb, the index gcd(sa, sb) and
+2*chi = 3P + 2(sa + sb + 2) - da*db.  For each P in ascending order the
+kernel counts the keys from set products of the classes' d values, skips P
+when its class pairs carry fewer than k distinct indices, keeps the chi
+values that at least k index groups share, recovers their cells by divisor
+lookup on da*db and hands each such bucket to :func:`extract_k_tuples`,
+which returns its tuples sorted by members.  Keys are walked in order, so
+no global sort is needed.
 
 :func:`enumerate_admissible` and :func:`group_by_homeo_class` remain the
 readable path through :mod:`bidouble.covers`; the tests check the kernel
@@ -29,8 +35,10 @@ from __future__ import annotations
 
 import gc
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from math import gcd
+from operator import itemgetter
 from typing import Iterable, Iterator
 
 from .covers import (
@@ -47,15 +55,14 @@ DEFAULT_TUPLES_PER_BUCKET = 10_000
 _LANE = 16
 _LANE_MASK = (1 << _LANE) - 1
 
-# The search kernel's integer key is (K^2/8) << _CHI_BITS | chi.  Fields at
-# most DEFAULT_FIELD_CAP give s = x + y - 2 < 1.5*cap, so 0 < chi < 2**32.
-_CHI_BITS = 32
-_CHI_MASK = (1 << _CHI_BITS) - 1
-
 
 def pack(t: CoverType) -> int:
     """Pack a type into one 64-bit integer, preserving lexicographic order."""
-    return t.a << (3 * _LANE) | t.b << (2 * _LANE) | t.m2 << _LANE | t.n2
+    return _pack_fields(t.a, t.b, t.m2, t.n2)
+
+
+def _pack_fields(a: int, b: int, m2: int, n2: int) -> int:
+    return a << (3 * _LANE) | b << (2 * _LANE) | m2 << _LANE | n2
 
 
 def unpack(packed: int) -> CoverType:
@@ -75,7 +82,7 @@ class SearchConfig:
     ``max_results`` (>= 0) truncates the sorted output when set;
     ``tuples_per_bucket`` caps emission per homeomorphism class.
     ``shard_count`` is validated and echoed by the CLI but has no effect: the
-    pair-indexed kernel runs as one shard.
+    kernel runs as one shard.
     """
 
     bound: int
@@ -188,7 +195,9 @@ def extract_k_tuples(
 
     Only valid subsets are ever generated: members are grouped by index and
     subsets are products over k distinct groups.  Emission stops at ``cap``
-    subsets; the second return value reports whether anything was cut off.
+    subsets, taken in the order of those combinations and products; the
+    second return value reports whether anything was cut off.  The subsets
+    kept are returned sorted by members, and each member is unpacked once.
     """
     if k < 2:
         raise ValueError("k must be >= 2")
@@ -198,24 +207,27 @@ def extract_k_tuples(
     if len(by_index) < k:
         return [], False
     groups = [by_index[r] for r in sorted(by_index)]
+    subsets = (
+        tuple(sorted(positions))
+        for chosen in itertools.combinations(groups, k)
+        for positions in itertools.product(*chosen)
+    )
+    picked = list(itertools.islice(subsets, cap + 1))
+    truncated = len(picked) > cap
+    if truncated:
+        del picked[cap:]
+    # Members are sorted and unique, so position order is member order.
+    picked.sort()
+    members = [unpack(p) for p in bucket.packed]
     out: list[CataneseTuple] = []
-    for chosen in itertools.combinations(groups, k):
-        for positions in itertools.product(*chosen):
-            if len(out) >= cap:
-                return out, True
-            ordered = sorted(positions)
-            out.append(
-                CataneseTuple(
-                    key=bucket.key,
-                    members=tuple(unpack(bucket.packed[p]) for p in ordered),
-                    indices=tuple(bucket.indices[p] for p in ordered),
-                )
-            )
-    return out, False
+    for positions in picked:
+        take = itemgetter(*positions)  # k >= 2 items, so it returns a tuple
+        out.append(CataneseTuple(bucket.key, take(members), take(bucket.indices)))
+    return out, truncated
 
 
 def search(config: SearchConfig) -> SearchResult:
-    """Bucket branch-pair cells by key and extract; the order is deterministic.
+    """Bucket s-class pairs by product and extract; the order is deterministic.
 
     Tuples are sorted by key and then by members, and ``max_results`` is
     applied after sorting.  ``shard_count`` is validated and has no effect.
@@ -225,9 +237,10 @@ def search(config: SearchConfig) -> SearchResult:
 
     Bucketing and extraction run with the cyclic garbage collector paused,
     and its previous state is restored on the way out, also when they raise.
-    Everything they build (ints, lists, tuples, frozen slotted dataclasses)
-    is acyclic and freed by reference counting, so no memory waits on the
-    collector; left running, it would walk the growing heap again and again.
+    Everything they build (ints, sets, lists, tuples, frozen slotted
+    dataclasses) is acyclic and freed by reference counting, so no memory
+    waits on the collector; left running, it would walk the growing heap
+    again and again.
     """
     if config.bound > DEFAULT_FIELD_CAP:
         raise BoundTooLarge(
@@ -243,44 +256,48 @@ def search(config: SearchConfig) -> SearchResult:
         raise ValueError("tuples_per_bucket must be >= 1")
     if config.max_results is not None and config.max_results < 0:
         raise ValueError("max_results must be >= 0")
-    pairs = branch_pairs(config.bound)
-    s = [x + y - 2 for x, y in pairs]
-    d = [x - y for x, y in pairs]
-    count = len(pairs)
+    # The s-class of s: the d of every branch pair with that s.
+    classes: dict[int, set[int]] = {}
+    count = 0
+    for x, y in branch_pairs(config.bound):
+        classes.setdefault(x + y - 2, set()).add(x - y)
+        count += 1
+    s_values = sorted(classes)
+    by_product: dict[int, list[tuple[int, int]]] = {}
+    for position, sa in enumerate(s_values):
+        for sb in s_values[position:]:
+            by_product.setdefault(sa * sb, []).append((sa, sb))
+    k = config.k
+    bucket_count = 0
     enabled = gc.isenabled()
     gc.disable()
     try:
-        # Cell i*count + j, i <= j, is the type with (a, n2) = pairs[i] and
-        # (m2, b) = pairs[j], so u, v, w, z = s_i, s_j, d_i, d_j (see
-        # surface_invariants).  Its key packs s_i*s_j = K^2/8 above chi.
-        cells: dict[int, list[int]] = {}
-        for i in range(count):
-            si, di = s[i], d[i]
-            row = i * count
-            for j in range(i, count):
-                sj = s[j]
-                uv = si * sj
-                key = uv << _CHI_BITS | (3 * uv - di * d[j]) // 2 + si + sj + 2
-                bucket_cells = cells.get(key)
-                if bucket_cells is None:
-                    cells[key] = [row + j]
-                else:
-                    bucket_cells.append(row + j)
         collected: list[CataneseTuple] = []
         truncated: list[HomeoClassKey] = []
-        candidates = sorted(key for key, found in cells.items() if len(found) >= config.k)
-        for key in candidates:
-            homeo_key = HomeoClassKey(8 * (key >> _CHI_BITS), key & _CHI_MASK)
-            bucket = _pair_bucket(homeo_key, cells[key], pairs, s, config.k)
-            if bucket is None:
+        for product in sorted(by_product):
+            class_pairs = by_product[product]
+            twice_chis = [_twice_chi_values(sa, sb, classes) for sa, sb in class_pairs]
+            by_index: dict[int, set[int]] = {}
+            for (sa, sb), values in zip(class_pairs, twice_chis):
+                by_index.setdefault(gcd(sa, sb), set()).update(values)
+            if len(by_index) < k:
+                bucket_count += len(set().union(*by_index.values()))
                 continue
-            tuples, was_truncated = extract_k_tuples(
-                bucket, config.k, cap=config.tuples_per_bucket
-            )
-            tuples.sort(key=lambda t: t.members)
-            collected.extend(tuples)
-            if was_truncated:
-                truncated.append(homeo_key)
+            groups_of: Counter[int] = Counter()
+            for values in by_index.values():
+                groups_of.update(values)
+            bucket_count += len(groups_of)
+            shared = sorted(value for value, groups in groups_of.items() if groups >= k)
+            for twice_chi in shared:
+                bucket = _class_bucket(
+                    product, twice_chi, class_pairs, twice_chis, classes
+                )
+                tuples, was_truncated = extract_k_tuples(
+                    bucket, k, cap=config.tuples_per_bucket
+                )
+                collected.extend(tuples)
+                if was_truncated:
+                    truncated.append(bucket.key)
     finally:
         if enabled:
             gc.enable()
@@ -290,34 +307,62 @@ def search(config: SearchConfig) -> SearchResult:
     return SearchResult(
         tuples=tuple(collected),
         type_count=count * (count + 1) // 2,
-        bucket_count=len(cells),
+        bucket_count=bucket_count,
         truncated_buckets=tuple(truncated),
         clipped=clipped,
     )
 
 
-def _pair_bucket(
-    key: HomeoClassKey,
-    cells: list[int],
-    pairs: list[tuple[int, int]],
-    s: list[int],
-    k: int,
-) -> HomeoClassBucket | None:
-    """The bucket of one key's cells, or None with fewer than k indices."""
-    count = len(pairs)
-    ij = [divmod(cell, count) for cell in cells]
-    indices = [gcd(s[i], s[j]) for i, j in ij]
-    if len(set(indices)) < k:
-        return None
-    members = []
-    for (i, j), r in zip(ij, indices):
-        (x1, y1), (x2, y2) = pairs[i], pairs[j]
-        # Canonical form: the lex-min of the two orderings, as in
-        # enumerate_admissible.
-        members.append((min((x1, y2, x2, y1), (x2, y1, x1, y2)), r))
+def _twice_chi_shift(sa: int, sb: int) -> int:
+    """3P + 2(sa + sb + 2), P = sa*sb: cell (da, db) has 2*chi = this - da*db."""
+    return 3 * sa * sb + 2 * (sa + sb + 2)
+
+
+def _twice_chi_values(sa: int, sb: int, classes: dict[int, set[int]]) -> set[int]:
+    """2*chi of every cell of the class pair (sa, sb), one set product per row."""
+    ds_b = classes[sb]
+    prods: set[int] = set()
+    for da in classes[sa]:
+        prods.update(map(da.__mul__, ds_b))
+    return set(map(_twice_chi_shift(sa, sb).__sub__, prods))
+
+
+def _class_bucket(
+    product: int,
+    twice_chi: int,
+    class_pairs: list[tuple[int, int]],
+    twice_chis: list[set[int]],
+    classes: dict[int, set[int]],
+) -> HomeoClassBucket:
+    """The canonical bucket of key (8*product, twice_chi/2).
+
+    Each class pair holding the key contributes the cells with
+    da*db = 3P + 2(sa + sb + 2) - 2*chi, found by divisor lookup; a diagonal
+    class pair (sa == sb) keeps db >= da, since its cells are unordered.
+    """
+    members: list[tuple[int, int]] = []
+    for (sa, sb), values in zip(class_pairs, twice_chis):
+        if twice_chi not in values:
+            continue
+        r = gcd(sa, sb)
+        target = _twice_chi_shift(sa, sb) - twice_chi
+        ds_b = classes[sb]
+        for da in classes[sa]:
+            if target % da:
+                continue
+            db = target // da
+            if db not in ds_b or (sa == sb and db < da):
+                continue
+            # Pair (s, d) is (x, y) = ((s + 2 + d)/2, (s + 2 - d)/2); the
+            # canonical type is the lex-min of the two orderings, as in
+            # enumerate_admissible.
+            x1, y1 = (sa + 2 + da) // 2, (sa + 2 - da) // 2
+            x2, y2 = (sb + 2 + db) // 2, (sb + 2 - db) // 2
+            fields = min((x1, y2, x2, y1), (x2, y1, x1, y2))
+            members.append((_pack_fields(*fields), r))
     members.sort()
     return HomeoClassBucket(
-        key=key,
-        packed=tuple(pack(CoverType(*t)) for t, _ in members),
-        indices=tuple(r for _, r in members),
+        key=HomeoClassKey(8 * product, twice_chi // 2),
+        packed=tuple([p for p, _ in members]),
+        indices=tuple([r for _, r in members]),
     )

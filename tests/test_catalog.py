@@ -139,6 +139,23 @@ def test_catalog_rejects_future_schema_version(tmp_path: Path) -> None:
     assert "schema_version" in str(excinfo.value)
 
 
+@pytest.mark.parametrize("version", ["true", "1.0"])
+def test_catalog_rejects_a_version_equal_to_but_not_the_integer_1(
+    tmp_path: Path, version: str
+) -> None:
+    path = tmp_path / "catalog.jsonl"
+    write_catalog([CatalogRecord(kind="invariants", payload={})], path)
+    with open(path, "a") as handle:
+        handle.write(
+            f'{{"schema_version": {version}, "kind": "tuple", '
+            '"payload": {}, "created_at": ""}\n'
+        )
+    with pytest.raises(SchemaMismatch) as excinfo:
+        read_catalog(path)
+    assert "line 2" in str(excinfo.value)
+    assert f"schema_version {json.loads(version)!r}" in str(excinfo.value)
+
+
 def test_catalog_rejects_invalid_json(tmp_path: Path) -> None:
     path = tmp_path / "catalog.jsonl"
     path.write_text('{"schema_version": 1,\n')

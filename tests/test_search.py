@@ -21,9 +21,7 @@ from bidouble import (
     is_catanese_tuple,
     search,
 )
-from bidouble.covers import DEFAULT_FIELD_CAP
 from bidouble.search import (
-    _CHI_BITS,
     DEFAULT_TUPLES_PER_BUCKET,
     CataneseTuple,
     branch_pairs,
@@ -169,6 +167,43 @@ def test_extract_rejects_degenerate_k() -> None:
         extract_k_tuples(repeated_index_bucket(), 1)
 
 
+def three_index_bucket() -> HomeoClassBucket:
+    # Key (2560, 458) at positions 0..3 with indices 8, 2, 4, 4: the index
+    # groups in ascending order are [1], [2, 3], [0], so the subsets come
+    # out of the combinations as (1,2), (1,3), (0,1), (0,2), (0,3).
+    types = [
+        CoverType(7, 3, 39, 3),
+        CoverType(9, 6, 28, 3),
+        CoverType(14, 5, 17, 4),
+        CoverType(15, 6, 16, 3),
+    ]
+    (bucket,) = group_by_homeo_class(types).values()
+    assert bucket.indices == (8, 2, 4, 4)
+    return bucket
+
+
+def test_extract_returns_tuples_sorted_by_members() -> None:
+    bucket = three_index_bucket()
+    members = [t for t, _ in bucket.members()]
+    tuples, truncated = extract_k_tuples(bucket, 2)
+    assert not truncated
+    expected = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)]
+    assert [t.members for t in tuples] == [
+        (members[i], members[j]) for i, j in expected
+    ]
+    assert [t.indices for t in tuples] == [(8, 2), (8, 4), (8, 4), (2, 4), (2, 4)]
+
+
+def test_extract_caps_in_combination_order_then_sorts() -> None:
+    bucket = three_index_bucket()
+    members = [t for t, _ in bucket.members()]
+    tuples, truncated = extract_k_tuples(bucket, 2, cap=3)
+    assert truncated
+    assert [t.members for t in tuples] == [
+        (members[i], members[j]) for i, j in [(0, 1), (1, 2), (1, 3)]
+    ]
+
+
 def test_search_finds_the_worked_example_pair() -> None:
     result = search(SearchConfig(bound=60, k=2))
     wanted = [
@@ -311,7 +346,7 @@ def oracle_search(config: SearchConfig) -> SearchResult:
 
 @pytest.mark.parametrize("tuples_per_bucket", [1, 2, DEFAULT_TUPLES_PER_BUCKET])
 @pytest.mark.parametrize("k", [2, 3])
-@pytest.mark.parametrize("bound", [3, 7, 9, 20, 31, 40])
+@pytest.mark.parametrize("bound", [3, 7, 9, 20, 31, 40, 41, 42, 60])
 def test_search_kernel_matches_the_oracle(
     bound: int, k: int, tuples_per_bucket: int
 ) -> None:
@@ -329,12 +364,36 @@ def test_search_kernel_matches_the_oracle_when_clipped(tuples_per_bucket: int) -
     assert result == oracle_search(config)
 
 
+def test_search_kernel_matches_the_oracle_when_clipped_at_bound_60() -> None:
+    config = SearchConfig(bound=60, k=3, max_results=100, tuples_per_bucket=2)
+    result = search(config)
+    assert result.clipped and result.truncated_buckets
+    assert result == oracle_search(config)
+
+
 def test_search_kernel_oracle_cases_reach_the_bucket_cap() -> None:
     assert search(SearchConfig(bound=40, k=2, tuples_per_bucket=1)).truncated_buckets
     assert search(SearchConfig(bound=40, k=3, tuples_per_bucket=2)).truncated_buckets
 
 
-def test_search_kernel_key_has_room_for_chi_at_the_field_cap() -> None:
-    # s = x + y - 2 with x <= cap and 2*y < x; d_i*d_j > 0 only lowers chi.
-    s_max = DEFAULT_FIELD_CAP + (DEFAULT_FIELD_CAP - 1) // 2 - 2
-    assert 3 * s_max * s_max // 2 + 2 * s_max + 2 < 2**_CHI_BITS
+def test_search_kernel_class_facts_hold_up_to_bound_200() -> None:
+    # The kernel keys cells by the s-classes of their two pairs: it needs s
+    # and d even (exact halving of chi and of x, y), d >= 4 (a nonzero
+    # divisor in the cell lookup), and (s, d) naming exactly one pair.
+    for bound in range(3, 201):
+        pairs = branch_pairs(bound)
+        seen: dict[tuple[int, int], tuple[int, int]] = {}
+        for x, y in pairs:
+            s, d = x + y - 2, x - y
+            assert s % 2 == 0 and d % 2 == 0
+            assert d >= 4
+            assert seen.setdefault((s, d), (x, y)) == (x, y)
+        assert len(seen) == len(pairs)
+
+
+def test_search_pins_the_bound_80_counts() -> None:
+    result = search(SearchConfig(bound=80))
+    assert result.type_count == 247_456
+    assert result.bucket_count == 149_119
+    assert len(result.tuples) == 30_911
+    assert not result.truncated_buckets and not result.clipped
