@@ -8,10 +8,11 @@ bytes; ``--out`` appends records to a JSONL catalog, stamped unless
 (reported as a JSON error object on stdout), 2 usage error.
 
 JSON output is ``json.dumps(payload, indent=2)``, except for ``search``:
-its view, which can run to tens of megabytes, is rendered once as text by
-:func:`bidouble.serialize.search_to_json_text`, byte-identical to
-``json.dumps`` of the same view but with no per-tuple dict, and written in
-one piece.  The search kernel itself runs with the cyclic garbage collector
+its view, which can run to hundreds of megabytes, is rendered by
+:func:`bidouble.serialize.search_to_json_chunks`, byte-identical to
+``json.dumps`` of the same view but with no per-tuple dict, and written one
+chunk of tuples at a time, so the text of the whole view is never held in
+memory.  The search kernel itself runs with the cyclic garbage collector
 paused (see :func:`bidouble.search.search`).
 """
 
@@ -23,7 +24,7 @@ import json
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Any, Iterable, Sequence
+from typing import Any, Iterable, Iterator, Sequence
 
 from . import catalog, serialize
 from .covers import CoverType, derive_params, surface_invariants, validate_type
@@ -152,7 +153,7 @@ def cmd_discriminant(args: argparse.Namespace) -> tuple[dict[str, Any], CsvRows,
     return payload, (header, rows), 0
 
 
-def cmd_search(args: argparse.Namespace) -> tuple[str, CsvRows, int]:
+def cmd_search(args: argparse.Namespace) -> tuple[Iterator[str], CsvRows, int]:
     config = SearchConfig(
         bound=args.bound,
         k=args.k,
@@ -160,10 +161,10 @@ def cmd_search(args: argparse.Namespace) -> tuple[str, CsvRows, int]:
         shard_count=args.shards,
     )
     result = search(config)
-    # Rendered once, for JSON output only; CSV output reads the rows below.
-    text = serialize.search_to_json_text(config, result) if args.format == "json" else ""
+    # Two generators: JSON output renders only the chunks, CSV output only
+    # the rows.
+    chunks = serialize.search_to_json_chunks(config, result)
     header = ["kk", "chi", "members", "indices"]
-    # A generator: the rows are built only when CSV output consumes them.
     rows = (
         [t.key.kk, t.key.chi,
          ";".join(",".join(map(str, m.as_tuple())) for m in t.members),
@@ -171,7 +172,7 @@ def cmd_search(args: argparse.Namespace) -> tuple[str, CsvRows, int]:
         for t in result.tuples
     )
     _append_records(args, "tuple", (serialize.tuple_to_json(t) for t in result.tuples))
-    return text, (header, rows), 0
+    return chunks, (header, rows), 0
 
 
 def cmd_certify(args: argparse.Namespace) -> tuple[dict[str, Any], CsvRows, int]:
@@ -374,16 +375,19 @@ def _check_arity(parser: argparse.ArgumentParser, args: argparse.Namespace) -> N
             parser.error("--max-results must be >= 0")
 
 
-def _emit(payload: dict[str, Any] | str, rows: CsvRows, fmt: str) -> None:
+def _emit(payload: dict[str, Any] | Iterable[str], rows: CsvRows, fmt: str) -> None:
     if fmt == "csv":
         writer = csv.writer(sys.stdout, lineterminator="\n")
         header, body = rows
         writer.writerow(header)
         writer.writerows(body)
-    elif isinstance(payload, str):
-        print(payload)
-    else:
+    elif isinstance(payload, dict):
         print(json.dumps(payload, indent=2, sort_keys=False))
+    else:
+        write = sys.stdout.write
+        for chunk in payload:
+            write(chunk)
+        write("\n")
 
 
 def _emit_error(exc: BidoubleError) -> None:

@@ -26,11 +26,10 @@ from math import gcd
 
 from .errors import ConstraintViolation, OutOfRange
 
-#: Inclusive cap applied to every branch-data field.  Keeps the members that
-#: :class:`bidouble.search.HomeoClassBucket` packs inside their 16-bit lanes;
-#: that is the only limit the cap serves, since the search kernel keys its
-#: cells by plain integers with no lanes.  It does not keep a search small:
-#: bound 10000 means about 7.8e13 types.
+#: Inclusive cap applied to every branch-data field.  It only bounds the
+#: inputs: nothing in the package packs fields into fixed-width lanes, so no
+#: representation depends on it.  It does not keep a search small: bound
+#: 10000 means about 7.8e13 types.
 DEFAULT_FIELD_CAP = 10_000
 
 

@@ -17,18 +17,19 @@ sa <= sb, every cell has the product P = sa*sb, the index gcd(sa, sb) and
 2*chi = 3P + 2(sa + sb + 2) - da*db.  For each P in ascending order the
 kernel counts the keys from set products of the classes' d values, skips P
 when its class pairs carry fewer than k distinct indices, keeps the chi
-values that at least k index groups share, recovers their cells by divisor
-lookup on da*db and hands each such bucket to :func:`extract_k_tuples`,
-which returns its tuples sorted by members.  Keys are walked in order, so
-no global sort is needed.
+values that at least k index groups share, and recovers their cells in one
+pass over each class pair that holds one of them: each row da meets the
+wanted products da*db in one set intersection.  It builds each member's
+:class:`CoverType` once and hands each such bucket to
+:func:`extract_k_tuples`, which returns its tuples sorted by members.  Keys
+are walked in order, so no global sort is needed.
 
 :func:`enumerate_admissible` and :func:`group_by_homeo_class` remain the
 readable path through :mod:`bidouble.covers`; the tests check the kernel
-against them.  Buckets store members as packed integers, four 16-bit lanes
-in field order, so numeric order on packed values equals lexicographic
-order on types.  Tuple extraction walks combinations of distinct-index
-groups rather than filtering all k-subsets, so buckets with many members
-but few distinct indices cost nothing.
+against them.  Buckets hold their members as cover types in lexicographic
+order.  Tuple extraction walks combinations of distinct-index groups rather
+than filtering all k-subsets, so buckets with many members but few distinct
+indices cost nothing.
 """
 
 from __future__ import annotations
@@ -51,27 +52,6 @@ from .errors import BoundTooLarge
 from .topology import HomeoClassKey
 
 DEFAULT_TUPLES_PER_BUCKET = 10_000
-
-_LANE = 16
-_LANE_MASK = (1 << _LANE) - 1
-
-
-def pack(t: CoverType) -> int:
-    """Pack a type into one 64-bit integer, preserving lexicographic order."""
-    return _pack_fields(t.a, t.b, t.m2, t.n2)
-
-
-def _pack_fields(a: int, b: int, m2: int, n2: int) -> int:
-    return a << (3 * _LANE) | b << (2 * _LANE) | m2 << _LANE | n2
-
-
-def unpack(packed: int) -> CoverType:
-    return CoverType(
-        packed >> (3 * _LANE) & _LANE_MASK,
-        packed >> (2 * _LANE) & _LANE_MASK,
-        packed >> _LANE & _LANE_MASK,
-        packed & _LANE_MASK,
-    )
 
 
 @dataclass(frozen=True, slots=True)
@@ -98,19 +78,20 @@ class HomeoClassBucket:
 
     :func:`group_by_homeo_class` builds one bucket per key of the types it is
     given; :func:`search` builds one only for a key whose types have at least
-    k distinct indices.  ``packed`` holds the members sorted and deduplicated;
-    ``indices`` is the divisibility index of each member, aligned by position.
+    k distinct indices.  ``types`` holds the members sorted (lexicographically)
+    and deduplicated; ``indices`` is the divisibility index of each member,
+    aligned by position.
     """
 
     key: HomeoClassKey
-    packed: tuple[int, ...]
+    types: tuple[CoverType, ...]
     indices: tuple[int, ...]
 
     def __len__(self) -> int:
-        return len(self.packed)
+        return len(self.types)
 
     def members(self) -> list[tuple[CoverType, int]]:
-        return [(unpack(p), r) for p, r in zip(self.packed, self.indices)]
+        return list(zip(self.types, self.indices))
 
 
 @dataclass(frozen=True, slots=True)
@@ -174,17 +155,17 @@ def group_by_homeo_class(
     types: Iterable[CoverType],
 ) -> dict[HomeoClassKey, HomeoClassBucket]:
     """Bucket types by (K^2, chi); members end up canonical, sorted, unique."""
-    accumulator: dict[HomeoClassKey, dict[int, int]] = {}
+    accumulator: dict[HomeoClassKey, dict[CoverType, int]] = {}
     for t in types:
         canonical = canonicalize(t)
         inv = surface_invariants(canonical)
         key = HomeoClassKey(inv.kk, inv.chi)
-        accumulator.setdefault(key, {})[pack(canonical)] = inv.r
+        accumulator.setdefault(key, {})[canonical] = inv.r
     buckets: dict[HomeoClassKey, HomeoClassBucket] = {}
     for key, index_of in accumulator.items():
-        packed = tuple(sorted(index_of))
-        indices = tuple(index_of[p] for p in packed)
-        buckets[key] = HomeoClassBucket(key=key, packed=packed, indices=indices)
+        members = tuple(sorted(index_of))
+        indices = tuple(index_of[t] for t in members)
+        buckets[key] = HomeoClassBucket(key=key, types=members, indices=indices)
     return buckets
 
 
@@ -197,10 +178,13 @@ def extract_k_tuples(
     subsets are products over k distinct groups.  Emission stops at ``cap``
     subsets, taken in the order of those combinations and products; the
     second return value reports whether anything was cut off.  The subsets
-    kept are returned sorted by members, and each member is unpacked once.
+    kept are returned sorted by members.  Raises :class:`ValueError` for a k
+    below 2 or a ``cap`` below 1.
     """
     if k < 2:
         raise ValueError("k must be >= 2")
+    if cap < 1:
+        raise ValueError("cap must be >= 1")
     by_index: dict[int, list[int]] = {}
     for position, r in enumerate(bucket.indices):
         by_index.setdefault(r, []).append(position)
@@ -218,11 +202,10 @@ def extract_k_tuples(
         del picked[cap:]
     # Members are sorted and unique, so position order is member order.
     picked.sort()
-    members = [unpack(p) for p in bucket.packed]
     out: list[CataneseTuple] = []
     for positions in picked:
         take = itemgetter(*positions)  # k >= 2 items, so it returns a tuple
-        out.append(CataneseTuple(bucket.key, take(members), take(bucket.indices)))
+        out.append(CataneseTuple(bucket.key, take(bucket.types), take(bucket.indices)))
     return out, truncated
 
 
@@ -287,11 +270,10 @@ def search(config: SearchConfig) -> SearchResult:
             for values in by_index.values():
                 groups_of.update(values)
             bucket_count += len(groups_of)
-            shared = sorted(value for value, groups in groups_of.items() if groups >= k)
-            for twice_chi in shared:
-                bucket = _class_bucket(
-                    product, twice_chi, class_pairs, twice_chis, classes
-                )
+            shared = {value for value, groups in groups_of.items() if groups >= k}
+            for bucket in _shared_buckets(
+                product, shared, class_pairs, twice_chis, classes
+            ):
                 tuples, was_truncated = extract_k_tuples(
                     bucket, k, cap=config.tuples_per_bucket
                 )
@@ -327,42 +309,50 @@ def _twice_chi_values(sa: int, sb: int, classes: dict[int, set[int]]) -> set[int
     return set(map(_twice_chi_shift(sa, sb).__sub__, prods))
 
 
-def _class_bucket(
+def _shared_buckets(
     product: int,
-    twice_chi: int,
+    shared: set[int],
     class_pairs: list[tuple[int, int]],
     twice_chis: list[set[int]],
     classes: dict[int, set[int]],
-) -> HomeoClassBucket:
-    """The canonical bucket of key (8*product, twice_chi/2).
+) -> list[HomeoClassBucket]:
+    """The canonical buckets of the keys (8*product, chi) with 2*chi in ``shared``.
 
-    Each class pair holding the key contributes the cells with
-    da*db = 3P + 2(sa + sb + 2) - 2*chi, found by divisor lookup; a diagonal
-    class pair (sa == sb) keeps db >= da, since its cells are unordered.
+    Each class pair holding one of those keys is scanned once: its row da
+    meets the targets da*db = 3P + 2(sa + sb + 2) - 2*chi in one set
+    intersection.  A diagonal class pair (sa == sb) keeps db >= da, since its
+    cells are unordered.  The buckets come in ascending order of chi.
     """
-    members: list[tuple[int, int]] = []
+    cells: dict[int, list[tuple[tuple[int, int, int, int], int]]] = {}
     for (sa, sb), values in zip(class_pairs, twice_chis):
-        if twice_chi not in values:
+        hits = shared.intersection(values)
+        if not hits:
             continue
         r = gcd(sa, sb)
-        target = _twice_chi_shift(sa, sb) - twice_chi
+        shift = _twice_chi_shift(sa, sb)
+        targets = set(map(shift.__sub__, hits))
         ds_b = classes[sb]
         for da in classes[sa]:
-            if target % da:
-                continue
-            db = target // da
-            if db not in ds_b or (sa == sb and db < da):
-                continue
-            # Pair (s, d) is (x, y) = ((s + 2 + d)/2, (s + 2 - d)/2); the
-            # canonical type is the lex-min of the two orderings, as in
-            # enumerate_admissible.
-            x1, y1 = (sa + 2 + da) // 2, (sa + 2 - da) // 2
-            x2, y2 = (sb + 2 + db) // 2, (sb + 2 - db) // 2
-            fields = min((x1, y2, x2, y1), (x2, y1, x1, y2))
-            members.append((_pack_fields(*fields), r))
-    members.sort()
-    return HomeoClassBucket(
-        key=HomeoClassKey(8 * product, twice_chi // 2),
-        packed=tuple([p for p, _ in members]),
-        indices=tuple([r for _, r in members]),
-    )
+            for target in targets.intersection(map(da.__mul__, ds_b)):
+                db = target // da
+                if sa == sb and db < da:
+                    continue
+                # Pair (s, d) is (x, y) = ((s + 2 + d)/2, (s + 2 - d)/2); the
+                # canonical type is the lex-min of the two orderings, as in
+                # enumerate_admissible.
+                x1, y1 = (sa + 2 + da) // 2, (sa + 2 - da) // 2
+                x2, y2 = (sb + 2 + db) // 2, (sb + 2 - db) // 2
+                fields = min((x1, y2, x2, y1), (x2, y1, x1, y2))
+                cells.setdefault(shift - target, []).append((fields, r))
+    buckets: list[HomeoClassBucket] = []
+    for twice_chi in sorted(cells):
+        # Field tuples order as CoverType does, and no two cells share one.
+        members = sorted(cells[twice_chi])
+        buckets.append(
+            HomeoClassBucket(
+                key=HomeoClassKey(8 * product, twice_chi // 2),
+                types=tuple([CoverType(*fields) for fields, _ in members]),
+                indices=tuple([r for _, r in members]),
+            )
+        )
+    return buckets

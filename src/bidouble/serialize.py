@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 from itertools import chain
-from typing import Any, Mapping
+from typing import Any, Iterator, Mapping
 
 from .covers import CoverType, DerivedParams, SurfaceInvariants
 from .discriminant import ArgumentStep, DiscriminantProfile, ZariskiCertificate
@@ -65,14 +65,22 @@ def tuple_to_json(t: CataneseTuple) -> dict[str, Any]:
     }
 
 
-def search_to_json_text(config: SearchConfig, result: SearchResult) -> str:
-    """The JSON view of one search run, as ``json.dumps(view, indent=2)`` renders it.
+#: Tuples rendered per chunk of the search view: with k = 2 at bound 60, a
+#: chunk is about 350 KB of text.
+TUPLES_PER_CHUNK = 1024
+
+
+def search_to_json_chunks(config: SearchConfig, result: SearchResult) -> Iterator[str]:
+    """The JSON view of one search run in pieces, as ``json.dumps(view, indent=2)`` renders it.
 
     The view is the run's config and counts followed by ``"tuples"``, a list
-    of :func:`tuple_to_json` objects.  The head is rendered by :mod:`json`
-    with an empty list; each tuple is spliced in from a fixed indent-2
+    of :func:`tuple_to_json` objects.  The first chunk is the head, rendered
+    by :mod:`json` up to ``"tuples": [``; then come the tuples,
+    :data:`TUPLES_PER_CHUNK` per chunk, each spliced in from a fixed indent-2
     template over its integer fields, whose ``str`` is their JSON, so no
-    per-tuple dict is built.
+    per-tuple dict is built; the last chunk closes the list and the object.
+    At most one chunk's text is alive at a time when the caller writes each
+    chunk before asking for the next.
     """
     head = json.dumps(
         {
@@ -91,17 +99,28 @@ def search_to_json_text(config: SearchConfig, result: SearchResult) -> str:
         },
         indent=2,
     )
-    if not result.tuples:
-        return head
-    template = _tuple_template(config.k)
-    body = ",\n".join(
-        template
-        % (*t.key, *chain.from_iterable(map(CoverType.as_tuple, t.members)), *t.indices)
-        for t in result.tuples
-    )
+    tuples = result.tuples
+    if not tuples:
+        yield head
+        return
     # head ends in '"tuples": []\n}'; the tuples go between the brackets.
-    # One join copies the body once more, where a chain of + would twice.
-    return "".join((head[: -len("]\n}")], "\n", body, "\n  ]\n}"))
+    yield head[: -len("]\n}")]
+    template = _tuple_template(config.k)
+    separator = "\n"
+    for start in range(0, len(tuples), TUPLES_PER_CHUNK):
+        batch = tuples[start : start + TUPLES_PER_CHUNK]
+        yield separator + ",\n".join(
+            template
+            % (*t.key, *chain.from_iterable(map(CoverType.as_tuple, t.members)), *t.indices)
+            for t in batch
+        )
+        separator = ",\n"
+    yield "\n  ]\n}"
+
+
+def search_to_json_text(config: SearchConfig, result: SearchResult) -> str:
+    """:func:`search_to_json_chunks` joined into one string."""
+    return "".join(search_to_json_chunks(config, result))
 
 
 def _tuple_template(k: int) -> str:

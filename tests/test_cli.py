@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import hashlib
+import io
 import json
+import sys
 from pathlib import Path
 from typing import Any
 
@@ -195,6 +197,35 @@ def test_search_stdout_matches_the_golden_digest(
     assert hashlib.sha256(out.encode()).hexdigest() == SEARCH_60_DIGESTS[fmt]
 
 
+class WriteRecorder(io.TextIOBase):
+    """A stdout that keeps each write separately."""
+
+    def __init__(self) -> None:
+        self.writes: list[str] = []
+
+    def write(self, text: str) -> int:
+        self.writes.append(text)
+        return len(text)
+
+
+def test_search_json_is_written_in_bounded_chunks(
+    monkeypatch: pytest.MonkeyPatch,
+) -> None:
+    recorder = WriteRecorder()
+    monkeypatch.setattr(sys, "stdout", recorder)
+    assert main(["search", "--bound", "60"]) == 0
+    monkeypatch.undo()
+    writes = [w.encode() for w in recorder.writes]
+    head = recorder.writes[0]
+    for count in ("type_count", "bucket_count", "tuple_count"):
+        assert f'"{count}": ' in head
+    # The whole output is 2.38 MB; no write may hold a large share of it.
+    assert len(writes) > 1
+    assert max(map(len, writes)) <= 1_000_000
+    digest = hashlib.sha256(b"".join(writes)).hexdigest()
+    assert digest == SEARCH_60_DIGESTS["json"]
+
+
 def search_view(config: SearchConfig, result: SearchResult) -> dict[str, Any]:
     """The search JSON view as a dict, built as the CLI built it for json.dumps."""
     return {
@@ -228,6 +259,9 @@ def first_difference(got: str, want: str) -> str:
         SearchConfig(bound=40, max_results=0),
         SearchConfig(bound=40, max_results=7),
         SearchConfig(bound=40, tuples_per_bucket=1),
+        # One full chunk of tuples, and one tuple past it.
+        SearchConfig(bound=60, max_results=1024),
+        SearchConfig(bound=60, max_results=1025),
     ],
     ids=repr,
 )

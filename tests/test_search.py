@@ -25,8 +25,6 @@ from bidouble.search import (
     DEFAULT_TUPLES_PER_BUCKET,
     CataneseTuple,
     branch_pairs,
-    pack,
-    unpack,
 )
 
 TYPE_1 = CoverType(16, 22, 52, 4)
@@ -50,13 +48,6 @@ def brute_force_canonical(bound: int) -> set[CoverType]:
                         s = CoverType(m2, n2, a, b)
                         found.add(min(t, s))
     return found
-
-
-def test_pack_round_trip_preserves_order() -> None:
-    types = sorted(enumerate_admissible(25))
-    packed = [pack(t) for t in types]
-    assert packed == sorted(packed)
-    assert [unpack(p) for p in packed] == types
 
 
 def test_branch_pairs_small_bounds() -> None:
@@ -165,6 +156,13 @@ def test_extract_respects_the_emission_cap() -> None:
 def test_extract_rejects_degenerate_k() -> None:
     with pytest.raises(ValueError):
         extract_k_tuples(repeated_index_bucket(), 1)
+
+
+@pytest.mark.parametrize("cap", [0, -1, -2])
+def test_extract_rejects_a_cap_below_one(cap: int) -> None:
+    # cap 0 and -1 used to return ([], True); -2 leaked islice's own message.
+    with pytest.raises(ValueError, match="cap must be >= 1"):
+        extract_k_tuples(repeated_index_bucket(), 2, cap=cap)
 
 
 def three_index_bucket() -> HomeoClassBucket:
@@ -369,6 +367,34 @@ def test_search_kernel_matches_the_oracle_when_clipped_at_bound_60() -> None:
     result = search(config)
     assert result.clipped and result.truncated_buckets
     assert result == oracle_search(config)
+
+
+def test_search_kernel_hands_extract_the_oracle_buckets(
+    monkeypatch: pytest.MonkeyPatch,
+) -> None:
+    # The kernel builds its buckets from cells, not from group_by_homeo_class;
+    # those it extracts from must be the oracle's buckets with at least k
+    # distinct indices, member for member, in key order.
+    search_module = importlib.import_module("bidouble.search")
+    real_extract = search_module.extract_k_tuples
+    seen: list[HomeoClassBucket] = []
+
+    def watched_extract(bucket, *args, **kwargs):
+        seen.append(bucket)
+        return real_extract(bucket, *args, **kwargs)
+
+    monkeypatch.setattr(search_module, "extract_k_tuples", watched_extract)
+    buckets = oracle_buckets(40)
+    for k in (2, 3):
+        seen.clear()
+        search(SearchConfig(bound=40, k=k))
+        wanted = [
+            buckets[key] for key in sorted(buckets) if len(set(buckets[key].indices)) >= k
+        ]
+        assert wanted
+        assert [(b.key, b.types, b.indices) for b in seen] == [
+            (b.key, b.types, b.indices) for b in wanted
+        ]
 
 
 def test_search_kernel_oracle_cases_reach_the_bucket_cap() -> None:
