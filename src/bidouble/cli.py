@@ -14,6 +14,11 @@ its view, which can run to hundreds of megabytes, is rendered by
 chunk of tuples at a time, so the text of the whole view is never held in
 memory.  The search kernel itself runs with the cyclic garbage collector
 paused (see :func:`bidouble.search.search`).
+
+CSV rows are read off the same views, so each field is declared once:
+nested objects flatten into columns and each view in a list is a row.
+``search`` fills the columns it shares with ``certify`` straight from its
+tuples, with no dict per row.
 """
 
 from __future__ import annotations
@@ -30,7 +35,7 @@ from . import catalog, serialize
 from .covers import CoverType, derive_params, surface_invariants, validate_type
 from .discriminant import discriminant_profile, zariski_certificate
 from .errors import BidoubleError, ConstraintViolation, NotCatanese
-from .paper_check import PaperExampleReport, verify_paper_example
+from .paper_check import verify_paper_example
 from .search import SearchConfig, search
 from .topology import (
     are_homeomorphic,
@@ -72,10 +77,10 @@ def _append_records(
     if args.out is None:
         return
     stamp = _timestamp(args)
-    records = [
+    records = (
         catalog.CatalogRecord(kind=kind, payload=payload, created_at=stamp)
         for payload in payloads
-    ]
+    )
     written = catalog.write_catalog(records, args.out)
     print(f"appended {written} {kind} record(s) to {args.out}", file=sys.stderr)
 
@@ -84,18 +89,48 @@ def _validated(t: CoverType) -> CoverType:
     return validate_type(t.a, t.b, t.m2, t.n2)
 
 
+def _table(rows: list[dict[str, Any]]) -> CsvRows:
+    """CSV header and rows of flat views that share their fields, in order."""
+    return list(rows[0]), [list(row.values()) for row in rows]
+
+
+def _flattened(view: dict[str, Any]) -> dict[str, Any]:
+    """The view with each nested object's fields spliced in its place."""
+    flat: dict[str, Any] = {}
+    for field, value in view.items():
+        if isinstance(value, dict):
+            flat.update(value)
+        else:
+            flat[field] = value
+    return flat
+
+
+def _numbered(views: Iterable[dict[str, Any]]) -> dict[str, Any]:
+    """The fields of each view, suffixed ``_1``, ``_2``, ... by position."""
+    return {
+        f"{field}_{i}": value
+        for i, view in enumerate(views, 1)
+        for field, value in view.items()
+    }
+
+
+# The leading CSV columns of a tuple of types, which _tuple_cells fills.
+_TUPLE_COLUMNS = ["kk", "chi", "members", "indices"]
+
+
+def _tuple_cells(
+    kk: int, chi: int, members: Iterable[Iterable[int]], indices: Iterable[int]
+) -> list[Any]:
+    """kk, chi, then members ``a,b,m2,n2`` and indices, each joined by ``;``."""
+    members_cell = ";".join(",".join(map(str, fields)) for fields in members)
+    return [kk, chi, members_cell, ";".join(map(str, indices))]
+
+
 def cmd_invariants(args: argparse.Namespace) -> tuple[dict[str, Any], CsvRows, int]:
     t = _validated(args.types[0])
-    params = derive_params(t)
-    inv = surface_invariants(t)
-    payload = serialize.invariants_to_json(t, params, inv)
-    header = ["a", "b", "m2", "n2", "u", "v", "w", "z", "kk", "chi", "euler",
-              "sigma", "b2", "b_plus", "b_minus", "p_g", "r"]
-    row = [t.a, t.b, t.m2, t.n2, params.u, params.v, params.w, params.z,
-           inv.kk, inv.chi, inv.euler, inv.sigma, inv.b2, inv.b_plus,
-           inv.b_minus, inv.p_g, inv.r]
+    payload = serialize.invariants_to_json(t, derive_params(t), surface_invariants(t))
     _append_records(args, "invariants", [payload])
-    return payload, (header, [row]), 0
+    return payload, _table([_flattened(payload)]), 0
 
 
 def cmd_check_pair(args: argparse.Namespace) -> tuple[dict[str, Any], CsvRows, int]:
@@ -110,26 +145,27 @@ def cmd_check_pair(args: argparse.Namespace) -> tuple[dict[str, Any], CsvRows, i
         "homeomorphic": homeomorphic,
         "obstruction": obstruction,
     }
-    header = ["a_1", "b_1", "m2_1", "n2_1", "a_2", "b_2", "m2_2", "n2_2",
-              "kk_1", "chi_1", "kk_2", "chi_2", "r_1", "r_2",
-              "homeomorphic", "obstruction"]
-    row = [*t1.as_tuple(), *t2.as_tuple(), inv1.kk, inv1.chi, inv2.kk,
-           inv2.chi, inv1.r, inv2.r, homeomorphic, obstruction or ""]
-    return payload, (header, [row]), 0
+    row = {
+        **_numbered(payload["types"]),
+        **_numbered(payload["keys"]),
+        **_numbered({"r": r} for r in payload["indices"]),
+        "homeomorphic": homeomorphic,
+        "obstruction": obstruction,
+    }
+    return payload, _table([row]), 0
 
 
 def cmd_check_tuple(args: argparse.Namespace) -> tuple[dict[str, Any], CsvRows, int]:
     types = [_validated(t) for t in args.types]
-    verdict = is_catanese_tuple(types)
-    payload = serialize.verdict_to_json(verdict)
+    payload = serialize.verdict_to_json(is_catanese_tuple(types))
     payload["members"] = [serialize.cover_type_to_json(t) for t in types]
-    header = ["member", "a", "b", "m2", "n2", "r", "is_catanese", "failures"]
-    failures = " | ".join(verdict.failures)
+    failures = " | ".join(payload["failures"])
+    is_catanese = payload["is_catanese"]
     rows = [
-        [i, *t.as_tuple(), r, verdict.is_catanese, failures]
-        for i, (t, r) in enumerate(zip(types, verdict.indices))
+        {"member": i, **member, "r": r, "is_catanese": is_catanese, "failures": failures}
+        for i, (member, r) in enumerate(zip(payload["members"], payload["indices"]))
     ]
-    return payload, (header, rows), 0
+    return payload, _table(rows), 0
 
 
 def cmd_discriminant(args: argparse.Namespace) -> tuple[dict[str, Any], CsvRows, int]:
@@ -143,86 +179,49 @@ def cmd_discriminant(args: argparse.Namespace) -> tuple[dict[str, Any], CsvRows,
         "euler": inv.euler,
         "profiles": [serialize.profile_to_json(p) for p in profiles],
     }
-    header = ["mult", "ram_mult", "deg_f", "deg_b", "half_deg", "genus",
-              "cusps", "nodes"]
-    rows = [
-        [p.mult, p.ram_mult, str(p.deg_f), str(p.deg_b), str(p.half_deg),
-         str(p.genus), str(p.cusps), str(p.nodes)]
-        for p in profiles
-    ]
-    return payload, (header, rows), 0
+    return payload, _table(payload["profiles"]), 0
 
 
 def cmd_search(args: argparse.Namespace) -> tuple[Iterator[str], CsvRows, int]:
-    config = SearchConfig(
-        bound=args.bound,
-        k=args.k,
-        max_results=args.max_results,
-        shard_count=args.shards,
-    )
+    config = SearchConfig(bound=args.bound, k=args.k, max_results=args.max_results)
     result = search(config)
     # Two generators: JSON output renders only the chunks, CSV output only
     # the rows.
     chunks = serialize.search_to_json_chunks(config, result)
-    header = ["kk", "chi", "members", "indices"]
     rows = (
-        [t.key.kk, t.key.chi,
-         ";".join(",".join(map(str, m.as_tuple())) for m in t.members),
-         ";".join(map(str, t.indices))]
+        _tuple_cells(*t.key, map(CoverType.as_tuple, t.members), t.indices)
         for t in result.tuples
     )
     _append_records(args, "tuple", (serialize.tuple_to_json(t) for t in result.tuples))
-    return chunks, (header, rows), 0
+    return chunks, (_TUPLE_COLUMNS, rows), 0
+
+
+# The profile fields of each certify CSV row, after _TUPLE_COLUMNS.
+_CERTIFY_PROFILE_COLUMNS = ["mult", "deg_b", "genus", "cusps", "nodes"]
 
 
 def cmd_certify(args: argparse.Namespace) -> tuple[dict[str, Any], CsvRows, int]:
     types = [_validated(t) for t in args.types]
-    cert = zariski_certificate(types, args.mults)
-    payload = serialize.certificate_to_json(cert)
-    header = ["kk", "chi", "members", "indices", "mult", "deg_b", "genus",
-              "cusps", "nodes"]
-    members = ";".join(",".join(map(str, m.as_tuple())) for m in cert.members)
-    indices = ";".join(map(str, cert.indices))
-    base = [cert.shared.kk, cert.shared.chi, members, indices]
-    if cert.profiles:
-        rows = [
-            [*base, p.mult, str(p.deg_b), str(p.genus), str(p.cusps), str(p.nodes)]
-            for p in cert.profiles
-        ]
-    else:
-        rows = [[*base, "", "", "", "", ""]]
+    payload = serialize.certificate_to_json(zariski_certificate(types, args.mults))
+    base = _tuple_cells(
+        *payload["shared"].values(),
+        (member.values() for member in payload["members"]),
+        payload["indices"],
+    )
+    rows = [
+        [*base, *(profile[field] for field in _CERTIFY_PROFILE_COLUMNS)]
+        for profile in payload["profiles"]
+    ] or [[*base, *[""] * len(_CERTIFY_PROFILE_COLUMNS)]]
     _append_records(args, "certificate", [payload])
-    return payload, (header, rows), 0
+    return payload, ([*_TUPLE_COLUMNS, *_CERTIFY_PROFILE_COLUMNS], rows), 0
 
 
 def cmd_verify_paper_example(
     args: argparse.Namespace,
 ) -> tuple[dict[str, Any], CsvRows, int]:
     mults = args.mults if args.mults is not None else list(DEFAULT_REPORT_MULTS)
-    report = verify_paper_example(mults)
-    payload = _report_to_json(report)
-    header = ["field", "paper_printed", "computed", "match", "note"]
-    rows = [
-        [e.field, str(e.paper_printed), str(e.computed), e.match, e.note]
-        for e in report.entries
-    ]
-    return payload, (header, rows), 0 if report.pattern_ok() else 1
-
-
-def _report_to_json(report: PaperExampleReport) -> dict[str, Any]:
-    return {
-        "entries": [
-            {
-                "field": e.field,
-                "paper_printed": str(e.paper_printed),
-                "computed": str(e.computed),
-                "match": e.match,
-                "note": e.note,
-            }
-            for e in report.entries
-        ],
-        "pattern_ok": report.pattern_ok(),
-    }
+    payload = serialize.report_to_json(verify_paper_example(mults))
+    return payload, _table(payload["entries"]), 0 if payload["pattern_ok"] else 1
 
 
 def _add_type_flag(parser: argparse.ArgumentParser, help_text: str) -> None:
@@ -318,12 +317,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--max-results", type=int, default=None, help="truncate the sorted output"
     )
-    p.add_argument(
-        "--shards",
-        type=int,
-        default=1,
-        help="shard count, echoed in the output; no effect yet (default 1)",
-    )
     _add_common_flags(p, out=True)
     p.set_defaults(func=cmd_search)
 
@@ -369,8 +362,6 @@ def _check_arity(parser: argparse.ArgumentParser, args: argparse.Namespace) -> N
             parser.error("--bound must be >= 3")
         if args.k < 2:
             parser.error("--k must be >= 2")
-        if args.shards < 1:
-            parser.error("--shards must be >= 1")
         if args.max_results is not None and args.max_results < 0:
             parser.error("--max-results must be >= 0")
 

@@ -61,14 +61,11 @@ class SearchConfig:
     ``bound`` caps every branch-data field; ``k`` is the tuple size;
     ``max_results`` (>= 0) truncates the sorted output when set;
     ``tuples_per_bucket`` caps emission per homeomorphism class.
-    ``shard_count`` is validated and echoed by the CLI but has no effect: the
-    kernel runs as one shard.
     """
 
     bound: int
     k: int = 2
     max_results: int | None = None
-    shard_count: int = 1
     tuples_per_bucket: int = DEFAULT_TUPLES_PER_BUCKET
 
 
@@ -128,27 +125,20 @@ def branch_pairs(bound: int) -> list[tuple[int, int]]:
     return pairs
 
 
-def enumerate_admissible(bound: int, *, shard_count: int = 1) -> Iterator[CoverType]:
+def enumerate_admissible(bound: int) -> Iterator[CoverType]:
     """Yield each admissibility class exactly once, in canonical form.
 
-    The outer pair index is partitioned round-robin over ``shard_count``
-    shards, drained in shard order, so the iteration order is deterministic
-    for a fixed shard count and the union over shards never repeats a class.
+    Unordered pairs i <= j of :func:`branch_pairs` are visited in index
+    order, so the iteration order is deterministic.
     """
-    if shard_count < 1:
-        raise ValueError("shard_count must be >= 1")
     pairs = branch_pairs(bound)
-    count = len(pairs)
-    for shard in range(shard_count):
-        for i in range(shard, count, shard_count):
-            x1, y1 = pairs[i]
-            for j in range(i, count):
-                x2, y2 = pairs[j]
-                # (a, n2) = pairs[i], (m2, b) = pairs[j]; canonical form is
-                # the lex-min of the two orderings of the unordered pair.
-                first = (x1, y2, x2, y1)
-                second = (x2, y1, x1, y2)
-                yield CoverType(*(first if first <= second else second))
+    for i, (x1, y1) in enumerate(pairs):
+        for x2, y2 in pairs[i:]:
+            # (a, n2) = (x1, y1), (m2, b) = (x2, y2); canonical form is the
+            # lex-min of the two orderings of the unordered pair.
+            first = (x1, y2, x2, y1)
+            second = (x2, y1, x1, y2)
+            yield CoverType(*(first if first <= second else second))
 
 
 def group_by_homeo_class(
@@ -213,10 +203,9 @@ def search(config: SearchConfig) -> SearchResult:
     """Bucket s-class pairs by product and extract; the order is deterministic.
 
     Tuples are sorted by key and then by members, and ``max_results`` is
-    applied after sorting.  ``shard_count`` is validated and has no effect.
-    Raises :class:`BoundTooLarge` above the global field cap, and
-    :class:`ValueError` for a bound below 3, a k below 2, a negative
-    ``max_results``, or a ``shard_count`` or ``tuples_per_bucket`` below 1.
+    applied after sorting.  Raises :class:`BoundTooLarge` above the global
+    field cap, and :class:`ValueError` for a bound below 3, a k below 2, a
+    negative ``max_results``, or a ``tuples_per_bucket`` below 1.
 
     Bucketing and extraction run with the cyclic garbage collector paused,
     and its previous state is restored on the way out, also when they raise.
@@ -233,8 +222,6 @@ def search(config: SearchConfig) -> SearchResult:
         raise ValueError("bound must be >= 3")
     if config.k < 2:
         raise ValueError("k must be >= 2")
-    if config.shard_count < 1:
-        raise ValueError("shard_count must be >= 1")
     if config.tuples_per_bucket < 1:
         raise ValueError("tuples_per_bucket must be >= 1")
     if config.max_results is not None and config.max_results < 0:

@@ -16,6 +16,7 @@ from typing import Any, Iterator, Mapping
 from .covers import CoverType, DerivedParams, SurfaceInvariants
 from .discriminant import ArgumentStep, DiscriminantProfile, ZariskiCertificate
 from .errors import SchemaMismatch
+from .paper_check import PaperExampleReport
 from .search import CataneseTuple, SearchConfig, SearchResult
 from .topology import HomeoClassKey, TupleVerdict
 
@@ -88,7 +89,9 @@ def search_to_json_chunks(config: SearchConfig, result: SearchResult) -> Iterato
                 "bound": config.bound,
                 "k": config.k,
                 "max_results": config.max_results,
-                "shard_count": config.shard_count,
+                # Fixed, as the search runs as one shard; the field stays so
+                # that the view's bytes and the digests pinned on them hold.
+                "shard_count": 1,
             },
             "type_count": result.type_count,
             "bucket_count": result.bucket_count,
@@ -158,6 +161,22 @@ def certificate_to_json(cert: ZariskiCertificate) -> dict[str, Any]:
             {"step": s.step, "name": s.name, "statement": s.statement}
             for s in cert.argument
         ],
+    }
+
+
+def report_to_json(report: PaperExampleReport) -> dict[str, Any]:
+    return {
+        "entries": [
+            {
+                "field": e.field,
+                "paper_printed": str(e.paper_printed),
+                "computed": str(e.computed),
+                "match": e.match,
+                "note": e.note,
+            }
+            for e in report.entries
+        ],
+        "pattern_ok": report.pattern_ok(),
     }
 
 

@@ -180,21 +180,92 @@ def test_search_csv_lists_members(capsys: pytest.CaptureFixture[str]) -> None:
     assert len(lines) == 106
 
 
-# SHA-256 of `bidouble search --bound 60` stdout, frozen from the
-# enumerate-bucket-extract implementation before the pair-indexed kernel.
-SEARCH_60_DIGESTS = {
-    "json": "9044865f9ce021f9ca37de9ff7af8510105d4dbfd6c934b0901a3555d3b9787a",
-    "csv": "9e5587b4d33761d916b2e9fa373bd422c996bdb7bdcd90db0d93982179dbb032",
+# Exit code and SHA-256 of stdout for each subcommand in both formats,
+# frozen before the CSV tables were derived from the JSON views.  The
+# `search --bound 60` pair dates from the enumerate-bucket-extract
+# implementation, before the pair-indexed kernel.  Domain errors print the
+# same JSON error object in either format.
+GOLDEN_STDOUT: dict[str, dict[str, tuple[int, str]]] = {
+    "invariants --type 16,22,52,4": {
+        "json": (0, "4227f74c391c6f66542b498d8769913d978ab9162069cf0bbd33365d070bd75f"),
+        "csv": (0, "7ff235772c0db431f487016c71fd9709e67e6b61c80e66fba72e459176df94f3"),
+    },
+    "invariants --type 16,22,52,5": {
+        "json": (1, "6c346794e633b7a9ece67295eee21e74df4843668437370574f15ba6f1e720d0"),
+        "csv": (1, "6c346794e633b7a9ece67295eee21e74df4843668437370574f15ba6f1e720d0"),
+    },
+    "check-pair --type 16,22,52,4 --type 28,10,28,10": {
+        "json": (0, "7abe3e4c84929c7ae315aec7645229d5fcb4d6ace52c3e9c579de2862c92c371"),
+        "csv": (0, "a1a1278422ef5f29486f88d101487b519431796a9dfa9c1c530c44f183d22cef"),
+    },
+    "check-pair --type 7,3,7,3 --type 9,3,9,3": {
+        "json": (0, "f09a73708fae839608dd155483a170613524e237aded42bb7c2191d62ae5ee3f"),
+        "csv": (0, "c441e844626ce0b624ec076fd9a94692aed217e78bbe0cc740b8a30812bd3137"),
+    },
+    "check-tuple --type 16,22,52,4 --type 28,10,28,10": {
+        "json": (0, "c8460470cf3529538b6c6212c752e69a7a494f314e73f87513a5dc5aae28e86e"),
+        "csv": (0, "24f2bf47cffe556a2609de0b74c1806d75deac900db5c8db89583653d3e9b1de"),
+    },
+    "check-tuple --type 16,22,52,4 --type 16,22,52,4": {
+        "json": (0, "a8acf451ad2bb81d71f57ef2d42892ca3176c52517c5e17e6e4d65863e1d8025"),
+        "csv": (0, "fbe43b9b32be1756b08a320a6e9677c5293b0b0c320e1e5c50e6de211fcf6816"),
+    },
+    "check-tuple --type 7,3,7,3 --type 9,3,9,3 --type 16,22,52,4": {
+        "json": (0, "dd14f5f5a063bd9a2e16de0e337dcce2229dae74d3665215eb0491a56eee7ce0"),
+        "csv": (0, "246083556fa01d0097c102f1d6cd4ce32f9f4caf81542b3de29a68ec2aa4de79"),
+    },
+    "discriminant --type 16,22,52,4 --m 5 --m 6": {
+        "json": (0, "57e04d03b3c157a1fcadc014c7c9fcbb22c06a275d99ee0eb8633239e0de0e0c"),
+        "csv": (0, "c24190145cc732c847a9065a335a0c82b85d205c643b9eeb0d42424ae2460f6f"),
+    },
+    "discriminant --type 16,22,52,4 --m 4": {
+        "json": (1, "40ce2cd47f09bc1a3c12e5b290ab07ff767a0148c8e7d4f21c512fcc3302201d"),
+        "csv": (1, "40ce2cd47f09bc1a3c12e5b290ab07ff767a0148c8e7d4f21c512fcc3302201d"),
+    },
+    "search --bound 3": {
+        "json": (0, "af8666e2a5895a51e9971f87fdcab19874179f8e58d3a0592d7e087644a0a44d"),
+        "csv": (0, "473dd89447661176d4def3b64561e265752eeb54f50d6c9e9b8b6f2f56fff01c"),
+    },
+    "search --bound 40 --k 3 --max-results 7": {
+        "json": (0, "c16d66c1d7008f8ede9421b80574dce8b0e882dee1bdd7e957ac61bb5424d561"),
+        "csv": (0, "3658abfb73d557d1fc6708c8030ec831152e23744928530563ffc65c79a27d8a"),
+    },
+    "search --bound 60": {
+        "json": (0, "9044865f9ce021f9ca37de9ff7af8510105d4dbfd6c934b0901a3555d3b9787a"),
+        "csv": (0, "9e5587b4d33761d916b2e9fa373bd422c996bdb7bdcd90db0d93982179dbb032"),
+    },
+    "certify --type 16,22,52,4 --type 28,10,28,10 --m 5 --m 6": {
+        "json": (0, "a0affaf0dda971d18c294418cc437d7ffea7fe5de002ffe6e240afd29c040148"),
+        "csv": (0, "5fd6386e7965e08e95255fe3f7545996d72ae4566d82056f13cb76cbbabb570e"),
+    },
+    "certify --type 16,22,52,4 --type 28,10,28,10": {
+        "json": (0, "238c064bfb80b605078c6bffc0eb9a40846a0f8f75cc8d86316c6d5f252dc945"),
+        "csv": (0, "085ea9204856e53db50bd627e2a331008883d72e17c7c847915d896475bbc476"),
+    },
+    "certify --type 7,3,7,3 --type 9,3,9,3 --m 5": {
+        "json": (1, "7b33e712e780d07582649441fa48ae72a2ae157bf99627676c5befc06f856075"),
+        "csv": (1, "7b33e712e780d07582649441fa48ae72a2ae157bf99627676c5befc06f856075"),
+    },
+    "verify-paper-example": {
+        "json": (0, "290ce142db59a9a6773badc77fdfb733022a0e7ea434c1cb5a08aa457e8d735a"),
+        "csv": (0, "ab3a111ee1659467f04c6a407c4a03b21fb6d3d55ac2def00d29a8edf288667e"),
+    },
+    "verify-paper-example --m 5": {
+        "json": (0, "1a97e07fb3642d4f433650573c36278469d51aedead1a67996c7caab29658262"),
+        "csv": (0, "43004da9bfd823c1a1079e28af04152ec248b2f01ea073d0561911c08a4abd7e"),
+    },
 }
 
 
-@pytest.mark.parametrize("fmt", sorted(SEARCH_60_DIGESTS))
-def test_search_stdout_matches_the_golden_digest(
-    capsys: pytest.CaptureFixture[str], fmt: str
+@pytest.mark.parametrize(
+    ("command", "fmt"),
+    [(command, fmt) for command in GOLDEN_STDOUT for fmt in ("json", "csv")],
+)
+def test_stdout_matches_the_golden_digest(
+    capsys: pytest.CaptureFixture[str], command: str, fmt: str
 ) -> None:
-    code, out, _ = run(capsys, "search", "--bound", "60", "--format", fmt)
-    assert code == 0
-    assert hashlib.sha256(out.encode()).hexdigest() == SEARCH_60_DIGESTS[fmt]
+    code, out, _ = run(capsys, *command.split(), "--format", fmt)
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) == GOLDEN_STDOUT[command][fmt]
 
 
 class WriteRecorder(io.TextIOBase):
@@ -223,7 +294,7 @@ def test_search_json_is_written_in_bounded_chunks(
     assert len(writes) > 1
     assert max(map(len, writes)) <= 1_000_000
     digest = hashlib.sha256(b"".join(writes)).hexdigest()
-    assert digest == SEARCH_60_DIGESTS["json"]
+    assert digest == GOLDEN_STDOUT["search --bound 60"]["json"][1]
 
 
 def search_view(config: SearchConfig, result: SearchResult) -> dict[str, Any]:
@@ -233,7 +304,7 @@ def search_view(config: SearchConfig, result: SearchResult) -> dict[str, Any]:
             "bound": config.bound,
             "k": config.k,
             "max_results": config.max_results,
-            "shard_count": config.shard_count,
+            "shard_count": 1,
         },
         "type_count": result.type_count,
         "bucket_count": result.bucket_count,
@@ -286,7 +357,8 @@ def test_search_degenerate_flags_are_usage_errors() -> None:
     for argv in (
         ["search", "--bound", "2"],
         ["search", "--bound", "30", "--k", "1"],
-        ["search", "--bound", "30", "--shards", "0"],
+        # search has no --shards flag, so any value is a usage error.
+        ["search", "--bound", "30", "--shards", "1"],
     ):
         with pytest.raises(SystemExit) as excinfo:
             main(argv)

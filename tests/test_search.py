@@ -86,13 +86,6 @@ def test_enumerate_is_monotone_in_the_bound() -> None:
     assert set(enumerate_admissible(20)) <= set(enumerate_admissible(30))
 
 
-def test_enumerate_shards_partition_the_output() -> None:
-    whole = set(enumerate_admissible(25))
-    sharded = list(enumerate_admissible(25, shard_count=4))
-    assert len(sharded) == len(whole)
-    assert set(sharded) == whole
-
-
 def test_group_by_homeo_class_merges_the_worked_example() -> None:
     buckets = group_by_homeo_class([TYPE_1, TYPE_2])
     assert set(buckets) == {HomeoClassKey(10368, 1856)}
@@ -236,12 +229,6 @@ def test_search_every_tuple_passes_the_verdict() -> None:
         assert verdict.shared_key == t.key
 
 
-def test_search_is_shard_independent() -> None:
-    baseline = search(SearchConfig(bound=30, k=2))
-    for shards in (2, 8):
-        assert search(SearchConfig(bound=30, k=2, shard_count=shards)) == baseline
-
-
 def test_search_results_grow_with_the_bound() -> None:
     small = {t.members for t in search(SearchConfig(bound=30)).tuples}
     large = {t.members for t in search(SearchConfig(bound=45)).tuples}
@@ -275,8 +262,6 @@ def test_search_rejects_degenerate_configs() -> None:
         search(SearchConfig(bound=2))
     with pytest.raises(ValueError):
         search(SearchConfig(bound=30, k=1))
-    with pytest.raises(ValueError):
-        search(SearchConfig(bound=30, shard_count=0))
     # A negative slice would silently drop the tail (708 of 709 at bound 40).
     with pytest.raises(ValueError, match="max_results must be >= 0"):
         search(SearchConfig(bound=40, max_results=-1))
