@@ -26,13 +26,14 @@ _RECORD_KEYS = frozenset({"schema_version", "kind", "payload", "created_at"})
 class CatalogRecord:
     """One catalog line: a kind tag, a payload dict, and a creation stamp.
 
-    ``created_at`` is an ISO timestamp or empty for reproducible files.
+    ``created_at`` is an ISO timestamp or empty for reproducible files.  The
+    line's ``schema_version`` is always :data:`SCHEMA_VERSION`, the only one
+    :func:`read_catalog` accepts, so it is no field of the record.
     """
 
     kind: str
     payload: dict[str, Any]
     created_at: str = ""
-    schema_version: int = SCHEMA_VERSION
 
 
 def record_to_line(record: CatalogRecord) -> str:
@@ -40,7 +41,7 @@ def record_to_line(record: CatalogRecord) -> str:
         raise SchemaMismatch(f"unknown record kind {record.kind!r}")
     return json.dumps(
         {
-            "schema_version": record.schema_version,
+            "schema_version": SCHEMA_VERSION,
             "kind": record.kind,
             "payload": record.payload,
             "created_at": record.created_at,
@@ -53,8 +54,8 @@ def record_to_line(record: CatalogRecord) -> str:
 def write_catalog(records: Iterable[CatalogRecord], path: str | PathLike[str]) -> int:
     """Append records to the JSONL file at ``path``; returns the count written.
 
-    Lines are rendered before the lock is taken, so a schema error cannot
-    leave a half-written file behind.
+    Every line carries :data:`SCHEMA_VERSION`.  Lines are rendered before the
+    lock is taken, so a schema error cannot leave a half-written file behind.
     """
     lines = [record_to_line(record) for record in records]
     with open(path, "a", encoding="utf-8", newline="\n") as handle:
@@ -112,12 +113,5 @@ def read_catalog(path: str | PathLike[str]) -> list[CatalogRecord]:
             created_at = obj["created_at"]
             if not isinstance(created_at, str):
                 raise SchemaMismatch(f"line {lineno}: created_at must be a string")
-            records.append(
-                CatalogRecord(
-                    kind=kind,
-                    payload=payload,
-                    created_at=created_at,
-                    schema_version=version,
-                )
-            )
+            records.append(CatalogRecord(kind, payload, created_at))
     return records

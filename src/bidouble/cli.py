@@ -3,9 +3,12 @@
 One subcommand per library operation; structured output (JSON by default,
 CSV via ``--format csv``) goes to stdout, progress notes to stderr.  Stdout
 never carries timestamps, so two identical invocations produce identical
-bytes; ``--out`` appends records to a JSONL catalog, stamped unless
-``--no-timestamp`` is given.  Exit codes: 0 success, 1 domain error
-(reported as a JSON error object on stdout), 2 usage error.
+bytes.  ``invariants``, ``search`` and ``certify`` take ``--out``, which
+appends records to a JSONL catalog, stamped unless ``--no-timestamp`` is
+given; no other command accepts either flag.  Exit codes: 0 success, 1
+domain error (reported as a JSON error object on stdout), 2 usage error:
+a flag argparse rejects, a ``--type`` count off the command's arity, or a
+``search`` range that :class:`~bidouble.search.SearchConfig` refuses.
 
 JSON output is ``json.dumps(payload, indent=2)``, except for ``search``:
 its view, which can run to hundreds of megabytes, is rendered by
@@ -183,7 +186,7 @@ def cmd_discriminant(args: argparse.Namespace) -> tuple[dict[str, Any], CsvRows,
 
 
 def cmd_search(args: argparse.Namespace) -> tuple[Iterator[str], CsvRows, int]:
-    config = SearchConfig(bound=args.bound, k=args.k, max_results=args.max_results)
+    config = args.config
     result = search(config)
     # Two generators: JSON output renders only the chunks, CSV output only
     # the rows.
@@ -224,18 +227,26 @@ def cmd_verify_paper_example(
     return payload, _table(payload["entries"]), 0 if payload["pattern_ok"] else 1
 
 
-def _add_type_flag(parser: argparse.ArgumentParser, help_text: str) -> None:
+def _type_count_text(low: int, high: int | None) -> str:
+    return f"exactly {low}" if high == low else f"at least {low}"
+
+
+def _add_type_flag(parser: argparse.ArgumentParser, low: int, high: int | None) -> None:
+    """``--type``, repeated ``low`` to ``high`` (None: any number of) times."""
     parser.add_argument(
         "--type",
         dest="types",
         action="append",
+        default=[],
         type=cover_type_argument,
         metavar="a,b,m2,n2",
-        help=help_text,
+        help=f"a cover type (give {_type_count_text(low, high)})",
     )
+    parser.set_defaults(arity=(low, high))
 
 
-def _add_mult_flag(parser: argparse.ArgumentParser, help_text: str) -> None:
+def _add_mult_flag(parser: argparse.ArgumentParser, help_text: str, **count: Any) -> None:
+    """``--m``; ``count`` is ``required=True`` or the ``default`` when absent."""
     parser.add_argument(
         "--m",
         dest="mults",
@@ -243,6 +254,7 @@ def _add_mult_flag(parser: argparse.ArgumentParser, help_text: str) -> None:
         type=int,
         metavar="MULT",
         help=help_text,
+        **count,
     )
 
 
@@ -253,20 +265,18 @@ def _add_common_flags(parser: argparse.ArgumentParser, *, out: bool = False) -> 
         default="json",
         help="output format on stdout (default json)",
     )
-    parser.add_argument(
-        "--no-timestamp",
-        action="store_true",
-        help="write empty created_at fields in catalog records",
-    )
     if out:
+        parser.add_argument(
+            "--no-timestamp",
+            action="store_true",
+            help="write empty created_at fields in catalog records",
+        )
         parser.add_argument(
             "--out",
             type=Path,
             metavar="CATALOG",
             help="append result records to this JSONL catalog",
         )
-    else:
-        parser.set_defaults(out=None)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -283,31 +293,31 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "invariants", help="derived parameters and surface invariants of one type"
     )
-    _add_type_flag(p, "the cover type (exactly one)")
+    _add_type_flag(p, 1, 1)
     _add_common_flags(p, out=True)
-    p.set_defaults(func=cmd_invariants, arity=(1, 1))
+    p.set_defaults(func=cmd_invariants)
 
     p = sub.add_parser(
         "check-pair", help="homeomorphism and diffeomorphism verdict for two types"
     )
-    _add_type_flag(p, "a cover type (exactly twice)")
+    _add_type_flag(p, 2, 2)
     _add_common_flags(p)
-    p.set_defaults(func=cmd_check_pair, arity=(2, 2))
+    p.set_defaults(func=cmd_check_pair)
 
     p = sub.add_parser(
         "check-tuple", help="Catanese verdict for two or more types"
     )
-    _add_type_flag(p, "a cover type (at least twice)")
+    _add_type_flag(p, 2, None)
     _add_common_flags(p)
-    p.set_defaults(func=cmd_check_tuple, arity=(2, None))
+    p.set_defaults(func=cmd_check_tuple)
 
     p = sub.add_parser(
         "discriminant", help="discriminant-curve profiles of one type"
     )
-    _add_type_flag(p, "the cover type (exactly one)")
-    _add_mult_flag(p, "canonical multiple >= 5 (repeatable, at least one)")
+    _add_type_flag(p, 1, 1)
+    _add_mult_flag(p, "canonical multiple >= 5 (repeatable, required)", required=True)
     _add_common_flags(p)
-    p.set_defaults(func=cmd_discriminant, arity=(1, 1), mult_arity=(1, None))
+    p.set_defaults(func=cmd_discriminant)
 
     p = sub.add_parser(
         "search", help="enumerate types up to a bound and extract Catanese k-tuples"
@@ -323,10 +333,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "certify", help="Zariski certificate for a Catanese tuple"
     )
-    _add_type_flag(p, "a cover type (at least twice)")
-    _add_mult_flag(p, "canonical multiple >= 5 (repeatable)")
+    _add_type_flag(p, 2, None)
+    _add_mult_flag(p, "canonical multiple >= 5 (repeatable)", default=[])
     _add_common_flags(p, out=True)
-    p.set_defaults(func=cmd_certify, arity=(2, None), mult_arity=(0, None))
+    p.set_defaults(func=cmd_certify)
 
     p = sub.add_parser(
         "verify-paper-example",
@@ -341,29 +351,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _check_arity(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None:
-    arity = getattr(args, "arity", None)
-    if arity is not None:
-        low, high = arity
-        got = len(args.types or [])
+def _check_usage(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None:
+    """The usage rules argparse cannot state: ``--type`` counts and search ranges."""
+    if "arity" in args:
+        low, high = args.arity
+        got = len(args.types)
         if got < low or (high is not None and got != high):
-            wanted = f"exactly {low}" if high == low else f"at least {low}"
+            wanted = _type_count_text(low, high)
             parser.error(f"{args.command} takes {wanted} --type flag(s), got {got}")
-    mult_arity = getattr(args, "mult_arity", None)
-    if mult_arity is not None:
-        low, _ = mult_arity
-        got = len(args.mults or [])
-        if got < low:
-            parser.error(f"{args.command} needs at least {low} --m flag(s), got {got}")
-        if args.mults is None:
-            args.mults = []
     if args.command == "search":
-        if args.bound < 3:
-            parser.error("--bound must be >= 3")
-        if args.k < 2:
-            parser.error("--k must be >= 2")
-        if args.max_results is not None and args.max_results < 0:
-            parser.error("--max-results must be >= 0")
+        try:
+            args.config = SearchConfig(args.bound, args.k, args.max_results)
+        except ValueError as exc:
+            parser.error(str(exc))
 
 
 def _emit(payload: dict[str, Any] | Iterable[str], rows: CsvRows, fmt: str) -> None:
@@ -394,7 +394,7 @@ def _emit_error(exc: BidoubleError) -> None:
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    _check_arity(parser, args)
+    _check_usage(parser, args)
     try:
         payload, rows, code = args.func(args)
     except BidoubleError as exc:

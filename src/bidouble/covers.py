@@ -83,22 +83,21 @@ class SurfaceInvariants:
     r: int
 
 
-def validate_type(
-    a: int, b: int, m2: int, n2: int, *, cap: int = DEFAULT_FIELD_CAP
-) -> CoverType:
+def validate_type(a: int, b: int, m2: int, n2: int) -> CoverType:
     """Check admissibility of (a, b, m2, n2) and return the cover type.
 
-    Raises :class:`OutOfRange` if any field exceeds ``cap`` and otherwise
-    :class:`ConstraintViolation` carrying every violated constraint, not just
-    the first, so a single call yields the complete diagnosis.
+    Raises :class:`OutOfRange` if any field exceeds :data:`DEFAULT_FIELD_CAP`
+    and otherwise :class:`ConstraintViolation` carrying every violated
+    constraint, not just the first, so a single call yields the complete
+    diagnosis.
     """
     fields = (("a", a), ("b", b), ("m2", m2), ("n2", n2))
     for name, value in fields:
         if isinstance(value, bool) or not isinstance(value, int):
             raise TypeError(f"{name} must be an integer, got {value!r}")
     for name, value in fields:
-        if value > cap:
-            raise OutOfRange(f"{name}={value} exceeds the field cap {cap}")
+        if value > DEFAULT_FIELD_CAP:
+            raise OutOfRange(f"{name}={value} exceeds the field cap {DEFAULT_FIELD_CAP}")
     checks = (
         (a > 2 * n2, f"a > 2*n2 (got a={a}, n2={n2})"),
         (n2 >= 3, f"n2 >= 3 (got n2={n2})"),
@@ -174,5 +173,5 @@ def surface_invariants(t: CoverType) -> SurfaceInvariants:
         b_plus=b_plus,
         b_minus=b2 - b_plus,
         p_g=chi - 1,
-        r=gcd(p.u, p.v),
+        r=divisibility_index(p),
     )

@@ -140,16 +140,14 @@ def zariski_certificate(
     """Assemble the certificate for a Catanese tuple at the given multiples.
 
     Raises :class:`NotCatanese` (with the per-pair failures) when the members
-    do not form a Catanese tuple and :class:`MultTooSmall` for any multiple
-    below 5.  Profiles are computed once from the shared (K^2, chi): by
-    construction they apply verbatim to every member.
+    do not form a Catanese tuple and, from :func:`discriminant_profile`,
+    :class:`MultTooSmall` at the first multiple below 5.  Profiles are
+    computed once from the shared (K^2, chi): by construction they apply
+    verbatim to every member.
     """
     verdict = is_catanese_tuple(types)
     if not verdict.is_catanese:
         raise NotCatanese(verdict.failures)
-    for mult in mults:
-        if mult < MIN_MULT:
-            raise MultTooSmall(f"canonical multiple must be >= {MIN_MULT}, got {mult}")
     members = tuple(sorted(canonicalize(t) for t in types))
     invariants = [surface_invariants(t) for t in members]
     shared = homeo_class_key(invariants[0])

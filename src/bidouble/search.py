@@ -58,15 +58,26 @@ DEFAULT_TUPLES_PER_BUCKET = 10_000
 class SearchConfig:
     """Parameters of one search run.
 
-    ``bound`` caps every branch-data field; ``k`` is the tuple size;
-    ``max_results`` (>= 0) truncates the sorted output when set;
-    ``tuples_per_bucket`` caps emission per homeomorphism class.
+    ``bound`` (>= 3) caps every branch-data field; ``k`` (>= 2) is the tuple
+    size; ``max_results`` (>= 0) truncates the sorted output when set;
+    ``tuples_per_bucket`` (>= 1) caps emission per homeomorphism class.
+    Construction raises :class:`ValueError` for a value out of those ranges.
     """
 
     bound: int
     k: int = 2
     max_results: int | None = None
     tuples_per_bucket: int = DEFAULT_TUPLES_PER_BUCKET
+
+    def __post_init__(self) -> None:
+        if self.bound < 3:
+            raise ValueError("bound must be >= 3")
+        if self.k < 2:
+            raise ValueError("k must be >= 2")
+        if self.tuples_per_bucket < 1:
+            raise ValueError("tuples_per_bucket must be >= 1")
+        if self.max_results is not None and self.max_results < 0:
+            raise ValueError("max_results must be >= 0")
 
 
 @dataclass(frozen=True, slots=True)
@@ -204,8 +215,7 @@ def search(config: SearchConfig) -> SearchResult:
 
     Tuples are sorted by key and then by members, and ``max_results`` is
     applied after sorting.  Raises :class:`BoundTooLarge` above the global
-    field cap, and :class:`ValueError` for a bound below 3, a k below 2, a
-    negative ``max_results``, or a ``tuples_per_bucket`` below 1.
+    field cap; :class:`SearchConfig` has already checked the other ranges.
 
     Bucketing and extraction run with the cyclic garbage collector paused,
     and its previous state is restored on the way out, also when they raise.
@@ -218,14 +228,6 @@ def search(config: SearchConfig) -> SearchResult:
         raise BoundTooLarge(
             f"bound {config.bound} exceeds the field cap {DEFAULT_FIELD_CAP}"
         )
-    if config.bound < 3:
-        raise ValueError("bound must be >= 3")
-    if config.k < 2:
-        raise ValueError("k must be >= 2")
-    if config.tuples_per_bucket < 1:
-        raise ValueError("tuples_per_bucket must be >= 1")
-    if config.max_results is not None and config.max_results < 0:
-        raise ValueError("max_results must be >= 0")
     # The s-class of s: the d of every branch pair with that s.
     classes: dict[int, set[int]] = {}
     count = 0

@@ -129,15 +129,13 @@ def search_to_json_text(config: SearchConfig, result: SearchResult) -> str:
 def _tuple_template(k: int) -> str:
     """A k-member :func:`tuple_to_json` object as an element of the search view.
 
-    Every integer field is a ``%d`` slot, in the order kk, chi, each member's
+    Rendered from :func:`tuple_to_json` with a ``%d`` slot in every integer
+    field, so the slots come in the order kk, chi, each member's
     ``as_tuple()``, then the indices.
     """
-    slot = "%d"
-    shape = {
-        "key": {"kk": slot, "chi": slot},
-        "members": [{"a": slot, "b": slot, "m2": slot, "n2": slot}] * k,
-        "indices": [slot] * k,
-    }
+    slot: Any = "%d"
+    member = CoverType(slot, slot, slot, slot)
+    shape = tuple_to_json(CataneseTuple(HomeoClassKey(slot, slot), (member,) * k, (slot,) * k))
     text = json.dumps(shape, indent=2).replace(f'"{slot}"', slot)
     return "\n".join("    " + line for line in text.splitlines())
 

@@ -139,6 +139,16 @@ def test_catalog_rejects_future_schema_version(tmp_path: Path) -> None:
     assert "schema_version" in str(excinfo.value)
 
 
+def test_catalog_record_has_no_schema_version_field(tmp_path: Path) -> None:
+    # Every written line carries the one version the reader accepts, so a
+    # record cannot hold another that would make its line unreadable.
+    with pytest.raises(TypeError):
+        CatalogRecord("tuple", {}, schema_version=2)  # type: ignore[call-arg]
+    path = tmp_path / "catalog.jsonl"
+    write_catalog([CatalogRecord("tuple", {})], path)
+    assert json.loads(path.read_text())["schema_version"] == 1
+
+
 @pytest.mark.parametrize("version", ["true", "1.0"])
 def test_catalog_rejects_a_version_equal_to_but_not_the_integer_1(
     tmp_path: Path, version: str

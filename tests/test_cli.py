@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import io
 import json
@@ -12,7 +13,7 @@ from typing import Any
 import pytest
 
 from bidouble import SearchConfig, SearchResult, read_catalog, search
-from bidouble.cli import main
+from bidouble.cli import build_parser, main
 from bidouble.serialize import (
     certificate_from_json,
     key_to_json,
@@ -357,12 +358,50 @@ def test_search_degenerate_flags_are_usage_errors() -> None:
     for argv in (
         ["search", "--bound", "2"],
         ["search", "--bound", "30", "--k", "1"],
+        ["search", "--bound", "30", "--max-results", "-1"],
         # search has no --shards flag, so any value is a usage error.
         ["search", "--bound", "30", "--shards", "1"],
+        ["invariants", "--type", "16,22,52,4", "--type", "28,10,28,10"],
+        # --no-timestamp exists only beside --out.
+        ["check-pair", "--type", "16,22,52,4", "--type", "28,10,28,10",
+         "--no-timestamp"],
     ):
         with pytest.raises(SystemExit) as excinfo:
             main(argv)
         assert excinfo.value.code == 2
+
+
+# The option strings of each subcommand, so that adding or removing a knob
+# shows up here.
+OPTIONS = {
+    "invariants": ["--format", "--no-timestamp", "--out", "--type"],
+    "check-pair": ["--format", "--type"],
+    "check-tuple": ["--format", "--type"],
+    "discriminant": ["--format", "--m", "--type"],
+    "search": [
+        "--bound", "--format", "--k", "--max-results", "--no-timestamp", "--out",
+    ],
+    "certify": ["--format", "--m", "--no-timestamp", "--out", "--type"],
+    "verify-paper-example": ["--format", "--m"],
+}
+
+
+def test_each_subcommand_has_exactly_its_options() -> None:
+    (commands,) = (
+        action.choices
+        for action in build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    )
+    got = {
+        command: sorted(
+            option
+            for action in subparser._actions
+            if not isinstance(action, argparse._HelpAction)
+            for option in action.option_strings
+        )
+        for command, subparser in commands.items()
+    }
+    assert got == OPTIONS
 
 
 def test_certify_round_trips_through_catalog(

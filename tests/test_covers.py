@@ -55,8 +55,6 @@ def test_validate_reports_both_inequality_violations() -> None:
 def test_validate_enforces_field_cap() -> None:
     with pytest.raises(OutOfRange):
         validate_type(10_001, 22, 52, 5)
-    with pytest.raises(OutOfRange):
-        validate_type(16, 22, 52, 4, cap=50)
 
 
 def test_validate_rejects_non_integers() -> None:
