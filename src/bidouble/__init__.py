@@ -48,9 +48,12 @@ from .search import (
     HomeoClassBucket,
     SearchConfig,
     SearchResult,
+    SearchScan,
+    SearchStats,
     enumerate_admissible,
     extract_k_tuples,
     group_by_homeo_class,
+    scan,
     search,
 )
 from .topology import (
@@ -92,6 +95,8 @@ __all__ = [
     "SchemaMismatch",
     "SearchConfig",
     "SearchResult",
+    "SearchScan",
+    "SearchStats",
     "SurfaceInvariants",
     "TupleVerdict",
     "ZariskiCertificate",
@@ -109,6 +114,7 @@ __all__ = [
     "is_catanese_tuple",
     "node_count",
     "read_catalog",
+    "scan",
     "search",
     "surface_invariants",
     "swap",

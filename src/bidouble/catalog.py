@@ -11,9 +11,11 @@ from __future__ import annotations
 
 import fcntl
 import json
+import os
 from dataclasses import dataclass
+from itertools import chain, islice
 from os import PathLike
-from typing import Any, Iterable
+from typing import Any, Iterable, Iterator
 
 from .errors import SchemaMismatch
 
@@ -51,22 +53,50 @@ def record_to_line(record: CatalogRecord) -> str:
     )
 
 
+#: Records rendered and written at a time while :func:`write_catalog` holds
+#: the lock.
+RECORDS_PER_CHUNK = 1024
+
+
 def write_catalog(records: Iterable[CatalogRecord], path: str | PathLike[str]) -> int:
     """Append records to the JSONL file at ``path``; returns the count written.
 
-    Every line carries :data:`SCHEMA_VERSION`.  Lines are rendered before the
-    lock is taken, so a schema error cannot leave a half-written file behind.
+    Every line carries :data:`SCHEMA_VERSION`.  Lines are rendered and
+    written :data:`RECORDS_PER_CHUNK` at a time under one exclusive lock, so
+    the records may come from a generator and only one chunk's text is held
+    at a time.  The first chunk is rendered before the file is opened, and
+    if anything fails after that, the file is truncated back to its length
+    when the lock was taken before the error propagates: a schema error
+    cannot leave a half-written file behind.
     """
-    lines = [record_to_line(record) for record in records]
-    with open(path, "a", encoding="utf-8", newline="\n") as handle:
+    chunks = _rendered_chunks(records)
+    first = list(islice(chunks, 1))
+    written = 0
+    # Unbuffered, so that nothing written can linger in a buffer past the
+    # truncation.
+    with open(path, "ab", buffering=0) as handle:
         fcntl.flock(handle, fcntl.LOCK_EX)
         try:
-            for line in lines:
-                handle.write(line + "\n")
-            handle.flush()
+            start = os.fstat(handle.fileno()).st_size
+            try:
+                for count, data in chain(first, chunks):
+                    view = memoryview(data)
+                    while view:
+                        view = view[handle.write(view) :]
+                    written += count
+            except BaseException:
+                os.ftruncate(handle.fileno(), start)
+                raise
         finally:
             fcntl.flock(handle, fcntl.LOCK_UN)
-    return len(lines)
+    return written
+
+
+def _rendered_chunks(records: Iterable[CatalogRecord]) -> Iterator[tuple[int, bytes]]:
+    """Up to :data:`RECORDS_PER_CHUNK` records at a time: their count and their lines."""
+    lines = map(record_to_line, records)
+    while batch := list(islice(lines, RECORDS_PER_CHUNK)):
+        yield len(batch), "".join(line + "\n" for line in batch).encode()
 
 
 def read_catalog(path: str | PathLike[str]) -> list[CatalogRecord]:

@@ -8,20 +8,24 @@ appends records to a JSONL catalog, stamped unless ``--no-timestamp`` is
 given; no other command accepts either flag.  Exit codes: 0 success, 1
 domain error (reported as a JSON error object on stdout), 2 usage error:
 a flag argparse rejects, a ``--type`` count off the command's arity, or a
-``search`` range that :class:`~bidouble.search.SearchConfig` refuses.
+``search`` range that :class:`~bidouble.search.SearchConfig` refuses, each
+reported under the subcommand's usage line.
 
-JSON output is ``json.dumps(payload, indent=2)``, except for ``search``:
-its view, which can run to hundreds of megabytes, is rendered by
-:func:`bidouble.serialize.search_to_json_chunks`, byte-identical to
-``json.dumps`` of the same view but with no per-tuple dict, and written one
-chunk of tuples at a time, so the text of the whole view is never held in
-memory.  The search kernel itself runs with the cyclic garbage collector
-paused (see :func:`bidouble.search.search`).
+JSON output is ``json.dumps(payload, indent=2)``, except for ``search``,
+which streams.  It runs the kernel pass
+(:func:`bidouble.search.scan`), which fills every count of the JSON head
+and stores the multi-index buckets as packed integers; then the emit pass
+renders the tuples straight from them as it writes, through
+:func:`bidouble.serialize.search_to_json_chunks` (byte-identical to
+``json.dumps`` of the view), the CSV rows or the ``--out`` records.  No
+cover type or tuple object is built and the whole output is never held in
+memory.  ``search --stats`` adds one JSON line on stderr with the run's
+counts and the wall time of both passes; stdout is unchanged.
 
 CSV rows are read off the same views, so each field is declared once:
 nested objects flatten into columns and each view in a list is a row.
-``search`` fills the columns it shares with ``certify`` straight from its
-tuples, with no dict per row.
+``search`` fills the columns it shares with ``certify`` straight from the
+rows of its emit pass, with no dict per row.
 """
 
 from __future__ import annotations
@@ -30,6 +34,8 @@ import argparse
 import csv
 import json
 import sys
+import time
+from dataclasses import asdict
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Any, Iterable, Iterator, Sequence
@@ -39,7 +45,7 @@ from .covers import CoverType, derive_params, surface_invariants, validate_type
 from .discriminant import discriminant_profile, zariski_certificate
 from .errors import BidoubleError, ConstraintViolation, NotCatanese
 from .paper_check import verify_paper_example
-from .search import SearchConfig, search
+from .search import SearchConfig, SearchScan, scan
 from .topology import (
     are_homeomorphic,
     diffeo_obstruction,
@@ -187,16 +193,36 @@ def cmd_discriminant(args: argparse.Namespace) -> tuple[dict[str, Any], CsvRows,
 
 def cmd_search(args: argparse.Namespace) -> tuple[Iterator[str], CsvRows, int]:
     config = args.config
-    result = search(config)
-    # Two generators: JSON output renders only the chunks, CSV output only
-    # the rows.
-    chunks = serialize.search_to_json_chunks(config, result)
-    rows = (
-        _tuple_cells(*t.key, map(CoverType.as_tuple, t.members), t.indices)
-        for t in result.tuples
+    begun = time.perf_counter()
+    run = scan(config)
+    kernel_s = time.perf_counter() - begun
+    _append_records(
+        args, "tuple", (serialize.tuple_row_to_json(*row) for row in run.rows())
     )
-    _append_records(args, "tuple", (serialize.tuple_to_json(t) for t in result.tuples))
+    # Two generators over the emit pass: JSON output renders only the
+    # chunks, CSV output only the rows.
+    chunks: Iterator[Any] = serialize.search_to_json_chunks(config, run)
+    rows: Iterator[Any] = (_tuple_cells(*row) for row in run.rows())
+    if args.stats:
+        chunks = _then_report(chunks, run, kernel_s)
+        rows = _then_report(rows, run, kernel_s)
     return chunks, (_TUPLE_COLUMNS, rows), 0
+
+
+def _then_report(items: Iterator[Any], run: SearchScan, kernel_s: float) -> Iterator[Any]:
+    """``items``, then one JSON line of the run's counts and pass times on stderr.
+
+    ``emit_s`` runs from the first item asked for to the last, so it covers
+    the stdout rendering and not a catalog write made before.
+    """
+    begun = time.perf_counter()
+    yield from items
+    report = {
+        **asdict(run.stats),
+        "kernel_s": round(kernel_s, 6),
+        "emit_s": round(time.perf_counter() - begun, 6),
+    }
+    print(json.dumps(report), file=sys.stderr)
 
 
 # The profile fields of each certify CSV row, after _TUPLE_COLUMNS.
@@ -279,6 +305,15 @@ def _add_common_flags(parser: argparse.ArgumentParser, *, out: bool = False) -> 
         )
 
 
+def _add_command(
+    sub: Any, name: str, func: Any, help_text: str
+) -> argparse.ArgumentParser:
+    """A subcommand parser that runs ``func`` and reports usage errors itself."""
+    p = sub.add_parser(name, help=help_text)
+    p.set_defaults(func=func, command_parser=p)
+    return p
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bidouble",
@@ -290,69 +325,78 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser(
-        "invariants", help="derived parameters and surface invariants of one type"
+    p = _add_command(
+        sub, "invariants", cmd_invariants,
+        "derived parameters and surface invariants of one type",
     )
     _add_type_flag(p, 1, 1)
     _add_common_flags(p, out=True)
-    p.set_defaults(func=cmd_invariants)
 
-    p = sub.add_parser(
-        "check-pair", help="homeomorphism and diffeomorphism verdict for two types"
+    p = _add_command(
+        sub, "check-pair", cmd_check_pair,
+        "homeomorphism and diffeomorphism verdict for two types",
     )
     _add_type_flag(p, 2, 2)
     _add_common_flags(p)
-    p.set_defaults(func=cmd_check_pair)
 
-    p = sub.add_parser(
-        "check-tuple", help="Catanese verdict for two or more types"
+    p = _add_command(
+        sub, "check-tuple", cmd_check_tuple,
+        "Catanese verdict for two or more types",
     )
     _add_type_flag(p, 2, None)
     _add_common_flags(p)
-    p.set_defaults(func=cmd_check_tuple)
 
-    p = sub.add_parser(
-        "discriminant", help="discriminant-curve profiles of one type"
+    p = _add_command(
+        sub, "discriminant", cmd_discriminant,
+        "discriminant-curve profiles of one type",
     )
     _add_type_flag(p, 1, 1)
     _add_mult_flag(p, "canonical multiple >= 5 (repeatable, required)", required=True)
     _add_common_flags(p)
-    p.set_defaults(func=cmd_discriminant)
 
-    p = sub.add_parser(
-        "search", help="enumerate types up to a bound and extract Catanese k-tuples"
+    p = _add_command(
+        sub, "search", cmd_search,
+        "enumerate types up to a bound and extract Catanese k-tuples",
     )
     p.add_argument("--bound", type=int, required=True, help="field bound, >= 3")
     p.add_argument("--k", type=int, default=2, help="tuple size (default 2)")
     p.add_argument(
         "--max-results", type=int, default=None, help="truncate the sorted output"
     )
+    p.add_argument(
+        "--stats",
+        action="store_true",
+        help="write the run's counts and pass times to stderr as one JSON line",
+    )
     _add_common_flags(p, out=True)
-    p.set_defaults(func=cmd_search)
 
-    p = sub.add_parser(
-        "certify", help="Zariski certificate for a Catanese tuple"
+    p = _add_command(
+        sub, "certify", cmd_certify,
+        "Zariski certificate for a Catanese tuple",
     )
     _add_type_flag(p, 2, None)
     _add_mult_flag(p, "canonical multiple >= 5 (repeatable)", default=[])
     _add_common_flags(p, out=True)
-    p.set_defaults(func=cmd_certify)
 
-    p = sub.add_parser(
-        "verify-paper-example",
-        help="recompute the published worked example and report the match pattern",
+    p = _add_command(
+        sub, "verify-paper-example", cmd_verify_paper_example,
+        "recompute the published worked example and report the match pattern",
     )
     _add_mult_flag(
         p, f"canonical multiple >= 5 (repeatable, default {list(DEFAULT_REPORT_MULTS)})"
     )
     _add_common_flags(p)
-    p.set_defaults(func=cmd_verify_paper_example)
 
     return parser
 
 
-def _check_usage(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None:
-    """The usage rules argparse cannot state: ``--type`` counts and search ranges."""
+def _check_usage(args: argparse.Namespace) -> None:
+    """The usage rules argparse cannot state: ``--type`` counts and search ranges.
+
+    Reported through the subcommand's parser, as argparse reports its own
+    errors, so the usage line printed is the subcommand's.
+    """
+    parser = args.command_parser
     if "arity" in args:
         low, high = args.arity
         got = len(args.types)
@@ -394,7 +438,7 @@ def _emit_error(exc: BidoubleError) -> None:
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    _check_usage(parser, args)
+    _check_usage(args)
     try:
         payload, rows, code = args.func(args)
     except BidoubleError as exc:

@@ -26,10 +26,9 @@ from math import gcd
 
 from .errors import ConstraintViolation, OutOfRange
 
-#: Inclusive cap applied to every branch-data field.  It only bounds the
-#: inputs: nothing in the package packs fields into fixed-width lanes, so no
-#: representation depends on it.  It does not keep a search small: bound
-#: 10000 means about 7.8e13 types.
+#: Inclusive cap applied to every branch-data field.  It also keeps the
+#: search kernel's 16-bit arrays of fields and indices in range.  It does
+#: not keep a search small: bound 10000 means about 7.8e13 types.
 DEFAULT_FIELD_CAP = 10_000
 
 

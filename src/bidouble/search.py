@@ -11,36 +11,48 @@ Every invariant the search needs depends on two even integers per branch
 pair, s = x + y - 2 and d = x - y: the type built from pairs i <= j has
 u, v, w, z = s_i, s_j, d_i, d_j, hence the key (K^2, chi) =
 (8*s_i*s_j, (3*s_i*s_j - d_i*d_j)/2 + s_i + s_j + 2) and the index
-r = gcd(s_i, s_j).  Within one value of s, d names the pair, so
-:func:`search` works on s-classes.  For an unordered pair of s values
-sa <= sb, every cell has the product P = sa*sb, the index gcd(sa, sb) and
+r = gcd(s_i, s_j).  Within one value of s, d names the pair, so the kernel
+works on s-classes.  For an unordered pair of s values sa <= sb, every cell
+has the product P = sa*sb, the index gcd(sa, sb) and
 2*chi = 3P + 2(sa + sb + 2) - da*db.  For each P in ascending order the
 kernel counts the keys from set products of the classes' d values, skips P
 when its class pairs carry fewer than k distinct indices, keeps the chi
 values that at least k index groups share, and recovers their cells in one
 pass over each class pair that holds one of them: each row da meets the
-wanted products da*db in one set intersection.  It builds each member's
-:class:`CoverType` once and hands each such bucket to
-:func:`extract_k_tuples`, which returns its tuples sorted by members.  Keys
-are walked in order, so no global sort is needed.
+wanted products da*db in one set intersection.
 
-:func:`enumerate_admissible` and :func:`group_by_homeo_class` remain the
-readable path through :mod:`bidouble.covers`; the tests check the kernel
-against them.  Buckets hold their members as cover types in lexicographic
-order.  Tuple extraction walks combinations of distinct-index groups rather
-than filtering all k-subsets, so buckets with many members but few distinct
-indices cost nothing.
+:func:`scan` is that kernel pass.  It stores each bucket with at least k
+distinct indices as plain integers in flat arrays (its key, its cells'
+fields and indices in member order, its end offset) and fills every count
+of the run without building a tuple: a bucket whose index groups have sizes
+n_1, ..., n_g holds e_k(n_1, ..., n_g) tuples, e_k being the k-th
+elementary symmetric polynomial, so it emits min(cap, e_k) of them and is
+truncated exactly when e_k > cap.  :meth:`SearchScan.rows` is the emit
+pass: it walks the stored buckets in key order and yields each tuple as a
+row of plain integers, sorted by members within its bucket, so no global
+sort is needed and nothing holds the whole result.  The command line
+renders its output straight from those rows; :func:`search` collects them
+into :class:`CataneseTuple` objects.
+
+:func:`enumerate_admissible`, :func:`group_by_homeo_class` and
+:func:`extract_k_tuples` remain the readable path through
+:mod:`bidouble.covers`; the tests check the kernel against them.  Buckets
+hold their members as cover types in lexicographic order.  Tuple extraction
+and the emit pass share one walk over combinations of distinct-index groups
+rather than filtering all k-subsets, so buckets with many members but few
+distinct indices cost nothing.
 """
 
 from __future__ import annotations
 
 import gc
 import itertools
+from array import array
 from collections import Counter
 from dataclasses import dataclass
 from math import gcd
 from operator import itemgetter
-from typing import Iterable, Iterator
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from .covers import (
     DEFAULT_FIELD_CAP,
@@ -52,6 +64,11 @@ from .errors import BoundTooLarge
 from .topology import HomeoClassKey
 
 DEFAULT_TUPLES_PER_BUCKET = 10_000
+
+#: One tuple as the emit pass yields it: kk, chi, the members (field tuples
+#: a, b, m2, n2 unless :meth:`SearchScan.rows` is given a member type) and
+#: their indices.
+Row = tuple[int, int, tuple[Any, ...], tuple[int, ...]]
 
 
 @dataclass(frozen=True, slots=True)
@@ -85,9 +102,8 @@ class HomeoClassBucket:
     """The canonical types of one homeomorphism key.
 
     :func:`group_by_homeo_class` builds one bucket per key of the types it is
-    given; :func:`search` builds one only for a key whose types have at least
-    k distinct indices.  ``types`` holds the members sorted (lexicographically)
-    and deduplicated; ``indices`` is the divisibility index of each member,
+    given.  ``types`` holds the members sorted (lexicographically) and
+    deduplicated; ``indices`` is the divisibility index of each member,
     aligned by position.
     """
 
@@ -124,6 +140,75 @@ class SearchResult:
     bucket_count: int
     truncated_buckets: tuple[HomeoClassKey, ...]
     clipped: bool
+
+
+@dataclass(frozen=True, slots=True)
+class SearchStats:
+    """The counts of one search run, all known when the kernel pass ends.
+
+    ``pairs`` branch pairs make ``types`` = pairs*(pairs+1)/2 types under
+    ``buckets`` homeomorphism keys; ``multi_index_buckets`` of those keys
+    have at least k distinct indices, and ``cells`` types between them.
+    ``tuples`` is the number of tuples emitted, after ``max_results``;
+    ``truncated`` counts the buckets whose per-bucket cap was hit, and
+    ``clipped`` reports whether ``max_results`` cut the output.
+    """
+
+    pairs: int
+    types: int
+    buckets: int
+    multi_index_buckets: int
+    cells: int
+    tuples: int
+    truncated: int
+    clipped: bool
+
+
+@dataclass(frozen=True, slots=True)
+class SearchScan:
+    """One kernel pass: the run's counts and its multi-index buckets as integers.
+
+    Built by :func:`scan`.  Bucket b has the key ``keys[2b], keys[2b+1]``
+    (K^2, chi) and the cells ``ends[b-1]`` (0 for the first) to ``ends[b]``:
+    cell c has the index ``indices[c]`` and the fields ``fields[4c:4c+4]``,
+    and the cells of a bucket are in member order.  Fields and indices are
+    16-bit, which :data:`~bidouble.covers.DEFAULT_FIELD_CAP` keeps in range
+    (an index divides s = x + y - 2 < 1.5 * bound).
+    """
+
+    config: SearchConfig
+    stats: SearchStats
+    truncated_buckets: tuple[HomeoClassKey, ...]
+    keys: array
+    fields: array
+    indices: array
+    ends: array
+
+    def rows(self, member: Callable[[int, int, int, int], Any] | None = None) -> Iterator[Row]:
+        """The emit pass: every tuple of the run as a :data:`Row`, in output order.
+
+        Tuples come sorted by key and then by members, and ``max_results``
+        clips the stream.  Each member is its field tuple, or
+        ``member(a, b, m2, n2)``, built once per bucket cell and shared by
+        the rows of that bucket.
+        """
+        rows = self._bucket_rows(member)
+        limit = self.config.max_results
+        return rows if limit is None else itertools.islice(rows, limit)
+
+    def _bucket_rows(self, member: Callable[..., Any] | None) -> Iterator[Row]:
+        k, cap = self.config.k, self.config.tuples_per_bucket
+        keys, fields, indices = self.keys, self.fields, self.indices
+        start = 0
+        for bucket, end in enumerate(self.ends):
+            kk, chi = keys[2 * bucket], keys[2 * bucket + 1]
+            cell_indices = indices[start:end].tolist()
+            cells = zip(*[iter(fields[4 * start : 4 * end])] * 4)
+            members = list(cells if member is None else itertools.starmap(member, cells))
+            for positions in _index_subsets(cell_indices, k, cap)[0]:
+                take = itemgetter(*positions)  # k >= 2 items, so it returns a tuple
+                yield kk, chi, take(members), take(cell_indices)
+            start = end
 
 
 def branch_pairs(bound: int) -> list[tuple[int, int]]:
@@ -186,8 +271,24 @@ def extract_k_tuples(
         raise ValueError("k must be >= 2")
     if cap < 1:
         raise ValueError("cap must be >= 1")
+    picked, truncated = _index_subsets(bucket.indices, k, cap)
+    out: list[CataneseTuple] = []
+    for positions in picked:
+        take = itemgetter(*positions)  # k >= 2 items, so it returns a tuple
+        out.append(CataneseTuple(bucket.key, take(bucket.types), take(bucket.indices)))
+    return out, truncated
+
+
+def _index_subsets(
+    indices: Sequence[int], k: int, cap: int
+) -> tuple[list[tuple[int, ...]], bool]:
+    """The position subsets of :func:`extract_k_tuples`, and its truncation flag.
+
+    ``indices`` are a bucket's member indices in member order, so the sorted
+    position subsets are the tuples in member order.
+    """
     by_index: dict[int, list[int]] = {}
-    for position, r in enumerate(bucket.indices):
+    for position, r in enumerate(indices):
         by_index.setdefault(r, []).append(position)
     if len(by_index) < k:
         return [], False
@@ -201,28 +302,32 @@ def extract_k_tuples(
     truncated = len(picked) > cap
     if truncated:
         del picked[cap:]
-    # Members are sorted and unique, so position order is member order.
     picked.sort()
-    out: list[CataneseTuple] = []
-    for positions in picked:
-        take = itemgetter(*positions)  # k >= 2 items, so it returns a tuple
-        out.append(CataneseTuple(bucket.key, take(bucket.types), take(bucket.indices)))
-    return out, truncated
+    return picked, truncated
 
 
-def search(config: SearchConfig) -> SearchResult:
-    """Bucket s-class pairs by product and extract; the order is deterministic.
+def _elementary_symmetric(values: Iterable[int], k: int) -> int:
+    """e_k(values): the sum over k-subsets of the product of their values."""
+    e = [1] + [0] * k
+    for value in values:
+        for j in range(k, 0, -1):
+            e[j] += e[j - 1] * value
+    return e[k]
 
-    Tuples are sorted by key and then by members, and ``max_results`` is
-    applied after sorting.  Raises :class:`BoundTooLarge` above the global
-    field cap; :class:`SearchConfig` has already checked the other ranges.
 
-    Bucketing and extraction run with the cyclic garbage collector paused,
-    and its previous state is restored on the way out, also when they raise.
-    Everything they build (ints, sets, lists, tuples, frozen slotted
-    dataclasses) is acyclic and freed by reference counting, so no memory
-    waits on the collector; left running, it would walk the growing heap
-    again and again.
+def scan(config: SearchConfig) -> SearchScan:
+    """The kernel pass: bucket s-class pairs by product and store multi-index buckets.
+
+    Every count of the run is known when it returns; no tuple is built until
+    :meth:`SearchScan.rows` is walked.  Raises :class:`BoundTooLarge` above
+    the global field cap; :class:`SearchConfig` has already checked the
+    other ranges.
+
+    The pass runs with the cyclic garbage collector paused, and its previous
+    state is restored on the way out, also when it raises.  Everything it
+    builds (ints, sets, lists, tuples, arrays) is acyclic and freed by
+    reference counting, so no memory waits on the collector; left running,
+    it would walk the growing heap again and again.
     """
     if config.bound > DEFAULT_FIELD_CAP:
         raise BoundTooLarge(
@@ -230,22 +335,22 @@ def search(config: SearchConfig) -> SearchResult:
         )
     # The s-class of s: the d of every branch pair with that s.
     classes: dict[int, set[int]] = {}
-    count = 0
+    pair_count = 0
     for x, y in branch_pairs(config.bound):
         classes.setdefault(x + y - 2, set()).add(x - y)
-        count += 1
+        pair_count += 1
     s_values = sorted(classes)
     by_product: dict[int, list[tuple[int, int]]] = {}
     for position, sa in enumerate(s_values):
         for sb in s_values[position:]:
             by_product.setdefault(sa * sb, []).append((sa, sb))
-    k = config.k
-    bucket_count = 0
+    k, cap = config.k, config.tuples_per_bucket
+    keys, fields, indices, ends = array("q"), array("H"), array("H"), array("q")
+    truncated: list[HomeoClassKey] = []
+    bucket_count = tuple_count = 0
     enabled = gc.isenabled()
     gc.disable()
     try:
-        collected: list[CataneseTuple] = []
-        truncated: list[HomeoClassKey] = []
         for product in sorted(by_product):
             class_pairs = by_product[product]
             twice_chis = [_twice_chi_values(sa, sb, classes) for sa, sb in class_pairs]
@@ -260,27 +365,68 @@ def search(config: SearchConfig) -> SearchResult:
                 groups_of.update(values)
             bucket_count += len(groups_of)
             shared = {value for value, groups in groups_of.items() if groups >= k}
-            for bucket in _shared_buckets(
+            for twice_chi, cells in _shared_buckets(
                 product, shared, class_pairs, twice_chis, classes
             ):
-                tuples, was_truncated = extract_k_tuples(
-                    bucket, k, cap=config.tuples_per_bucket
-                )
-                collected.extend(tuples)
-                if was_truncated:
-                    truncated.append(bucket.key)
+                cell_indices = [r for _, r in cells]
+                count = _elementary_symmetric(Counter(cell_indices).values(), k)
+                if count > cap:
+                    truncated.append(HomeoClassKey(8 * product, twice_chi // 2))
+                    count = cap
+                tuple_count += count
+                keys.extend((8 * product, twice_chi // 2))
+                fields.extend(itertools.chain.from_iterable(f for f, _ in cells))
+                indices.extend(cell_indices)
+                ends.append(len(indices))
     finally:
         if enabled:
             gc.enable()
-    clipped = config.max_results is not None and len(collected) > config.max_results
-    if clipped:
-        collected = collected[: config.max_results]
+    limit = config.max_results
+    clipped = limit is not None and tuple_count > limit
+    stats = SearchStats(
+        pairs=pair_count,
+        types=pair_count * (pair_count + 1) // 2,
+        buckets=bucket_count,
+        multi_index_buckets=len(ends),
+        cells=len(indices),
+        tuples=limit if clipped else tuple_count,
+        truncated=len(truncated),
+        clipped=clipped,
+    )
+    return SearchScan(config, stats, tuple(truncated), keys, fields, indices, ends)
+
+
+def search(config: SearchConfig) -> SearchResult:
+    """Run :func:`scan` and collect its rows; the order is deterministic.
+
+    Tuples are sorted by key and then by members, and ``max_results`` is
+    applied after sorting.  Raises :class:`BoundTooLarge` above the global
+    field cap; :class:`SearchConfig` has already checked the other ranges.
+
+    The collection, like the kernel pass, runs with the cyclic garbage
+    collector paused, and its previous state is restored on the way out.
+    Members are cover types shared by the tuples of a bucket, and so are
+    the keys.
+    """
+    run = scan(config)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        collected: list[CataneseTuple] = []
+        key = None
+        for kk, chi, members, member_indices in run.rows(CoverType):
+            if key != (kk, chi):
+                key = HomeoClassKey(kk, chi)
+            collected.append(CataneseTuple(key, members, member_indices))
+    finally:
+        if enabled:
+            gc.enable()
     return SearchResult(
         tuples=tuple(collected),
-        type_count=count * (count + 1) // 2,
-        bucket_count=bucket_count,
-        truncated_buckets=tuple(truncated),
-        clipped=clipped,
+        type_count=run.stats.types,
+        bucket_count=run.stats.buckets,
+        truncated_buckets=run.truncated_buckets,
+        clipped=run.stats.clipped,
     )
 
 
@@ -304,13 +450,15 @@ def _shared_buckets(
     class_pairs: list[tuple[int, int]],
     twice_chis: list[set[int]],
     classes: dict[int, set[int]],
-) -> list[HomeoClassBucket]:
-    """The canonical buckets of the keys (8*product, chi) with 2*chi in ``shared``.
+) -> Iterator[tuple[int, list[tuple[tuple[int, int, int, int], int]]]]:
+    """The cells of the keys (8*product, chi) with 2*chi in ``shared``.
 
-    Each class pair holding one of those keys is scanned once: its row da
-    meets the targets da*db = 3P + 2(sa + sb + 2) - 2*chi in one set
-    intersection.  A diagonal class pair (sa == sb) keeps db >= da, since its
-    cells are unordered.  The buckets come in ascending order of chi.
+    Yields ``(2*chi, cells)`` in ascending order of chi, where the cells are
+    the ``(fields, r)`` of the key's canonical types in member order.  Each
+    class pair holding one of those keys is scanned once: its row da meets
+    the targets da*db = 3P + 2(sa + sb + 2) - 2*chi in one set intersection.
+    A diagonal class pair (sa == sb) keeps db >= da, since its cells are
+    unordered.
     """
     cells: dict[int, list[tuple[tuple[int, int, int, int], int]]] = {}
     for (sa, sb), values in zip(class_pairs, twice_chis):
@@ -333,15 +481,6 @@ def _shared_buckets(
                 x2, y2 = (sb + 2 + db) // 2, (sb + 2 - db) // 2
                 fields = min((x1, y2, x2, y1), (x2, y1, x1, y2))
                 cells.setdefault(shift - target, []).append((fields, r))
-    buckets: list[HomeoClassBucket] = []
     for twice_chi in sorted(cells):
         # Field tuples order as CoverType does, and no two cells share one.
-        members = sorted(cells[twice_chi])
-        buckets.append(
-            HomeoClassBucket(
-                key=HomeoClassKey(8 * product, twice_chi // 2),
-                types=tuple([CoverType(*fields) for fields, _ in members]),
-                indices=tuple([r for _, r in members]),
-            )
-        )
-    return buckets
+        yield twice_chi, sorted(cells[twice_chi])

@@ -10,21 +10,22 @@ strict and raise :class:`SchemaMismatch` on any shape or type drift.
 from __future__ import annotations
 
 import json
-from itertools import chain
-from typing import Any, Iterator, Mapping
+from itertools import chain, islice
+from typing import Any, Iterable, Iterator, Mapping
 
 from .covers import CoverType, DerivedParams, SurfaceInvariants
 from .discriminant import ArgumentStep, DiscriminantProfile, ZariskiCertificate
 from .errors import SchemaMismatch
 from .paper_check import PaperExampleReport
-from .search import CataneseTuple, SearchConfig, SearchResult
+from .search import CataneseTuple, SearchConfig, SearchScan
 from .topology import HomeoClassKey, TupleVerdict
 
 _PROFILE_BIG_FIELDS = ("deg_f", "deg_b", "half_deg", "genus", "cusps", "nodes")
+_TYPE_FIELDS = ("a", "b", "m2", "n2")
 
 
 def cover_type_to_json(t: CoverType) -> dict[str, int]:
-    return {"a": t.a, "b": t.b, "m2": t.m2, "n2": t.n2}
+    return dict(zip(_TYPE_FIELDS, t.as_tuple()))
 
 
 def key_to_json(key: HomeoClassKey) -> dict[str, int]:
@@ -59,10 +60,17 @@ def profile_to_json(profile: DiscriminantProfile) -> dict[str, Any]:
 
 
 def tuple_to_json(t: CataneseTuple) -> dict[str, Any]:
+    return tuple_row_to_json(*t.key, map(CoverType.as_tuple, t.members), t.indices)
+
+
+def tuple_row_to_json(
+    kk: int, chi: int, members: Iterable[Iterable[int]], indices: Iterable[int]
+) -> dict[str, Any]:
+    """:func:`tuple_to_json` of a tuple given as a search row: members as field tuples."""
     return {
-        "key": key_to_json(t.key),
-        "members": [cover_type_to_json(m) for m in t.members],
-        "indices": list(t.indices),
+        "key": key_to_json(HomeoClassKey(kk, chi)),
+        "members": [dict(zip(_TYPE_FIELDS, fields)) for fields in members],
+        "indices": list(indices),
     }
 
 
@@ -71,18 +79,20 @@ def tuple_to_json(t: CataneseTuple) -> dict[str, Any]:
 TUPLES_PER_CHUNK = 1024
 
 
-def search_to_json_chunks(config: SearchConfig, result: SearchResult) -> Iterator[str]:
+def search_to_json_chunks(config: SearchConfig, run: SearchScan) -> Iterator[str]:
     """The JSON view of one search run in pieces, as ``json.dumps(view, indent=2)`` renders it.
 
     The view is the run's config and counts followed by ``"tuples"``, a list
     of :func:`tuple_to_json` objects.  The first chunk is the head, rendered
-    by :mod:`json` up to ``"tuples": [``; then come the tuples,
+    by :mod:`json` up to ``"tuples": [`` from the counts of the kernel pass;
+    then come the tuples of the emit pass (:meth:`SearchScan.rows`),
     :data:`TUPLES_PER_CHUNK` per chunk, each spliced in from a fixed indent-2
     template over its integer fields, whose ``str`` is their JSON, so no
-    per-tuple dict is built; the last chunk closes the list and the object.
-    At most one chunk's text is alive at a time when the caller writes each
-    chunk before asking for the next.
+    per-tuple object is built; the last chunk closes the list and the
+    object.  At most one chunk's text is alive at a time when the caller
+    writes each chunk before asking for the next.
     """
+    stats = run.stats
     head = json.dumps(
         {
             "config": {
@@ -93,49 +103,46 @@ def search_to_json_chunks(config: SearchConfig, result: SearchResult) -> Iterato
                 # that the view's bytes and the digests pinned on them hold.
                 "shard_count": 1,
             },
-            "type_count": result.type_count,
-            "bucket_count": result.bucket_count,
-            "tuple_count": len(result.tuples),
-            "truncated_buckets": [key_to_json(k) for k in result.truncated_buckets],
-            "clipped": result.clipped,
+            "type_count": stats.types,
+            "bucket_count": stats.buckets,
+            "tuple_count": stats.tuples,
+            "truncated_buckets": [key_to_json(k) for k in run.truncated_buckets],
+            "clipped": stats.clipped,
             "tuples": [],
         },
         indent=2,
     )
-    tuples = result.tuples
-    if not tuples:
+    if not stats.tuples:
         yield head
         return
     # head ends in '"tuples": []\n}'; the tuples go between the brackets.
     yield head[: -len("]\n}")]
     template = _tuple_template(config.k)
+    rows = run.rows()
     separator = "\n"
-    for start in range(0, len(tuples), TUPLES_PER_CHUNK):
-        batch = tuples[start : start + TUPLES_PER_CHUNK]
+    while batch := list(islice(rows, TUPLES_PER_CHUNK)):
         yield separator + ",\n".join(
-            template
-            % (*t.key, *chain.from_iterable(map(CoverType.as_tuple, t.members)), *t.indices)
-            for t in batch
+            template % (kk, chi, *chain.from_iterable(members), *indices)
+            for kk, chi, members, indices in batch
         )
         separator = ",\n"
     yield "\n  ]\n}"
 
 
-def search_to_json_text(config: SearchConfig, result: SearchResult) -> str:
+def search_to_json_text(config: SearchConfig, run: SearchScan) -> str:
     """:func:`search_to_json_chunks` joined into one string."""
-    return "".join(search_to_json_chunks(config, result))
+    return "".join(search_to_json_chunks(config, run))
 
 
 def _tuple_template(k: int) -> str:
     """A k-member :func:`tuple_to_json` object as an element of the search view.
 
-    Rendered from :func:`tuple_to_json` with a ``%d`` slot in every integer
-    field, so the slots come in the order kk, chi, each member's
-    ``as_tuple()``, then the indices.
+    Rendered from :func:`tuple_row_to_json` with a ``%d`` slot in every
+    integer field, so the slots come in the order kk, chi, each member's
+    fields, then the indices.
     """
-    slot: Any = "%d"
-    member = CoverType(slot, slot, slot, slot)
-    shape = tuple_to_json(CataneseTuple(HomeoClassKey(slot, slot), (member,) * k, (slot,) * k))
+    slot = "%d"
+    shape = tuple_row_to_json(slot, slot, [(slot,) * 4] * k, (slot,) * k)  # type: ignore[arg-type]
     text = json.dumps(shape, indent=2).replace(f'"{slot}"', slot)
     return "\n".join("    " + line for line in text.splitlines())
 
@@ -217,7 +224,7 @@ def _list_field(obj: Mapping[str, Any], field: str, where: str) -> list[Any]:
 
 def cover_type_from_json(payload: Any, where: str = "type") -> CoverType:
     obj = _require_mapping(payload, where)
-    return CoverType(*(_int_field(obj, f, where) for f in ("a", "b", "m2", "n2")))
+    return CoverType(*(_int_field(obj, f, where) for f in _TYPE_FIELDS))
 
 
 def key_from_json(payload: Any, where: str = "key") -> HomeoClassKey:

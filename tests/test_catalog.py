@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
+from typing import Iterator
 
 import pytest
 
@@ -19,6 +20,7 @@ from bidouble import (
     write_catalog,
     zariski_certificate,
 )
+from bidouble.catalog import RECORDS_PER_CHUNK
 from bidouble.search import CataneseTuple
 from bidouble.serialize import (
     certificate_from_json,
@@ -193,6 +195,38 @@ def test_catalog_write_rejects_unknown_kind(tmp_path: Path) -> None:
     with pytest.raises(SchemaMismatch):
         write_catalog([CatalogRecord(kind="bogus", payload={})], path)
     assert not path.exists()
+
+
+def records_failing_at(position: int) -> Iterator[CatalogRecord]:
+    """A stream of valid records whose record number ``position`` has an unknown kind."""
+    for number in range(1, position):
+        yield CatalogRecord(kind="tuple", payload={"n": number})
+    yield CatalogRecord(kind="bogus", payload={})
+
+
+@pytest.mark.parametrize(
+    "position",
+    # In the first chunk, rendered before the file is opened; then past the
+    # first chunk, after a whole chunk has been written.
+    [3, RECORDS_PER_CHUNK + 2],
+)
+def test_catalog_write_failing_midway_leaves_the_file_as_it_was(
+    tmp_path: Path, position: int
+) -> None:
+    path = tmp_path / "catalog.jsonl"
+    write_catalog([CatalogRecord(kind="invariants", payload={"kk": 512})], path)
+    before = path.read_bytes()
+    with pytest.raises(SchemaMismatch, match="bogus"):
+        write_catalog(records_failing_at(position), path)
+    assert path.read_bytes() == before
+
+
+def test_catalog_write_streams_many_chunks(tmp_path: Path) -> None:
+    path = tmp_path / "catalog.jsonl"
+    count = 2 * RECORDS_PER_CHUNK + 1
+    records = (CatalogRecord(kind="tuple", payload={"n": n}) for n in range(count))
+    assert write_catalog(records, path) == count
+    assert [r.payload["n"] for r in read_catalog(path)] == list(range(count))
 
 
 def test_reread_certificate_still_verifies(tmp_path: Path) -> None:

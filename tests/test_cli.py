@@ -7,12 +7,13 @@ import hashlib
 import io
 import json
 import sys
+import tracemalloc
 from pathlib import Path
 from typing import Any
 
 import pytest
 
-from bidouble import SearchConfig, SearchResult, read_catalog, search
+from bidouble import SearchConfig, SearchResult, read_catalog, scan, search
 from bidouble.cli import build_parser, main
 from bidouble.serialize import (
     certificate_from_json,
@@ -338,9 +339,10 @@ def first_difference(got: str, want: str) -> str:
     ids=repr,
 )
 def test_search_text_equals_json_dumps_of_the_view(config: SearchConfig) -> None:
-    result = search(config)
-    text = search_to_json_text(config, result)
-    expected = json.dumps(search_view(config, result), indent=2)
+    # The text streams from the kernel pass's rows; the view is built from
+    # the collected SearchResult.
+    text = search_to_json_text(config, scan(config))
+    expected = json.dumps(search_view(config, search(config)), indent=2)
     # A bare comparison would make pytest diff megabytes of text for minutes.
     same = text == expected
     assert same, first_difference(text, expected)
@@ -371,6 +373,61 @@ def test_search_degenerate_flags_are_usage_errors() -> None:
         assert excinfo.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check-pair", "--type", "16,22,52,4"],
+        ["search", "--bound", "2"],
+        ["search", "--bound", "30", "--k", "1"],
+        # argparse's own error, for comparison.
+        ["discriminant", "--type", "16,22,52,4"],
+    ],
+    ids=" ".join,
+)
+def test_usage_errors_print_the_subcommand_usage(
+    capsys: pytest.CaptureFixture[str], argv: list[str]
+) -> None:
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 2
+    _, err = capsys.readouterr()
+    assert err.startswith(f"usage: bidouble {argv[0]} ")
+
+
+def test_search_stats_go_to_stderr_only(capsys: pytest.CaptureFixture[str]) -> None:
+    for fmt in ("json", "csv"):
+        _, plain, plain_err = run(capsys, "search", "--bound", "40", "--format", fmt)
+        code, out, err = run(capsys, "search", "--bound", "40", "--format", fmt, "--stats")
+        assert code == 0
+        assert out == plain
+        assert plain_err == ""
+        report = json.loads(err)
+        assert {k: report[k] for k in ("pairs", "types", "buckets", "tuples")} == {
+            "pairs": 153, "types": 11_781, "buckets": 8_416, "tuples": 709,
+        }
+        assert report["multi_index_buckets"] <= report["cells"]
+        assert report["kernel_s"] >= 0 and report["emit_s"] >= 0
+
+
+class Discard(io.TextIOBase):
+    def write(self, text: str) -> int:
+        return len(text)
+
+
+def test_search_memory_stays_flat_at_bound_80(monkeypatch: pytest.MonkeyPatch) -> None:
+    # The JSON is rendered from the kernel's packed buckets as it is written,
+    # so the peak stays far below the 10.7 MB of output and its 30,911
+    # tuples (9.9 MB when every tuple was collected before the first write).
+    monkeypatch.setattr(sys, "stdout", Discard())
+    tracemalloc.start()
+    try:
+        assert main(["search", "--bound", "80"]) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4_000_000
+
+
 # The option strings of each subcommand, so that adding or removing a knob
 # shows up here.
 OPTIONS = {
@@ -380,6 +437,7 @@ OPTIONS = {
     "discriminant": ["--format", "--m", "--type"],
     "search": [
         "--bound", "--format", "--k", "--max-results", "--no-timestamp", "--out",
+        "--stats",
     ],
     "certify": ["--format", "--m", "--no-timestamp", "--out", "--type"],
     "verify-paper-example": ["--format", "--m"],
@@ -402,6 +460,22 @@ def test_each_subcommand_has_exactly_its_options() -> None:
         for command, subparser in commands.items()
     }
     assert got == OPTIONS
+
+
+def test_search_catalog_bytes_are_unchanged(
+    capsys: pytest.CaptureFixture[str], tmp_path: Path
+) -> None:
+    # SHA-256 of the bound-60 catalog as written when search() collected
+    # every tuple before the first line; 6,856 lines.
+    out_path = tmp_path / "catalog.jsonl"
+    code, out, err = run(
+        capsys, "search", "--bound", "60", "--out", str(out_path), "--no-timestamp"
+    )
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_STDOUT["search --bound 60"]["json"][1]
+    assert err == f"appended 6856 tuple record(s) to {out_path}\n"
+    digest = hashlib.sha256(out_path.read_bytes()).hexdigest()
+    assert digest == "b5fe49ebbe4a691c1ff9eeaa057bb0c5db05d561ca3d3cbb9a3ff749bbd3ca08"
 
 
 def test_certify_round_trips_through_catalog(

@@ -4,7 +4,10 @@ from __future__ import annotations
 
 import gc
 import importlib
+import itertools
+from collections import Counter
 from functools import lru_cache
+from math import prod
 
 import pytest
 
@@ -24,7 +27,11 @@ from bidouble import (
 from bidouble.search import (
     DEFAULT_TUPLES_PER_BUCKET,
     CataneseTuple,
+    SearchScan,
+    SearchStats,
+    _elementary_symmetric,
     branch_pairs,
+    scan,
 )
 
 TYPE_1 = CoverType(16, 22, 52, 4)
@@ -271,26 +278,44 @@ def test_search_rejects_degenerate_configs() -> None:
 def test_search_restores_the_collector_state(
     enabled: bool, monkeypatch: pytest.MonkeyPatch
 ) -> None:
+    # The kernel pass (watched through its per-product helper) and the
+    # collection of its rows (watched through CataneseTuple) both run with
+    # the collector off; its state comes back after a return and a raise.
     search_module = importlib.import_module("bidouble.search")
-    real_extract = search_module.extract_k_tuples
-    seen: list[bool] = []
+    real_buckets = search_module._shared_buckets
+    real_tuple = search_module.CataneseTuple
+    in_kernel: list[bool] = []
+    in_collection: list[bool] = []
 
-    def watched_extract(*args, **kwargs):
-        seen.append(gc.isenabled())
-        return real_extract(*args, **kwargs)
+    def watched_buckets(*args, **kwargs):
+        in_kernel.append(gc.isenabled())
+        return real_buckets(*args, **kwargs)
 
-    def failing_extract(*args, **kwargs):
-        raise RuntimeError("extraction failed")
+    def watched_tuple(*args, **kwargs):
+        in_collection.append(gc.isenabled())
+        return real_tuple(*args, **kwargs)
+
+    def failing_buckets(*args, **kwargs):
+        raise RuntimeError("kernel failed")
+
+    def failing_tuple(*args, **kwargs):
+        raise RuntimeError("collection failed")
 
     was_enabled = gc.isenabled()
     try:
         (gc.enable if enabled else gc.disable)()
-        monkeypatch.setattr(search_module, "extract_k_tuples", watched_extract)
+        monkeypatch.setattr(search_module, "_shared_buckets", watched_buckets)
+        monkeypatch.setattr(search_module, "CataneseTuple", watched_tuple)
         assert search(SearchConfig(bound=40)).tuples
         assert gc.isenabled() is enabled
-        assert seen and not any(seen)
-        monkeypatch.setattr(search_module, "extract_k_tuples", failing_extract)
-        with pytest.raises(RuntimeError, match="extraction failed"):
+        assert in_kernel and not any(in_kernel)
+        assert in_collection and not any(in_collection)
+        monkeypatch.setattr(search_module, "CataneseTuple", failing_tuple)
+        with pytest.raises(RuntimeError, match="collection failed"):
+            search(SearchConfig(bound=40))
+        assert gc.isenabled() is enabled
+        monkeypatch.setattr(search_module, "_shared_buckets", failing_buckets)
+        with pytest.raises(RuntimeError, match="kernel failed"):
             search(SearchConfig(bound=40))
         assert gc.isenabled() is enabled
     finally:
@@ -354,32 +379,58 @@ def test_search_kernel_matches_the_oracle_when_clipped_at_bound_60() -> None:
     assert result == oracle_search(config)
 
 
-def test_search_kernel_hands_extract_the_oracle_buckets(
-    monkeypatch: pytest.MonkeyPatch,
-) -> None:
+def stored_buckets(run: SearchScan) -> list[tuple[HomeoClassKey, tuple[CoverType, ...], tuple[int, ...]]]:
+    """The buckets the kernel pass stored, decoded from its arrays."""
+    decoded = []
+    start = 0
+    for bucket, end in enumerate(run.ends):
+        key = HomeoClassKey(run.keys[2 * bucket], run.keys[2 * bucket + 1])
+        types = tuple(
+            CoverType(*run.fields[4 * cell : 4 * cell + 4]) for cell in range(start, end)
+        )
+        decoded.append((key, types, tuple(run.indices[start:end])))
+        start = end
+    return decoded
+
+
+def test_search_kernel_hands_extract_the_oracle_buckets() -> None:
     # The kernel builds its buckets from cells, not from group_by_homeo_class;
-    # those it extracts from must be the oracle's buckets with at least k
-    # distinct indices, member for member, in key order.
-    search_module = importlib.import_module("bidouble.search")
-    real_extract = search_module.extract_k_tuples
-    seen: list[HomeoClassBucket] = []
-
-    def watched_extract(bucket, *args, **kwargs):
-        seen.append(bucket)
-        return real_extract(bucket, *args, **kwargs)
-
-    monkeypatch.setattr(search_module, "extract_k_tuples", watched_extract)
+    # those it stores must be the oracle's buckets with at least k distinct
+    # indices, member for member, in key order.
     buckets = oracle_buckets(40)
     for k in (2, 3):
-        seen.clear()
-        search(SearchConfig(bound=40, k=k))
+        run = scan(SearchConfig(bound=40, k=k))
         wanted = [
             buckets[key] for key in sorted(buckets) if len(set(buckets[key].indices)) >= k
         ]
         assert wanted
-        assert [(b.key, b.types, b.indices) for b in seen] == [
-            (b.key, b.types, b.indices) for b in wanted
-        ]
+        assert stored_buckets(run) == [(b.key, b.types, b.indices) for b in wanted]
+        assert run.stats.multi_index_buckets == len(wanted)
+        assert run.stats.cells == sum(len(b) for b in wanted)
+
+
+@pytest.mark.parametrize("cap", [1, 2, DEFAULT_TUPLES_PER_BUCKET])
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_head_counts_come_from_e_k_of_the_index_group_sizes(k: int, cap: int) -> None:
+    # The kernel pass fills tuple_count and truncated_buckets without
+    # extracting: a bucket holds e_k(sizes) tuples, so extraction emits
+    # min(cap, e_k) of them and truncates exactly when e_k > cap.
+    tuples = 0
+    truncated = []
+    for key, bucket in sorted(oracle_buckets(40).items()):
+        sizes = Counter(bucket.indices).values()
+        e_k = sum(prod(chosen) for chosen in itertools.combinations(sizes, k))
+        assert _elementary_symmetric(sizes, k) == e_k
+        extracted, was_truncated = extract_k_tuples(bucket, k, cap=cap)
+        assert len(extracted) == min(cap, e_k)
+        assert was_truncated == (e_k > cap)
+        tuples += len(extracted)
+        if was_truncated:
+            truncated.append(key)
+    run = scan(SearchConfig(bound=40, k=k, tuples_per_bucket=cap))
+    assert run.stats.tuples == tuples
+    assert run.stats.truncated == len(truncated)
+    assert run.truncated_buckets == tuple(truncated)
 
 
 def test_search_kernel_oracle_cases_reach_the_bucket_cap() -> None:
@@ -408,3 +459,19 @@ def test_search_pins_the_bound_80_counts() -> None:
     assert result.bucket_count == 149_119
     assert len(result.tuples) == 30_911
     assert not result.truncated_buckets and not result.clipped
+    assert scan(SearchConfig(bound=80)).stats == SearchStats(
+        pairs=703,
+        types=247_456,
+        buckets=149_119,
+        multi_index_buckets=11_168,
+        cells=35_803,
+        tuples=30_911,
+        truncated=0,
+        clipped=False,
+    )
+
+
+def test_search_stats_count_the_clipped_output() -> None:
+    stats = scan(SearchConfig(bound=60, k=3, max_results=100, tuples_per_bucket=2)).stats
+    assert stats.tuples == 100
+    assert stats.clipped and stats.truncated
