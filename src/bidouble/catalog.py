@@ -53,7 +53,7 @@ def record_to_line(record: CatalogRecord) -> str:
     )
 
 
-#: Records rendered and written at a time while :func:`write_catalog` holds
+#: Records rendered and written at a time while :func:`write_lines` holds
 #: the lock.
 RECORDS_PER_CHUNK = 1024
 
@@ -61,15 +61,27 @@ RECORDS_PER_CHUNK = 1024
 def write_catalog(records: Iterable[CatalogRecord], path: str | PathLike[str]) -> int:
     """Append records to the JSONL file at ``path``; returns the count written.
 
-    Every line carries :data:`SCHEMA_VERSION`.  Lines are rendered and
-    written :data:`RECORDS_PER_CHUNK` at a time under one exclusive lock, so
-    the records may come from a generator and only one chunk's text is held
-    at a time.  The first chunk is rendered before the file is opened, and
-    if anything fails after that, the file is truncated back to its length
-    when the lock was taken before the error propagates: a schema error
-    cannot leave a half-written file behind.
+    Each record is rendered by :func:`record_to_line` and appended by
+    :func:`write_lines`, so the records may come from a generator.
     """
-    chunks = _rendered_chunks(records)
+    return write_lines(map(record_to_line, records), path)
+
+
+def write_lines(lines: Iterable[str], path: str | PathLike[str]) -> int:
+    """Append catalog lines to the JSONL file at ``path``; returns the count written.
+
+    Each line is one record as :func:`record_to_line` renders it, without
+    the newline.  Lines are taken and written :data:`RECORDS_PER_CHUNK` at
+    a time under one exclusive lock, so only one chunk's text is held at a
+    time.  The first chunk is taken before the file is opened, and if
+    anything fails after that, the file is truncated back to its length
+    when the lock was taken before the error propagates: a schema error
+    cannot leave a half-written file behind.  A file that did not exist is
+    created only once the first chunk is in hand, so a later failure leaves
+    it empty, which reads as a catalog of no records.  It is not removed:
+    another writer may already hold it open, waiting for the lock.
+    """
+    chunks = _chunks(lines)
     first = list(islice(chunks, 1))
     written = 0
     # Unbuffered, so that nothing written can linger in a buffer past the
@@ -92,9 +104,9 @@ def write_catalog(records: Iterable[CatalogRecord], path: str | PathLike[str]) -
     return written
 
 
-def _rendered_chunks(records: Iterable[CatalogRecord]) -> Iterator[tuple[int, bytes]]:
-    """Up to :data:`RECORDS_PER_CHUNK` records at a time: their count and their lines."""
-    lines = map(record_to_line, records)
+def _chunks(lines: Iterable[str]) -> Iterator[tuple[int, bytes]]:
+    """Up to :data:`RECORDS_PER_CHUNK` lines at a time: their count and their bytes."""
+    lines = iter(lines)
     while batch := list(islice(lines, RECORDS_PER_CHUNK)):
         yield len(batch), "".join(line + "\n" for line in batch).encode()
 

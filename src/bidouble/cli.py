@@ -17,10 +17,13 @@ which streams.  It runs the kernel pass
 and stores the multi-index buckets as packed integers; then the emit pass
 renders the tuples straight from them as it writes, through
 :func:`bidouble.serialize.search_to_json_chunks` (byte-identical to
-``json.dumps`` of the view), the CSV rows or the ``--out`` records.  No
-cover type or tuple object is built and the whole output is never held in
-memory.  ``search --stats`` adds one JSON line on stderr with the run's
-counts and the wall time of both passes; stdout is unchanged.
+``json.dumps`` of the view) or the CSV rows.  With ``--out`` it runs once
+more before that, through :func:`bidouble.serialize.search_to_catalog_lines`
+(byte-identical to :func:`bidouble.catalog.record_to_line`), and the catalog
+is appended in chunks under one lock.  No cover type or tuple object is
+built and the whole output is never held in memory.  ``search --stats``
+adds one JSON line on stderr with the run's counts and the wall time of
+the kernel pass and of the stdout emit pass; stdout is unchanged.
 
 CSV rows are read off the same views, so each field is declared once:
 nested objects flatten into columns and each view in a list is a row.
@@ -90,7 +93,10 @@ def _append_records(
         catalog.CatalogRecord(kind=kind, payload=payload, created_at=stamp)
         for payload in payloads
     )
-    written = catalog.write_catalog(records, args.out)
+    _appended(args, kind, catalog.write_catalog(records, args.out))
+
+
+def _appended(args: argparse.Namespace, kind: str, written: int) -> None:
     print(f"appended {written} {kind} record(s) to {args.out}", file=sys.stderr)
 
 
@@ -196,9 +202,9 @@ def cmd_search(args: argparse.Namespace) -> tuple[Iterator[str], CsvRows, int]:
     begun = time.perf_counter()
     run = scan(config)
     kernel_s = time.perf_counter() - begun
-    _append_records(
-        args, "tuple", (serialize.tuple_row_to_json(*row) for row in run.rows())
-    )
+    if args.out is not None:
+        lines = serialize.search_to_catalog_lines(run, _timestamp(args))
+        _appended(args, "tuple", catalog.write_lines(lines, args.out))
     # Two generators over the emit pass: JSON output renders only the
     # chunks, CSV output only the rows.
     chunks: Iterator[Any] = serialize.search_to_json_chunks(config, run)

@@ -10,9 +10,11 @@ strict and raise :class:`SchemaMismatch` on any shape or type drift.
 from __future__ import annotations
 
 import json
+import re
 from itertools import chain, islice
 from typing import Any, Iterable, Iterator, Mapping
 
+from .catalog import CatalogRecord, record_to_line
 from .covers import CoverType, DerivedParams, SurfaceInvariants
 from .discriminant import ArgumentStep, DiscriminantProfile, ZariskiCertificate
 from .errors import SchemaMismatch
@@ -145,6 +147,27 @@ def _tuple_template(k: int) -> str:
     shape = tuple_row_to_json(slot, slot, [(slot,) * 4] * k, (slot,) * k)  # type: ignore[arg-type]
     text = json.dumps(shape, indent=2).replace(f'"{slot}"', slot)
     return "\n".join("    " + line for line in text.splitlines())
+
+
+def search_to_catalog_lines(run: SearchScan, created_at: str) -> Iterator[str]:
+    """Each tuple of the emit pass as its catalog line, stamped ``created_at``.
+
+    A line equals :func:`~bidouble.catalog.record_to_line` of the ``"tuple"``
+    record of the tuple's :func:`tuple_row_to_json` payload.  That line is
+    rendered once with a positional slot in every integer field and in the
+    stamp, and each row fills the slots, so no per-tuple object is built.
+    """
+    k = run.config.k
+    slots = [f"{{{i}}}" for i in range(2 + 5 * k + 1)]
+    members = [slots[2 + 4 * j : 6 + 4 * j] for j in range(k)]
+    shape = tuple_row_to_json(slots[0], slots[1], members, slots[2 + 4 * k : -1])  # type: ignore[arg-type]
+    line = record_to_line(CatalogRecord("tuple", shape, slots[-1]))
+    # Escape every brace, then turn each quoted slot back into a bare one.
+    escaped = line.replace("{", "{{").replace("}", "}}")
+    template = re.sub(r'"\{\{(\d+)\}\}"', r"{\1}", escaped)
+    stamp = json.dumps(created_at)
+    for kk, chi, fields, indices in run.rows():
+        yield template.format(kk, chi, *chain.from_iterable(fields), *indices, stamp)
 
 
 def verdict_to_json(verdict: TupleVerdict) -> dict[str, Any]:

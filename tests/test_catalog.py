@@ -221,6 +221,20 @@ def test_catalog_write_failing_midway_leaves_the_file_as_it_was(
     assert path.read_bytes() == before
 
 
+@pytest.mark.parametrize("position", [3, RECORDS_PER_CHUNK + 2])
+def test_catalog_write_failing_midway_on_a_new_file(tmp_path: Path, position: int) -> None:
+    # A failure in the first chunk creates no file; one past the first chunk
+    # leaves the created file empty, a catalog of no records.
+    path = tmp_path / "catalog.jsonl"
+    with pytest.raises(SchemaMismatch, match="bogus"):
+        write_catalog(records_failing_at(position), path)
+    if position <= RECORDS_PER_CHUNK:
+        assert not path.exists()
+    else:
+        assert path.read_bytes() == b""
+        assert read_catalog(path) == []
+
+
 def test_catalog_write_streams_many_chunks(tmp_path: Path) -> None:
     path = tmp_path / "catalog.jsonl"
     count = 2 * RECORDS_PER_CHUNK + 1

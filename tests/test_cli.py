@@ -14,11 +14,14 @@ from typing import Any
 import pytest
 
 from bidouble import SearchConfig, SearchResult, read_catalog, scan, search
+from bidouble.catalog import CatalogRecord, record_to_line
 from bidouble.cli import build_parser, main
 from bidouble.serialize import (
     certificate_from_json,
     key_to_json,
+    search_to_catalog_lines,
     search_to_json_text,
+    tuple_row_to_json,
     tuple_to_json,
 )
 
@@ -476,6 +479,21 @@ def test_search_catalog_bytes_are_unchanged(
     assert err == f"appended 6856 tuple record(s) to {out_path}\n"
     digest = hashlib.sha256(out_path.read_bytes()).hexdigest()
     assert digest == "b5fe49ebbe4a691c1ff9eeaa057bb0c5db05d561ca3d3cbb9a3ff749bbd3ca08"
+
+
+@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize(
+    "stamp", ["", "2026-10-18T12:00:00+00:00", 'x"{0}%d\\{{1}}', "\u00e9\u2028"]
+)
+def test_search_catalog_lines_equal_record_to_line(k: int, stamp: str) -> None:
+    # Each line fills a template rendered once; it must be what
+    # record_to_line makes of the row's payload, whatever the stamp holds.
+    run = scan(SearchConfig(bound=40, k=k))
+    wanted = [
+        record_to_line(CatalogRecord("tuple", tuple_row_to_json(*row), stamp))
+        for row in run.rows()
+    ]
+    assert list(search_to_catalog_lines(run, stamp)) == wanted
 
 
 def test_certify_round_trips_through_catalog(

@@ -4,20 +4,27 @@ Usage (from the root of a checkout; standard library only):
 
     python3 tools/bench_search.py 40 60 100 140 200
     python3 tools/bench_search.py --src OTHER_CHECKOUT/src 40 60
+    python3 tools/bench_search.py --catalog 100 140
 
 For each bound a child interpreter imports ``bidouble`` from ``--src``
 (default: this checkout's ``src``), runs ``cli.main(["search", "--bound",
-B])`` once with stdout going to a sink that keeps only a digest, and reports:
+B, "--stats"])`` once with stdout going to a sink that keeps only a digest,
+and reports:
 
 - ``types``, ``buckets``, ``tuples``: the counts in the JSON head, so that
   runs of two versions can be checked to have done the same work
 - ``stdout_bytes`` and ``stdout_sha256``
-- ``kernel_s``: wall time of the kernel call the CLI makes (``scan``, or
-  ``search`` in versions that collect every tuple first)
-- ``emit_s``: the rest of the call, rendering and writing the output
+- ``stats``: the line ``search --stats`` writes on stderr, less its times
+- ``kernel_s`` and ``emit_s``: the wall times of the kernel pass and of the
+  stdout emit pass, from the same line
 - ``total_s`` and ``peak_rss_mb`` (the child's own ``ru_maxrss``)
-- ``stats``: the :class:`~bidouble.search.SearchStats` of the run, when the
-  version has them
+
+Versions without ``search --stats`` run without it and report ``null``
+for ``stats``, ``kernel_s`` and ``emit_s``.  With ``--catalog`` each run
+also appends its tuples with ``--out`` to a new catalog in a temporary
+directory, as ``search --out CATALOG --no-timestamp``, and reports
+``catalog_bytes`` and ``catalog_sha256``; the catalog write is the part of
+``total_s`` outside both passes.
 
 The result is one JSON object on stdout.  Times depend on the machine and
 its load; counts and digests do not.
@@ -26,16 +33,18 @@ its load; counts and digests do not.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import platform
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 
 CHILD = r"""
-import dataclasses, hashlib, io, json, re, resource, sys, time
+import hashlib, io, json, re, resource, sys, time
 sys.path.insert(0, sys.argv[1])
 from bidouble import cli
 
@@ -50,53 +59,61 @@ class Sink(io.TextIOBase):
             self.head += text[:4096]
         return len(text)
 
-name = "scan" if hasattr(cli, "scan") else "search"
-kernel = getattr(cli, name)
-seen = {}
-
-def timed(config):
-    begun = time.perf_counter()
-    run = kernel(config)
-    seen["kernel_s"] = time.perf_counter() - begun
-    if hasattr(run, "stats"):
-        seen["stats"] = dataclasses.asdict(run.stats)
-    return run
-
-setattr(cli, name, timed)
-sink, real = Sink(), sys.stdout
-sys.stdout = sink
+bound, out = sys.argv[2], sys.argv[3:]
+search_parser = cli.build_parser()._subparsers._group_actions[0].choices["search"]
+has_stats = "--stats" in search_parser._option_string_actions
+argv = ["search", "--bound", bound, *(["--stats"] if has_stats else [])]
+if out:
+    argv += ["--out", out[0], "--no-timestamp"]
+sink, err, real = Sink(), io.StringIO(), (sys.stdout, sys.stderr)
+sys.stdout, sys.stderr = sink, err
 begun = time.perf_counter()
-code = cli.main(["search", "--bound", sys.argv[2]])
+code = cli.main(argv)
 total = time.perf_counter() - begun
-sys.stdout = real
+sys.stdout, sys.stderr = real
 counts = dict(re.findall(r'"(type_count|bucket_count|tuple_count)": (\d+)', sink.head))
+stats = next(
+    (json.loads(line) for line in err.getvalue().splitlines() if line.startswith("{")),
+    None,
+)
+times = {"kernel_s": None, "emit_s": None}
+if stats is not None:
+    times = {name: round(stats.pop(name), 3) for name in times}
 print(json.dumps({
-    "bound": int(sys.argv[2]),
+    "bound": int(bound),
     "exit_code": code,
-    "kernel": name,
     "types": int(counts["type_count"]),
     "buckets": int(counts["bucket_count"]),
     "tuples": int(counts["tuple_count"]),
     "stdout_bytes": sink.size,
     "stdout_sha256": sink.sha.hexdigest(),
-    "kernel_s": round(seen["kernel_s"], 3),
-    "emit_s": round(total - seen["kernel_s"], 3),
+    **times,
     "total_s": round(total, 3),
     "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
-    "stats": seen.get("stats"),
+    "stats": stats,
 }))
 """
 
 
-def run_bound(src: Path, bound: int) -> dict:
+def run_bound(src: Path, bound: int, catalog: bool) -> dict:
     """One fresh interpreter searching at ``bound``; its report as a dict."""
-    done = subprocess.run(
-        [sys.executable, "-c", CHILD, str(src), str(bound)],
-        check=True,
-        capture_output=True,
-        text=True,
-    )
-    return json.loads(done.stdout)
+    with tempfile.TemporaryDirectory() as scratch:
+        out = Path(scratch) / "catalog.jsonl"
+        done = subprocess.run(
+            [sys.executable, "-c", CHILD, str(src), str(bound), *([str(out)] if catalog else [])],
+            check=True,
+            capture_output=True,
+            text=True,
+        )
+        report = json.loads(done.stdout)
+        if catalog:
+            sha = hashlib.sha256()
+            with open(out, "rb") as handle:
+                while block := handle.read(1 << 20):
+                    sha.update(block)
+            report["catalog_bytes"] = out.stat().st_size
+            report["catalog_sha256"] = sha.hexdigest()
+    return report
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -105,12 +122,18 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--src", type=Path, default=ROOT / "src", help="directory holding the bidouble package"
     )
+    parser.add_argument(
+        "--catalog",
+        action="store_true",
+        help="also append the tuples to a new catalog with --out and report its digest",
+    )
     args = parser.parse_args(argv)
     report = {
         "src": str(args.src),
         "python": platform.python_version(),
         "machine": platform.machine(),
-        "runs": [run_bound(args.src, bound) for bound in args.bounds],
+        "catalog": args.catalog,
+        "runs": [run_bound(args.src, bound, args.catalog) for bound in args.bounds],
     }
     print(json.dumps(report, indent=2))
     return 0
