@@ -21,9 +21,9 @@ renders the tuples straight from them as it writes, through
 more before that, through :func:`bidouble.serialize.search_to_catalog_lines`
 (byte-identical to :func:`bidouble.catalog.record_to_line`), and the catalog
 is appended in chunks under one lock.  No cover type or tuple object is
-built and the whole output is never held in memory.  ``search --stats``
-adds one JSON line on stderr with the run's counts and the wall time of
-the kernel pass and of the stdout emit pass; stdout is unchanged.
+built and the whole output is never held in memory.  Every ``search``
+then writes one JSON line on stderr, after any ``appended`` note: the run's
+counts and the wall time of the kernel pass and of the stdout emit pass.
 
 CSV rows are read off the same views, so each field is declared once:
 nested objects flatten into columns and each view in a list is a row.
@@ -36,9 +36,10 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 import time
-from dataclasses import asdict
+from dataclasses import fields
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Any, Iterable, Iterator, Sequence
@@ -198,36 +199,30 @@ def cmd_discriminant(args: argparse.Namespace) -> tuple[dict[str, Any], CsvRows,
 
 
 def cmd_search(args: argparse.Namespace) -> tuple[Iterator[str], CsvRows, int]:
-    config = args.config
     begun = time.perf_counter()
-    run = scan(config)
+    run = scan(args.config)
     kernel_s = time.perf_counter() - begun
     if args.out is not None:
         lines = serialize.search_to_catalog_lines(run, _timestamp(args))
         _appended(args, "tuple", catalog.write_lines(lines, args.out))
-    # Two generators over the emit pass: JSON output renders only the
-    # chunks, CSV output only the rows.
-    chunks: Iterator[Any] = serialize.search_to_json_chunks(config, run)
-    rows: Iterator[Any] = (_tuple_cells(*row) for row in run.rows())
-    if args.stats:
-        chunks = _then_report(chunks, run, kernel_s)
-        rows = _then_report(rows, run, kernel_s)
+    # Two generators over the emit pass: JSON output runs only the chunks,
+    # CSV output only the rows, so the report is written once.
+    chunks = _then_report(serialize.search_to_json_chunks(run), run, kernel_s)
+    rows = _then_report((_tuple_cells(*row) for row in run.rows()), run, kernel_s)
     return chunks, (_TUPLE_COLUMNS, rows), 0
 
 
 def _then_report(items: Iterator[Any], run: SearchScan, kernel_s: float) -> Iterator[Any]:
-    """``items``, then one JSON line of the run's counts and pass times on stderr.
+    """``items``, then the run's report on stderr: one JSON line of its
+    :class:`~bidouble.search.SearchStats` fields, ``kernel_s`` and ``emit_s``.
 
     ``emit_s`` runs from the first item asked for to the last, so it covers
     the stdout rendering and not a catalog write made before.
     """
     begun = time.perf_counter()
     yield from items
-    report = {
-        **asdict(run.stats),
-        "kernel_s": round(kernel_s, 6),
-        "emit_s": round(time.perf_counter() - begun, 6),
-    }
+    report = {field.name: getattr(run.stats, field.name) for field in fields(run.stats)}
+    report.update(kernel_s=round(kernel_s, 6), emit_s=round(time.perf_counter() - begun, 6))
     print(json.dumps(report), file=sys.stderr)
 
 
@@ -369,11 +364,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--max-results", type=int, default=None, help="truncate the sorted output"
     )
-    p.add_argument(
-        "--stats",
-        action="store_true",
-        help="write the run's counts and pass times to stderr as one JSON line",
-    )
     _add_common_flags(p, out=True)
 
     p = _add_command(
@@ -454,7 +444,15 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(json.dumps({"error": "IoError", "message": str(exc)}, indent=2))
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    _emit(payload, rows, args.format)
+    try:
+        _emit(payload, rows, args.format)
+        sys.stdout.flush()
+    except BrokenPipeError as exc:
+        # The reader left early; as the Python docs advise, quiet the exit flush.
+        with open(os.devnull, "w") as devnull:
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     return code
 
 

@@ -19,7 +19,7 @@ from .covers import CoverType, DerivedParams, SurfaceInvariants
 from .discriminant import ArgumentStep, DiscriminantProfile, ZariskiCertificate
 from .errors import SchemaMismatch
 from .paper_check import PaperExampleReport
-from .search import CataneseTuple, SearchConfig, SearchScan
+from .search import CataneseTuple, SearchScan
 from .topology import HomeoClassKey, TupleVerdict
 
 _PROFILE_BIG_FIELDS = ("deg_f", "deg_b", "half_deg", "genus", "cusps", "nodes")
@@ -81,7 +81,7 @@ def tuple_row_to_json(
 TUPLES_PER_CHUNK = 1024
 
 
-def search_to_json_chunks(config: SearchConfig, run: SearchScan) -> Iterator[str]:
+def search_to_json_chunks(run: SearchScan) -> Iterator[str]:
     """The JSON view of one search run in pieces, as ``json.dumps(view, indent=2)`` renders it.
 
     The view is the run's config and counts followed by ``"tuples"``, a list
@@ -94,7 +94,7 @@ def search_to_json_chunks(config: SearchConfig, run: SearchScan) -> Iterator[str
     object.  At most one chunk's text is alive at a time when the caller
     writes each chunk before asking for the next.
     """
-    stats = run.stats
+    config, stats = run.config, run.stats
     head = json.dumps(
         {
             "config": {
@@ -129,11 +129,6 @@ def search_to_json_chunks(config: SearchConfig, run: SearchScan) -> Iterator[str
         )
         separator = ",\n"
     yield "\n  ]\n}"
-
-
-def search_to_json_text(config: SearchConfig, run: SearchScan) -> str:
-    """:func:`search_to_json_chunks` joined into one string."""
-    return "".join(search_to_json_chunks(config, run))
 
 
 def _tuple_template(k: int) -> str:

@@ -3,9 +3,12 @@
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import io
 import json
+import os
+import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
@@ -13,14 +16,15 @@ from typing import Any
 
 import pytest
 
-from bidouble import SearchConfig, SearchResult, read_catalog, scan, search
+import bidouble
+from bidouble import SearchConfig, SearchResult, SearchStats, read_catalog, scan, search
 from bidouble.catalog import CatalogRecord, record_to_line
 from bidouble.cli import build_parser, main
 from bidouble.serialize import (
     certificate_from_json,
     key_to_json,
     search_to_catalog_lines,
-    search_to_json_text,
+    search_to_json_chunks,
     tuple_row_to_json,
     tuple_to_json,
 )
@@ -344,7 +348,7 @@ def first_difference(got: str, want: str) -> str:
 def test_search_text_equals_json_dumps_of_the_view(config: SearchConfig) -> None:
     # The text streams from the kernel pass's rows; the view is built from
     # the collected SearchResult.
-    text = search_to_json_text(config, scan(config))
+    text = "".join(search_to_json_chunks(scan(config)))
     expected = json.dumps(search_view(config, search(config)), indent=2)
     # A bare comparison would make pytest diff megabytes of text for minutes.
     same = text == expected
@@ -366,6 +370,8 @@ def test_search_degenerate_flags_are_usage_errors() -> None:
         ["search", "--bound", "30", "--max-results", "-1"],
         # search has no --shards flag, so any value is a usage error.
         ["search", "--bound", "30", "--shards", "1"],
+        # Every search reports its run, so there is no --stats flag.
+        ["search", "--bound", "40", "--stats"],
         ["invariants", "--type", "16,22,52,4", "--type", "28,10,28,10"],
         # --no-timestamp exists only beside --out.
         ["check-pair", "--type", "16,22,52,4", "--type", "28,10,28,10",
@@ -397,14 +403,22 @@ def test_usage_errors_print_the_subcommand_usage(
     assert err.startswith(f"usage: bidouble {argv[0]} ")
 
 
-def test_search_stats_go_to_stderr_only(capsys: pytest.CaptureFixture[str]) -> None:
+def search_report(err: str) -> dict[str, Any]:
+    """The JSON report line a search writes last on stderr."""
+    report = json.loads(err.splitlines()[-1])
+    assert list(report) == [
+        *(field.name for field in dataclasses.fields(SearchStats)), "kernel_s", "emit_s",
+    ]
+    return report
+
+
+def test_search_reports_its_run_on_stderr(capsys: pytest.CaptureFixture[str]) -> None:
+    # Stdout is pinned by GOLDEN_STDOUT; the report goes to stderr alone.
     for fmt in ("json", "csv"):
-        _, plain, plain_err = run(capsys, "search", "--bound", "40", "--format", fmt)
-        code, out, err = run(capsys, "search", "--bound", "40", "--format", fmt, "--stats")
+        code, _, err = run(capsys, "search", "--bound", "40", "--format", fmt)
         assert code == 0
-        assert out == plain
-        assert plain_err == ""
-        report = json.loads(err)
+        assert err.count("\n") == 1
+        report = search_report(err)
         assert {k: report[k] for k in ("pairs", "types", "buckets", "tuples")} == {
             "pairs": 153, "types": 11_781, "buckets": 8_416, "tuples": 709,
         }
@@ -438,10 +452,7 @@ OPTIONS = {
     "check-pair": ["--format", "--type"],
     "check-tuple": ["--format", "--type"],
     "discriminant": ["--format", "--m", "--type"],
-    "search": [
-        "--bound", "--format", "--k", "--max-results", "--no-timestamp", "--out",
-        "--stats",
-    ],
+    "search": ["--bound", "--format", "--k", "--max-results", "--no-timestamp", "--out"],
     "certify": ["--format", "--m", "--no-timestamp", "--out", "--type"],
     "verify-paper-example": ["--format", "--m"],
 }
@@ -476,7 +487,9 @@ def test_search_catalog_bytes_are_unchanged(
     )
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_STDOUT["search --bound 60"]["json"][1]
-    assert err == f"appended 6856 tuple record(s) to {out_path}\n"
+    appended, _ = err.splitlines()
+    assert appended == f"appended 6856 tuple record(s) to {out_path}"
+    assert search_report(err)["tuples"] == 6856
     digest = hashlib.sha256(out_path.read_bytes()).hexdigest()
     assert digest == "b5fe49ebbe4a691c1ff9eeaa057bb0c5db05d561ca3d3cbb9a3ff749bbd3ca08"
 
@@ -562,13 +575,41 @@ def test_verify_paper_example_csv(capsys: pytest.CaptureFixture[str]) -> None:
     assert len(lines) == 8
 
 
+def without_times(result: tuple[int, str, str]) -> tuple[int, str, dict[str, Any]]:
+    """Exit code, stdout and the search report less its wall times."""
+    code, out, err = result
+    report = search_report(err)
+    del report["kernel_s"], report["emit_s"]
+    return code, out, report
+
+
 def test_stdout_is_deterministic(capsys: pytest.CaptureFixture[str]) -> None:
     first = run(capsys, "search", "--bound", "20", "--k", "2")
     second = run(capsys, "search", "--bound", "20", "--k", "2")
-    assert first == second
+    assert without_times(first) == without_times(second)
     third = run(capsys, "verify-paper-example", "--m", "6")
     fourth = run(capsys, "verify-paper-example", "--m", "6")
     assert third == fourth
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_search_into_a_pipe_closed_early_exits_one_quietly(fmt: str) -> None:
+    # The reader takes 100 bytes of the 2.38 MB (JSON) or 0.27 MB (CSV)
+    # output and goes, as `bidouble search ... | head -c 100` does.
+    src = Path(bidouble.__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    argv = [sys.executable, "-m", "bidouble.cli", "search", "--bound", "60", "--format", fmt]
+    with subprocess.Popen(
+        argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env
+    ) as child:
+        assert child.stdout is not None and child.stderr is not None
+        assert len(child.stdout.read(100)) == 100
+        child.stdout.close()
+        err = child.stderr.read().decode()
+    assert child.returncode == 1
+    assert "Traceback" not in err and "Exception ignored" not in err
+    (line,) = err.splitlines()
+    assert line.startswith("error: ")
 
 
 def test_io_failure_exits_one(capsys: pytest.CaptureFixture[str], tmp_path: Path) -> None:

@@ -8,19 +8,21 @@ Usage (from the root of a checkout; standard library only):
 
 For each bound a child interpreter imports ``bidouble`` from ``--src``
 (default: this checkout's ``src``), runs ``cli.main(["search", "--bound",
-B, "--stats"])`` once with stdout going to a sink that keeps only a digest,
-and reports:
+B])`` once with stdout going to a sink that keeps only a digest, and
+reports:
 
 - ``types``, ``buckets``, ``tuples``: the counts in the JSON head, so that
   runs of two versions can be checked to have done the same work
 - ``stdout_bytes`` and ``stdout_sha256``
-- ``stats``: the line ``search --stats`` writes on stderr, less its times
+- ``stats``: the report line ``search`` writes on stderr, less its times
 - ``kernel_s`` and ``emit_s``: the wall times of the kernel pass and of the
   stdout emit pass, from the same line
 - ``total_s`` and ``peak_rss_mb`` (the child's own ``ru_maxrss``)
 
-Versions without ``search --stats`` run without it and report ``null``
-for ``stats``, ``kernel_s`` and ``emit_s``.  With ``--catalog`` each run
+Versions that write no report line report ``null`` for ``stats``,
+``kernel_s`` and ``emit_s``.  Commits ``c89fd10`` to ``e16921f`` write it
+only behind ``search --stats``; to time their two passes, run the copy of
+this script in that checkout.  With ``--catalog`` each run
 also appends its tuples with ``--out`` to a new catalog in a temporary
 directory, as ``search --out CATALOG --no-timestamp``, and reports
 ``catalog_bytes`` and ``catalog_sha256``; the catalog write is the part of
@@ -60,11 +62,7 @@ class Sink(io.TextIOBase):
         return len(text)
 
 bound, out = sys.argv[2], sys.argv[3:]
-search_parser = cli.build_parser()._subparsers._group_actions[0].choices["search"]
-has_stats = "--stats" in search_parser._option_string_actions
-argv = ["search", "--bound", bound, *(["--stats"] if has_stats else [])]
-if out:
-    argv += ["--out", out[0], "--no-timestamp"]
+argv = ["search", "--bound", bound, *(["--out", out[0], "--no-timestamp"] if out else [])]
 sink, err, real = Sink(), io.StringIO(), (sys.stdout, sys.stderr)
 sys.stdout, sys.stderr = sink, err
 begun = time.perf_counter()
