@@ -5,11 +5,14 @@ CSV via ``--format csv``) goes to stdout, progress notes to stderr.  Stdout
 never carries timestamps, so two identical invocations produce identical
 bytes.  ``invariants``, ``search`` and ``certify`` take ``--out``, which
 appends records to a JSONL catalog, stamped unless ``--no-timestamp`` is
-given; no other command accepts either flag.  Exit codes: 0 success, 1
-domain error (reported as a JSON error object on stdout), 2 usage error:
-a flag argparse rejects, a ``--type`` count off the command's arity, or a
-``search`` range that :class:`~bidouble.search.SearchConfig` refuses, each
-reported under the subcommand's usage line.
+given; no other command accepts either flag.  Exit codes: 0 success; 1 a
+domain or I/O error (an ``error:`` line on stderr and a JSON error object on
+stdout, whatever the ``--format``) or a reader of stdout gone early; 2 a
+usage error: an unknown option, a flag argparse rejects, a ``--type`` count
+off the command's arity, or a ``search`` range that
+:class:`~bidouble.search.SearchConfig` refuses, each reported under the
+subcommand's usage line.  Only ``_emit`` writes stdout, under one guard,
+so a closed stdout never ends in a traceback.
 
 JSON output is ``json.dumps(payload, indent=2)``, except for ``search``,
 which streams.  It runs the kernel pass
@@ -64,18 +67,13 @@ CsvRows = tuple[list[str], Iterable[list[Any]]]
 
 
 def cover_type_argument(text: str) -> CoverType:
-    parts = text.split(",")
-    if len(parts) != 4:
-        raise argparse.ArgumentTypeError(
-            f"expected four comma-separated integers a,b,m2,n2, got {text!r}"
-        )
     try:
-        numbers = [int(part) for part in parts]
-    except ValueError:
+        a, b, m2, n2 = map(int, text.split(","))
+    except ValueError:  # a non-integer field, or not four of them
         raise argparse.ArgumentTypeError(
             f"expected four comma-separated integers a,b,m2,n2, got {text!r}"
         ) from None
-    return CoverType(*numbers)
+    return CoverType(a, b, m2, n2)
 
 
 def _timestamp(args: argparse.Namespace) -> str:
@@ -386,13 +384,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _check_usage(args: argparse.Namespace) -> None:
-    """The usage rules argparse cannot state: ``--type`` counts and search ranges.
+def _check_usage(args: argparse.Namespace, extras: list[str]) -> None:
+    """The usage rules argparse leaves to the caller: unknown options,
+    ``--type`` counts and search ranges.
 
     Reported through the subcommand's parser, as argparse reports its own
     errors, so the usage line printed is the subcommand's.
     """
     parser = args.command_parser
+    if extras:
+        parser.error(f"unrecognized arguments: {' '.join(extras)}")
     if "arity" in args:
         low, high = args.arity
         got = len(args.types)
@@ -406,44 +407,41 @@ def _check_usage(args: argparse.Namespace) -> None:
             parser.error(str(exc))
 
 
-def _emit(payload: dict[str, Any] | Iterable[str], rows: CsvRows, fmt: str) -> None:
-    if fmt == "csv":
+def _emit(payload: dict[str, Any] | Iterable[str], rows: CsvRows | None, fmt: str) -> None:
+    """The one writer of stdout: CSV ``rows`` under ``--format csv``, else the
+    JSON ``payload`` (a view or its chunks); an error view has no rows."""
+    if fmt == "csv" and rows is not None:
         writer = csv.writer(sys.stdout, lineterminator="\n")
         header, body = rows
         writer.writerow(header)
         writer.writerows(body)
-    elif isinstance(payload, dict):
-        print(json.dumps(payload, indent=2, sort_keys=False))
-    else:
-        write = sys.stdout.write
-        for chunk in payload:
-            write(chunk)
-        write("\n")
+        return
+    chunks = [json.dumps(payload, indent=2)] if isinstance(payload, dict) else payload
+    write = sys.stdout.write
+    for chunk in chunks:
+        write(chunk)
+    write("\n")
 
 
-def _emit_error(exc: BidoubleError) -> None:
-    payload: dict[str, Any] = {"error": type(exc).__name__, "message": str(exc)}
+def _error_view(exc: BidoubleError | OSError) -> dict[str, Any]:
+    """The JSON error object of a domain error, or of an I/O error as ``IoError``."""
+    name = "IoError" if isinstance(exc, OSError) else type(exc).__name__
+    view: dict[str, Any] = {"error": name, "message": str(exc)}
     if isinstance(exc, ConstraintViolation):
-        payload["violations"] = exc.violations
+        view["violations"] = exc.violations
     if isinstance(exc, NotCatanese):
-        payload["failures"] = exc.failures
-    print(json.dumps(payload, indent=2))
-    print(f"error: {exc}", file=sys.stderr)
+        view["failures"] = exc.failures
+    return view
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    _check_usage(args)
+    args, extras = build_parser().parse_known_args(argv)
+    _check_usage(args, extras)
     try:
         payload, rows, code = args.func(args)
-    except BidoubleError as exc:
-        _emit_error(exc)
-        return 1
-    except OSError as exc:
-        print(json.dumps({"error": "IoError", "message": str(exc)}, indent=2))
+    except (BidoubleError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        payload, rows, code = _error_view(exc), None, 1
     try:
         _emit(payload, rows, args.format)
         sys.stdout.flush()

@@ -49,6 +49,7 @@ import gc
 import itertools
 from array import array
 from collections import Counter
+from contextlib import contextmanager
 from dataclasses import dataclass
 from math import gcd
 from operator import itemgetter
@@ -63,6 +64,7 @@ from .covers import (
 from .errors import BoundTooLarge
 from .topology import HomeoClassKey
 
+#: The per-bucket emission cap, read at run time so that tests can lower it.
 DEFAULT_TUPLES_PER_BUCKET = 10_000
 
 #: One tuple as the emit pass yields it: kk, chi, the members (field tuples
@@ -76,23 +78,20 @@ class SearchConfig:
     """Parameters of one search run.
 
     ``bound`` (>= 3) caps every branch-data field; ``k`` (>= 2) is the tuple
-    size; ``max_results`` (>= 0) truncates the sorted output when set;
-    ``tuples_per_bucket`` (>= 1) caps emission per homeomorphism class.
+    size; ``max_results`` (>= 0) truncates the sorted output when set.
     Construction raises :class:`ValueError` for a value out of those ranges.
+    Each homeomorphism class emits at most :data:`DEFAULT_TUPLES_PER_BUCKET`.
     """
 
     bound: int
     k: int = 2
     max_results: int | None = None
-    tuples_per_bucket: int = DEFAULT_TUPLES_PER_BUCKET
 
     def __post_init__(self) -> None:
         if self.bound < 3:
             raise ValueError("bound must be >= 3")
         if self.k < 2:
             raise ValueError("k must be >= 2")
-        if self.tuples_per_bucket < 1:
-            raise ValueError("tuples_per_bucket must be >= 1")
         if self.max_results is not None and self.max_results < 0:
             raise ValueError("max_results must be >= 0")
 
@@ -197,7 +196,7 @@ class SearchScan:
         return rows if limit is None else itertools.islice(rows, limit)
 
     def _bucket_rows(self, member: Callable[..., Any] | None) -> Iterator[Row]:
-        k, cap = self.config.k, self.config.tuples_per_bucket
+        k, cap = self.config.k, DEFAULT_TUPLES_PER_BUCKET
         keys, fields, indices = self.keys, self.fields, self.indices
         start = 0
         for bucket, end in enumerate(self.ends):
@@ -315,19 +314,30 @@ def _elementary_symmetric(values: Iterable[int], k: int) -> int:
     return e[k]
 
 
+@contextmanager
+def _collector_paused() -> Iterator[None]:
+    """Pause the cyclic garbage collector; its state comes back on any exit.
+
+    Everything a search builds is acyclic and freed by reference counting,
+    so no memory waits on the collector; left running, it would walk the
+    growing heap again and again.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def scan(config: SearchConfig) -> SearchScan:
     """The kernel pass: bucket s-class pairs by product and store multi-index buckets.
 
     Every count of the run is known when it returns; no tuple is built until
     :meth:`SearchScan.rows` is walked.  Raises :class:`BoundTooLarge` above
     the global field cap; :class:`SearchConfig` has already checked the
-    other ranges.
-
-    The pass runs with the cyclic garbage collector paused, and its previous
-    state is restored on the way out, also when it raises.  Everything it
-    builds (ints, sets, lists, tuples, arrays) is acyclic and freed by
-    reference counting, so no memory waits on the collector; left running,
-    it would walk the growing heap again and again.
+    other ranges.  The pass runs under :func:`_collector_paused`.
     """
     if config.bound > DEFAULT_FIELD_CAP:
         raise BoundTooLarge(
@@ -344,13 +354,11 @@ def scan(config: SearchConfig) -> SearchScan:
     for position, sa in enumerate(s_values):
         for sb in s_values[position:]:
             by_product.setdefault(sa * sb, []).append((sa, sb))
-    k, cap = config.k, config.tuples_per_bucket
+    k, cap = config.k, DEFAULT_TUPLES_PER_BUCKET
     keys, fields, indices, ends = array("q"), array("H"), array("H"), array("q")
     truncated: list[HomeoClassKey] = []
     bucket_count = tuple_count = 0
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
+    with _collector_paused():
         for product in sorted(by_product):
             class_pairs = by_product[product]
             twice_chis = [_twice_chi_values(sa, sb, classes) for sa, sb in class_pairs]
@@ -378,9 +386,6 @@ def scan(config: SearchConfig) -> SearchScan:
                 fields.extend(itertools.chain.from_iterable(f for f, _ in cells))
                 indices.extend(cell_indices)
                 ends.append(len(indices))
-    finally:
-        if enabled:
-            gc.enable()
     limit = config.max_results
     clipped = limit is not None and tuple_count > limit
     stats = SearchStats(
@@ -403,24 +408,18 @@ def search(config: SearchConfig) -> SearchResult:
     applied after sorting.  Raises :class:`BoundTooLarge` above the global
     field cap; :class:`SearchConfig` has already checked the other ranges.
 
-    The collection, like the kernel pass, runs with the cyclic garbage
-    collector paused, and its previous state is restored on the way out.
-    Members are cover types shared by the tuples of a bucket, and so are
-    the keys.
+    The collection, like the kernel pass, runs under
+    :func:`_collector_paused`.  Members are cover types shared by the tuples
+    of a bucket, and so are the keys.
     """
     run = scan(config)
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
+    with _collector_paused():
         collected: list[CataneseTuple] = []
         key = None
         for kk, chi, members, member_indices in run.rows(CoverType):
             if key != (kk, chi):
                 key = HomeoClassKey(kk, chi)
             collected.append(CataneseTuple(key, members, member_indices))
-    finally:
-        if enabled:
-            gc.enable()
     return SearchResult(
         tuples=tuple(collected),
         type_count=run.stats.types,

@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import hashlib
+import importlib
 import io
 import json
 import os
@@ -20,6 +21,7 @@ import bidouble
 from bidouble import SearchConfig, SearchResult, SearchStats, read_catalog, scan, search
 from bidouble.catalog import CatalogRecord, record_to_line
 from bidouble.cli import build_parser, main
+from bidouble.search import DEFAULT_TUPLES_PER_BUCKET
 from bidouble.serialize import (
     certificate_from_json,
     key_to_json,
@@ -78,10 +80,14 @@ def test_out_of_range_exits_one(capsys: pytest.CaptureFixture[str]) -> None:
     assert json.loads(out)["error"] == "OutOfRange"
 
 
-def test_malformed_type_is_a_usage_error(capsys: pytest.CaptureFixture[str]) -> None:
+@pytest.mark.parametrize("text", ["16,22,52", "16,22,52,4,5", "a,b,c,d", ""])
+def test_malformed_type_is_a_usage_error(
+    capsys: pytest.CaptureFixture[str], text: str
+) -> None:
     with pytest.raises(SystemExit) as excinfo:
-        main(["invariants", "--type", "16,22,52"])
+        main(["invariants", "--type", text])
     assert excinfo.value.code == 2
+    assert "expected four comma-separated integers" in capsys.readouterr().err
 
 
 def test_wrong_type_arity_is_a_usage_error(capsys: pytest.CaptureFixture[str]) -> None:
@@ -332,22 +338,28 @@ def first_difference(got: str, want: str) -> str:
 
 
 @pytest.mark.parametrize(
-    "config",
+    ("config", "cap"),
     [
-        SearchConfig(bound=3),
-        *(SearchConfig(bound=b, k=k) for b in (20, 40, 60) for k in (2, 3)),
-        SearchConfig(bound=40, max_results=0),
-        SearchConfig(bound=40, max_results=7),
-        SearchConfig(bound=40, tuples_per_bucket=1),
+        (SearchConfig(bound=3), DEFAULT_TUPLES_PER_BUCKET),
+        *((SearchConfig(bound=b, k=k), DEFAULT_TUPLES_PER_BUCKET)
+          for b in (20, 40, 60) for k in (2, 3)),
+        (SearchConfig(bound=40, max_results=0), DEFAULT_TUPLES_PER_BUCKET),
+        (SearchConfig(bound=40, max_results=7), DEFAULT_TUPLES_PER_BUCKET),
+        # Every multi-index bucket truncated.
+        (SearchConfig(bound=40), 1),
         # One full chunk of tuples, and one tuple past it.
-        SearchConfig(bound=60, max_results=1024),
-        SearchConfig(bound=60, max_results=1025),
+        (SearchConfig(bound=60, max_results=1024), DEFAULT_TUPLES_PER_BUCKET),
+        (SearchConfig(bound=60, max_results=1025), DEFAULT_TUPLES_PER_BUCKET),
     ],
     ids=repr,
 )
-def test_search_text_equals_json_dumps_of_the_view(config: SearchConfig) -> None:
+def test_search_text_equals_json_dumps_of_the_view(
+    config: SearchConfig, cap: int, monkeypatch: pytest.MonkeyPatch
+) -> None:
     # The text streams from the kernel pass's rows; the view is built from
     # the collected SearchResult.
+    search_module = importlib.import_module("bidouble.search")
+    monkeypatch.setattr(search_module, "DEFAULT_TUPLES_PER_BUCKET", cap)
     text = "".join(search_to_json_chunks(scan(config)))
     expected = json.dumps(search_view(config, search(config)), indent=2)
     # A bare comparison would make pytest diff megabytes of text for minutes.
@@ -368,14 +380,7 @@ def test_search_degenerate_flags_are_usage_errors() -> None:
         ["search", "--bound", "2"],
         ["search", "--bound", "30", "--k", "1"],
         ["search", "--bound", "30", "--max-results", "-1"],
-        # search has no --shards flag, so any value is a usage error.
-        ["search", "--bound", "30", "--shards", "1"],
-        # Every search reports its run, so there is no --stats flag.
-        ["search", "--bound", "40", "--stats"],
         ["invariants", "--type", "16,22,52,4", "--type", "28,10,28,10"],
-        # --no-timestamp exists only beside --out.
-        ["check-pair", "--type", "16,22,52,4", "--type", "28,10,28,10",
-         "--no-timestamp"],
     ):
         with pytest.raises(SystemExit) as excinfo:
             main(argv)
@@ -388,6 +393,13 @@ def test_search_degenerate_flags_are_usage_errors() -> None:
         ["check-pair", "--type", "16,22,52,4"],
         ["search", "--bound", "2"],
         ["search", "--bound", "30", "--k", "1"],
+        # Every search reports its run, so there is no --stats flag.
+        ["search", "--bound", "40", "--stats"],
+        # search has no --shards flag, so any value is a usage error.
+        ["search", "--bound", "40", "--shards", "1"],
+        # --no-timestamp exists only beside --out.
+        ["check-pair", "--type", "16,22,52,4", "--type", "28,10,28,10",
+         "--no-timestamp"],
         # argparse's own error, for comparison.
         ["discriminant", "--type", "16,22,52,4"],
     ],
@@ -474,6 +486,12 @@ def test_each_subcommand_has_exactly_its_options() -> None:
         for command, subparser in commands.items()
     }
     assert got == OPTIONS
+
+
+def test_search_config_has_exactly_its_fields() -> None:
+    # As OPTIONS does for the command line, so that a new knob shows up here.
+    fields = [field.name for field in dataclasses.fields(SearchConfig)]
+    assert fields == ["bound", "k", "max_results"]
 
 
 def test_search_catalog_bytes_are_unchanged(
@@ -610,6 +628,39 @@ def test_search_into_a_pipe_closed_early_exits_one_quietly(fmt: str) -> None:
     assert "Traceback" not in err and "Exception ignored" not in err
     (line,) = err.splitlines()
     assert line.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["invariants", "--type", "16,22,52,5"],
+        ["search", "--bound", "10001"],
+        ["invariants", "--type", "16,22,52,4", "--out", "{tmp}/absent/c.jsonl"],
+    ],
+    ids=["ConstraintViolation", "BoundTooLarge", "IoError"],
+)
+def test_errors_into_a_closed_pipe_exit_one_quietly(argv: list[str], tmp_path: Path) -> None:
+    # The error object goes to stdout through the same guarded writer as
+    # results do, so a reader that left before it does not end in a traceback.
+    src = Path(bidouble.__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "bidouble.cli", *(a.format(tmp=tmp_path) for a in argv)],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            env=env,
+        )
+    finally:
+        os.close(write_end)
+    err = done.stderr.decode()
+    assert done.returncode == 1
+    assert "Traceback" not in err and "Exception ignored" not in err
+    # The error's own line, then the closed pipe's.
+    error, pipe = err.splitlines()
+    assert error.startswith("error: ") and pipe.startswith("error: ")
 
 
 def test_io_failure_exits_one(capsys: pytest.CaptureFixture[str], tmp_path: Path) -> None:

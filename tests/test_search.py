@@ -38,6 +38,13 @@ TYPE_1 = CoverType(16, 22, 52, 4)
 TYPE_2 = CoverType(28, 10, 28, 10)
 
 
+def cap_buckets_at(monkeypatch: pytest.MonkeyPatch, cap: int) -> None:
+    """Lower the per-bucket emission cap that every run reads."""
+    # By import path: the package's ``search`` function shadows the module.
+    search_module = importlib.import_module("bidouble.search")
+    monkeypatch.setattr(search_module, "DEFAULT_TUPLES_PER_BUCKET", cap)
+
+
 def brute_force_canonical(bound: int) -> set[CoverType]:
     """Quadruple loop over the raw constraints, independent of the library."""
     found: set[CoverType] = set()
@@ -327,15 +334,13 @@ def oracle_buckets(bound: int) -> dict[HomeoClassKey, HomeoClassBucket]:
     return group_by_homeo_class(enumerate_admissible(bound))
 
 
-def oracle_search(config: SearchConfig) -> SearchResult:
+def oracle_search(config: SearchConfig, cap: int) -> SearchResult:
     """The enumerate-bucket-extract path through covers.py, globally sorted."""
     buckets = oracle_buckets(config.bound)
     collected: list[CataneseTuple] = []
     truncated: list[HomeoClassKey] = []
     for key in sorted(buckets):
-        tuples, was_truncated = extract_k_tuples(
-            buckets[key], config.k, cap=config.tuples_per_bucket
-        )
+        tuples, was_truncated = extract_k_tuples(buckets[key], config.k, cap=cap)
         collected.extend(tuples)
         if was_truncated:
             truncated.append(key)
@@ -352,31 +357,36 @@ def oracle_search(config: SearchConfig) -> SearchResult:
     )
 
 
-@pytest.mark.parametrize("tuples_per_bucket", [1, 2, DEFAULT_TUPLES_PER_BUCKET])
+@pytest.mark.parametrize("cap", [1, 2, DEFAULT_TUPLES_PER_BUCKET])
 @pytest.mark.parametrize("k", [2, 3])
 @pytest.mark.parametrize("bound", [3, 7, 9, 20, 31, 40, 41, 42, 60])
 def test_search_kernel_matches_the_oracle(
-    bound: int, k: int, tuples_per_bucket: int
+    bound: int, k: int, cap: int, monkeypatch: pytest.MonkeyPatch
 ) -> None:
-    config = SearchConfig(bound=bound, k=k, tuples_per_bucket=tuples_per_bucket)
-    assert search(config) == oracle_search(config)
+    cap_buckets_at(monkeypatch, cap)
+    config = SearchConfig(bound=bound, k=k)
+    assert search(config) == oracle_search(config, cap)
 
 
-@pytest.mark.parametrize("tuples_per_bucket", [2, DEFAULT_TUPLES_PER_BUCKET])
-def test_search_kernel_matches_the_oracle_when_clipped(tuples_per_bucket: int) -> None:
-    config = SearchConfig(
-        bound=40, k=2, max_results=100, tuples_per_bucket=tuples_per_bucket
-    )
+@pytest.mark.parametrize("cap", [2, DEFAULT_TUPLES_PER_BUCKET])
+def test_search_kernel_matches_the_oracle_when_clipped(
+    cap: int, monkeypatch: pytest.MonkeyPatch
+) -> None:
+    cap_buckets_at(monkeypatch, cap)
+    config = SearchConfig(bound=40, k=2, max_results=100)
     result = search(config)
     assert result.clipped
-    assert result == oracle_search(config)
+    assert result == oracle_search(config, cap)
 
 
-def test_search_kernel_matches_the_oracle_when_clipped_at_bound_60() -> None:
-    config = SearchConfig(bound=60, k=3, max_results=100, tuples_per_bucket=2)
+def test_search_kernel_matches_the_oracle_when_clipped_at_bound_60(
+    monkeypatch: pytest.MonkeyPatch,
+) -> None:
+    cap_buckets_at(monkeypatch, 2)
+    config = SearchConfig(bound=60, k=3, max_results=100)
     result = search(config)
     assert result.clipped and result.truncated_buckets
-    assert result == oracle_search(config)
+    assert result == oracle_search(config, 2)
 
 
 def stored_buckets(run: SearchScan) -> list[tuple[HomeoClassKey, tuple[CoverType, ...], tuple[int, ...]]]:
@@ -411,7 +421,9 @@ def test_search_kernel_hands_extract_the_oracle_buckets() -> None:
 
 @pytest.mark.parametrize("cap", [1, 2, DEFAULT_TUPLES_PER_BUCKET])
 @pytest.mark.parametrize("k", [2, 3, 4])
-def test_head_counts_come_from_e_k_of_the_index_group_sizes(k: int, cap: int) -> None:
+def test_head_counts_come_from_e_k_of_the_index_group_sizes(
+    k: int, cap: int, monkeypatch: pytest.MonkeyPatch
+) -> None:
     # The kernel pass fills tuple_count and truncated_buckets without
     # extracting: a bucket holds e_k(sizes) tuples, so extraction emits
     # min(cap, e_k) of them and truncates exactly when e_k > cap.
@@ -427,15 +439,20 @@ def test_head_counts_come_from_e_k_of_the_index_group_sizes(k: int, cap: int) ->
         tuples += len(extracted)
         if was_truncated:
             truncated.append(key)
-    run = scan(SearchConfig(bound=40, k=k, tuples_per_bucket=cap))
+    cap_buckets_at(monkeypatch, cap)
+    run = scan(SearchConfig(bound=40, k=k))
     assert run.stats.tuples == tuples
     assert run.stats.truncated == len(truncated)
     assert run.truncated_buckets == tuple(truncated)
 
 
-def test_search_kernel_oracle_cases_reach_the_bucket_cap() -> None:
-    assert search(SearchConfig(bound=40, k=2, tuples_per_bucket=1)).truncated_buckets
-    assert search(SearchConfig(bound=40, k=3, tuples_per_bucket=2)).truncated_buckets
+def test_search_kernel_oracle_cases_reach_the_bucket_cap(
+    monkeypatch: pytest.MonkeyPatch,
+) -> None:
+    cap_buckets_at(monkeypatch, 1)
+    assert search(SearchConfig(bound=40, k=2)).truncated_buckets
+    cap_buckets_at(monkeypatch, 2)
+    assert search(SearchConfig(bound=40, k=3)).truncated_buckets
 
 
 def test_search_kernel_class_facts_hold_up_to_bound_200() -> None:
@@ -471,7 +488,8 @@ def test_search_pins_the_bound_80_counts() -> None:
     )
 
 
-def test_search_stats_count_the_clipped_output() -> None:
-    stats = scan(SearchConfig(bound=60, k=3, max_results=100, tuples_per_bucket=2)).stats
+def test_search_stats_count_the_clipped_output(monkeypatch: pytest.MonkeyPatch) -> None:
+    cap_buckets_at(monkeypatch, 2)
+    stats = scan(SearchConfig(bound=60, k=3, max_results=100)).stats
     assert stats.tuples == 100
     assert stats.clipped and stats.truncated
