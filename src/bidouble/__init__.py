@@ -51,7 +51,6 @@ from .search import (
     SearchScan,
     SearchStats,
     enumerate_admissible,
-    extract_k_tuples,
     group_by_homeo_class,
     scan,
     search,
@@ -108,7 +107,6 @@ __all__ = [
     "discriminant_profile",
     "divisibility_index",
     "enumerate_admissible",
-    "extract_k_tuples",
     "group_by_homeo_class",
     "homeo_class_key",
     "is_catanese_tuple",

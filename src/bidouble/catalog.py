@@ -15,7 +15,7 @@ import os
 from dataclasses import dataclass
 from itertools import chain, islice
 from os import PathLike
-from typing import Any, Iterable, Iterator
+from typing import Any, Iterable, Iterator, NoReturn
 
 from .errors import SchemaMismatch
 
@@ -111,22 +111,27 @@ def _chunks(lines: Iterable[str]) -> Iterator[tuple[int, bytes]]:
         yield len(batch), "".join(line + "\n" for line in batch).encode()
 
 
+def _reject_constant(name: str) -> NoReturn:
+    raise ValueError(f"{name} is not a JSON value")
+
+
 def read_catalog(path: str | PathLike[str]) -> list[CatalogRecord]:
     """Parse the JSONL file at ``path`` into records, strictly.
 
-    Raises :class:`SchemaMismatch` naming the line number for invalid JSON,
-    a wrong key set, an unsupported schema version (or one that is not an
+    Raises :class:`SchemaMismatch` naming the line number for invalid JSON
+    (including bytes that are not UTF-8, and ``NaN`` or the infinities), a
+    wrong key set, an unsupported schema version (or one that is not an
     ``int``, such as ``true`` or ``1.0``), or an unknown kind.
     """
     records: list[CatalogRecord] = []
-    with open(path, encoding="utf-8") as handle:
+    with open(path, "rb") as handle:
         for lineno, raw in enumerate(handle, start=1):
-            line = raw.strip()
-            if not line:
-                continue
             try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
+                line = raw.decode("utf-8").strip()
+                if not line:
+                    continue
+                obj = json.loads(line, parse_constant=_reject_constant)
+            except ValueError as exc:  # also UnicodeDecodeError and JSONDecodeError
                 raise SchemaMismatch(f"line {lineno}: invalid JSON ({exc})") from exc
             if not isinstance(obj, dict):
                 raise SchemaMismatch(f"line {lineno}: expected an object")

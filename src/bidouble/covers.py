@@ -28,7 +28,8 @@ from .errors import ConstraintViolation, OutOfRange
 
 #: Inclusive cap applied to every branch-data field.  It also keeps the
 #: search kernel's 16-bit arrays of fields and indices in range.  It does
-#: not keep a search small: bound 10000 means about 7.8e13 types.
+#: not keep a search small: bound 10000 means about 7.8e13 types, which
+#: :data:`bidouble.search.MAX_SEARCH_TYPES` refuses.
 DEFAULT_FIELD_CAP = 10_000
 
 

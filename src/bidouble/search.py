@@ -32,15 +32,15 @@ pass: it walks the stored buckets in key order and yields each tuple as a
 row of plain integers, sorted by members within its bucket, so no global
 sort is needed and nothing holds the whole result.  The command line
 renders its output straight from those rows; :func:`search` collects them
-into :class:`CataneseTuple` objects.
+into :class:`CataneseTuple` objects.  The emit pass walks combinations of
+distinct-index groups rather than filtering all k-subsets, so buckets with
+many members but few distinct indices cost nothing.
 
-:func:`enumerate_admissible`, :func:`group_by_homeo_class` and
-:func:`extract_k_tuples` remain the readable path through
-:mod:`bidouble.covers`; the tests check the kernel against them.  Buckets
-hold their members as cover types in lexicographic order.  Tuple extraction
-and the emit pass share one walk over combinations of distinct-index groups
-rather than filtering all k-subsets, so buckets with many members but few
-distinct indices cost nothing.
+:func:`enumerate_admissible` and :func:`group_by_homeo_class` remain the
+readable path to the buckets through :mod:`bidouble.covers` and
+:mod:`bidouble.topology`; buckets hold their members as cover types in
+lexicographic order.  The tests check the kernel's buckets against them, and
+its tuples against every k-subset of a bucket with pairwise distinct indices.
 """
 
 from __future__ import annotations
@@ -62,10 +62,15 @@ from .covers import (
     surface_invariants,
 )
 from .errors import BoundTooLarge
-from .topology import HomeoClassKey
+from .topology import HomeoClassKey, homeo_class_key
 
 #: The per-bucket emission cap, read at run time so that tests can lower it.
 DEFAULT_TUPLES_PER_BUCKET = 10_000
+
+#: The most types a search may visit, read at run time so that tests can
+#: lower it.  Bound 253 (29,556,516 types) is the largest admitted; bound 250
+#: (28,151,256 types) took 22 s and 110 MB on a 2-core x86-64 VM.
+MAX_SEARCH_TYPES = 30_000_000
 
 #: One tuple as the emit pass yields it: kk, chi, the members (field tuples
 #: a, b, m2, n2 unless :meth:`SearchScan.rows` is given a member type) and
@@ -204,7 +209,7 @@ class SearchScan:
             cell_indices = indices[start:end].tolist()
             cells = zip(*[iter(fields[4 * start : 4 * end])] * 4)
             members = list(cells if member is None else itertools.starmap(member, cells))
-            for positions in _index_subsets(cell_indices, k, cap)[0]:
+            for positions in _index_subsets(cell_indices, k, cap):
                 take = itemgetter(*positions)  # k >= 2 items, so it returns a tuple
                 yield kk, chi, take(members), take(cell_indices)
             start = end
@@ -212,12 +217,14 @@ class SearchScan:
 
 def branch_pairs(bound: int) -> list[tuple[int, int]]:
     """P(bound): all (x, y) with y >= 3, x > 2*y, x <= bound, equal parity."""
-    pairs: list[tuple[int, int]] = []
+    return [(x, y) for y, xs in _x_ranges(bound) for x in xs]
+
+
+def _x_ranges(bound: int) -> Iterator[tuple[int, range]]:
+    """Each y of P(bound) in ascending order, with the range of its x values."""
     for y in range(3, bound // 2 + 1):
         # First x > 2*y with x == y (mod 2): 2*y+1 for odd y, 2*y+2 for even y.
-        start = 2 * y + 1 if y % 2 else 2 * y + 2
-        pairs.extend((x, y) for x in range(start, bound + 1, 2))
-    return pairs
+        yield y, range(2 * y + 1 if y % 2 else 2 * y + 2, bound + 1, 2)
 
 
 def enumerate_admissible(bound: int) -> Iterator[CoverType]:
@@ -229,11 +236,8 @@ def enumerate_admissible(bound: int) -> Iterator[CoverType]:
     pairs = branch_pairs(bound)
     for i, (x1, y1) in enumerate(pairs):
         for x2, y2 in pairs[i:]:
-            # (a, n2) = (x1, y1), (m2, b) = (x2, y2); canonical form is the
-            # lex-min of the two orderings of the unordered pair.
-            first = (x1, y2, x2, y1)
-            second = (x2, y1, x1, y2)
-            yield CoverType(*(first if first <= second else second))
+            # (a, n2) = (x1, y1), (m2, b) = (x2, y2).
+            yield canonicalize(CoverType(x1, y2, x2, y1))
 
 
 def group_by_homeo_class(
@@ -244,8 +248,7 @@ def group_by_homeo_class(
     for t in types:
         canonical = canonicalize(t)
         inv = surface_invariants(canonical)
-        key = HomeoClassKey(inv.kk, inv.chi)
-        accumulator.setdefault(key, {})[canonical] = inv.r
+        accumulator.setdefault(homeo_class_key(inv), {})[canonical] = inv.r
     buckets: dict[HomeoClassKey, HomeoClassBucket] = {}
     for key, index_of in accumulator.items():
         members = tuple(sorted(index_of))
@@ -254,55 +257,25 @@ def group_by_homeo_class(
     return buckets
 
 
-def extract_k_tuples(
-    bucket: HomeoClassBucket, k: int, *, cap: int = DEFAULT_TUPLES_PER_BUCKET
-) -> tuple[list[CataneseTuple], bool]:
-    """All size-k subsets of the bucket with pairwise distinct indices.
+def _index_subsets(indices: Sequence[int], k: int, cap: int) -> list[tuple[int, ...]]:
+    """The first ``cap`` k-subsets of positions with pairwise distinct indices, sorted.
 
-    Only valid subsets are ever generated: members are grouped by index and
-    subsets are products over k distinct groups.  Emission stops at ``cap``
-    subsets, taken in the order of those combinations and products; the
-    second return value reports whether anything was cut off.  The subsets
-    kept are returned sorted by members.  Raises :class:`ValueError` for a k
-    below 2 or a ``cap`` below 1.
-    """
-    if k < 2:
-        raise ValueError("k must be >= 2")
-    if cap < 1:
-        raise ValueError("cap must be >= 1")
-    picked, truncated = _index_subsets(bucket.indices, k, cap)
-    out: list[CataneseTuple] = []
-    for positions in picked:
-        take = itemgetter(*positions)  # k >= 2 items, so it returns a tuple
-        out.append(CataneseTuple(bucket.key, take(bucket.types), take(bucket.indices)))
-    return out, truncated
-
-
-def _index_subsets(
-    indices: Sequence[int], k: int, cap: int
-) -> tuple[list[tuple[int, ...]], bool]:
-    """The position subsets of :func:`extract_k_tuples`, and its truncation flag.
-
-    ``indices`` are a bucket's member indices in member order, so the sorted
-    position subsets are the tuples in member order.
+    ``indices`` are a bucket's member indices in member order.  Positions
+    are grouped by index, the groups taken in ascending index, and the
+    subsets are the products over each combination of k groups, in the
+    order of those combinations and products; the first ``cap`` are kept.
+    Sorted, the position subsets are the tuples in member order.
     """
     by_index: dict[int, list[int]] = {}
     for position, r in enumerate(indices):
         by_index.setdefault(r, []).append(position)
-    if len(by_index) < k:
-        return [], False
     groups = [by_index[r] for r in sorted(by_index)]
     subsets = (
         tuple(sorted(positions))
         for chosen in itertools.combinations(groups, k)
         for positions in itertools.product(*chosen)
     )
-    picked = list(itertools.islice(subsets, cap + 1))
-    truncated = len(picked) > cap
-    if truncated:
-        del picked[cap:]
-    picked.sort()
-    return picked, truncated
+    return sorted(itertools.islice(subsets, cap))
 
 
 def _elementary_symmetric(values: Iterable[int], k: int) -> int:
@@ -335,20 +308,26 @@ def scan(config: SearchConfig) -> SearchScan:
     """The kernel pass: bucket s-class pairs by product and store multi-index buckets.
 
     Every count of the run is known when it returns; no tuple is built until
-    :meth:`SearchScan.rows` is walked.  Raises :class:`BoundTooLarge` above
-    the global field cap; :class:`SearchConfig` has already checked the
-    other ranges.  The pass runs under :func:`_collector_paused`.
+    :meth:`SearchScan.rows` is walked.  Raises :class:`BoundTooLarge`, before
+    any work, above the global field cap or when the run would visit more
+    than :data:`MAX_SEARCH_TYPES` types; :class:`SearchConfig` has already
+    checked the other ranges.  The pass runs under :func:`_collector_paused`.
     """
     if config.bound > DEFAULT_FIELD_CAP:
         raise BoundTooLarge(
             f"bound {config.bound} exceeds the field cap {DEFAULT_FIELD_CAP}"
         )
+    pair_count = sum(len(xs) for _, xs in _x_ranges(config.bound))
+    type_count = pair_count * (pair_count + 1) // 2
+    if type_count > MAX_SEARCH_TYPES:
+        raise BoundTooLarge(
+            f"bound {config.bound} gives {type_count} types, "
+            f"above the limit of {MAX_SEARCH_TYPES}"
+        )
     # The s-class of s: the d of every branch pair with that s.
     classes: dict[int, set[int]] = {}
-    pair_count = 0
     for x, y in branch_pairs(config.bound):
         classes.setdefault(x + y - 2, set()).add(x - y)
-        pair_count += 1
     s_values = sorted(classes)
     by_product: dict[int, list[tuple[int, int]]] = {}
     for position, sa in enumerate(s_values):
@@ -390,7 +369,7 @@ def scan(config: SearchConfig) -> SearchScan:
     clipped = limit is not None and tuple_count > limit
     stats = SearchStats(
         pairs=pair_count,
-        types=pair_count * (pair_count + 1) // 2,
+        types=type_count,
         buckets=bucket_count,
         multi_index_buckets=len(ends),
         cells=len(indices),
@@ -405,8 +384,8 @@ def search(config: SearchConfig) -> SearchResult:
     """Run :func:`scan` and collect its rows; the order is deterministic.
 
     Tuples are sorted by key and then by members, and ``max_results`` is
-    applied after sorting.  Raises :class:`BoundTooLarge` above the global
-    field cap; :class:`SearchConfig` has already checked the other ranges.
+    applied after sorting.  Raises :class:`BoundTooLarge` as :func:`scan`
+    does; :class:`SearchConfig` has already checked the other ranges.
 
     The collection, like the kernel pass, runs under
     :func:`_collector_paused`.  Members are cover types shared by the tuples
@@ -474,8 +453,8 @@ def _shared_buckets(
                 if sa == sb and db < da:
                     continue
                 # Pair (s, d) is (x, y) = ((s + 2 + d)/2, (s + 2 - d)/2); the
-                # canonical type is the lex-min of the two orderings, as in
-                # enumerate_admissible.
+                # canonical type is the lex-min of the two orderings, as
+                # covers.canonicalize takes it.
                 x1, y1 = (sa + 2 + da) // 2, (sa + 2 - da) // 2
                 x2, y2 = (sb + 2 + db) // 2, (sb + 2 - db) // 2
                 fields = min((x1, y2, x2, y1), (x2, y1, x1, y2))

@@ -221,9 +221,14 @@ def _big_field(obj: Mapping[str, Any], field: str, where: str) -> int:
     if not isinstance(value, str):
         raise SchemaMismatch(f"{where}: field {field!r} must be a decimal string, got {value!r}")
     try:
-        return int(value, 10)
-    except ValueError as exc:
-        raise SchemaMismatch(f"{where}: field {field!r} is not a decimal string: {value!r}") from exc
+        number = int(value, 10)
+    except ValueError:
+        number = None
+    # int() also reads spaces, "_", "+", leading zeros and non-ASCII digits;
+    # only the spelling that str() writes is a decimal string here.
+    if number is None or str(number) != value:
+        raise SchemaMismatch(f"{where}: field {field!r} is not a decimal string: {value!r}")
+    return number
 
 
 def _str_field(obj: Mapping[str, Any], field: str, where: str) -> str:

@@ -20,7 +20,7 @@ from bidouble import (
     write_catalog,
     zariski_certificate,
 )
-from bidouble.catalog import RECORDS_PER_CHUNK
+from bidouble.catalog import RECORDS_PER_CHUNK, record_to_line
 from bidouble.search import CataneseTuple
 from bidouble.serialize import (
     certificate_from_json,
@@ -69,6 +69,17 @@ def test_profile_parser_rejects_numeric_big_fields() -> None:
     payload = profile_to_json(profile)
     payload["nodes"] = 343979116800
     with pytest.raises(SchemaMismatch):
+        profile_from_json(payload)
+
+
+@pytest.mark.parametrize(
+    "spelling", [" 829440", "829_440", "+829440", "0829440", "\uff18\uff12\uff19\uff14\uff14\uff10"]
+)
+def test_profile_parser_rejects_non_canonical_decimal_strings(spelling: str) -> None:
+    payload = profile_to_json(discriminant_profile(surface_invariants(TYPE_1), 5))
+    assert payload["deg_b"] == "829440"
+    payload["deg_b"] = spelling
+    with pytest.raises(SchemaMismatch, match="is not a decimal string"):
         profile_from_json(payload)
 
 
@@ -168,12 +179,31 @@ def test_catalog_rejects_a_version_equal_to_but_not_the_integer_1(
     assert f"schema_version {json.loads(version)!r}" in str(excinfo.value)
 
 
-def test_catalog_rejects_invalid_json(tmp_path: Path) -> None:
+@pytest.mark.parametrize(
+    "line",
+    [
+        '{"schema_version": 1,',
+        '{"schema_version": 1, "kind": "tuple", "payload": {"x": NaN}, "created_at": ""}',
+        '{"schema_version": 1, "kind": "tuple", "payload": {"x": Infinity}, "created_at": ""}',
+        '{"schema_version": 1, "kind": "tuple", "payload": {"x": -Infinity}, "created_at": ""}',
+    ],
+    ids=["truncated", "NaN", "Infinity", "-Infinity"],
+)
+def test_catalog_rejects_invalid_json(tmp_path: Path, line: str) -> None:
     path = tmp_path / "catalog.jsonl"
-    path.write_text('{"schema_version": 1,\n')
+    path.write_text(line + "\n")
     with pytest.raises(SchemaMismatch) as excinfo:
         read_catalog(path)
-    assert "line 1" in str(excinfo.value)
+    assert str(excinfo.value).startswith("line 1: invalid JSON")
+
+
+def test_catalog_rejects_bytes_that_are_not_utf8(tmp_path: Path) -> None:
+    path = tmp_path / "catalog.jsonl"
+    good = record_to_line(CatalogRecord("tuple", {"x": 1}))
+    path.write_bytes(good.encode() + b"\n" + b'{"kind": "\xff"}\n')
+    with pytest.raises(SchemaMismatch) as excinfo:
+        read_catalog(path)
+    assert str(excinfo.value).startswith("line 2: invalid JSON")
 
 
 def test_catalog_rejects_unexpected_keys(tmp_path: Path) -> None:

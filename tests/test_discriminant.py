@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from bidouble import (
@@ -9,10 +11,13 @@ from bidouble import (
     MultTooSmall,
     NegativeNodes,
     NotCatanese,
+    SearchConfig,
     cusp_count_general,
     discriminant_profile,
     node_count,
+    search,
     surface_invariants,
+    swap,
     zariski_certificate,
 )
 
@@ -94,6 +99,21 @@ def test_certificate_for_worked_example_pair() -> None:
 def test_certificate_members_are_canonicalized() -> None:
     cert = zariski_certificate([CoverType(52, 4, 16, 22), TYPE_2], [5])
     assert cert.members == (TYPE_1, TYPE_2)
+    # Every bound-40 tuple, members shuffled and some swapped: the
+    # certificate lists the canonical members sorted, each with its index.
+    rng = random.Random(40)
+    for k in (2, 3):
+        for t in search(SearchConfig(bound=40, k=k)).tuples:
+            types = [swap(m) if rng.random() < 0.5 else m for m in t.members]
+            rng.shuffle(types)
+            for mults in ([], [5], [7, 5, 12]):
+                cert = zariski_certificate(types, mults)
+                assert cert.members == t.members
+                assert cert.indices == t.indices
+                assert cert.shared == t.key
+                inv = surface_invariants(t.members[-1])
+                assert cert.profiles == tuple(discriminant_profile(inv, m) for m in mults)
+                assert cert == zariski_certificate(list(t.members), mults)
 
 
 def test_certificate_argument_chain() -> None:

@@ -19,7 +19,6 @@ from bidouble import (
     SearchConfig,
     SearchResult,
     enumerate_admissible,
-    extract_k_tuples,
     group_by_homeo_class,
     is_catanese_tuple,
     search,
@@ -30,6 +29,7 @@ from bidouble.search import (
     SearchScan,
     SearchStats,
     _elementary_symmetric,
+    _index_subsets,
     branch_pairs,
     scan,
 )
@@ -131,45 +131,24 @@ def repeated_index_bucket() -> HomeoClassBucket:
     return bucket
 
 
-def test_extract_pairs_with_index_multiplicity() -> None:
+def test_index_subsets_respect_index_multiplicity() -> None:
     bucket = repeated_index_bucket()
-    assert sorted(bucket.indices) == [4, 12, 12]
-    tuples, truncated = extract_k_tuples(bucket, 2)
-    assert not truncated
+    assert bucket.indices == (4, 12, 12)
+    subsets = _index_subsets(bucket.indices, 2, DEFAULT_TUPLES_PER_BUCKET)
     # Two members share index 12, so only the {4, 12} combinations survive.
-    assert len(tuples) == 2
-    for t in tuples:
-        assert sorted(t.indices) == [4, 12]
-        assert is_catanese_tuple(list(t.members)).is_catanese
+    assert subsets == [(0, 1), (0, 2)]
+    for positions in subsets:
+        assert is_catanese_tuple([bucket.types[p] for p in positions]).is_catanese
 
 
-def test_extract_when_distinct_indices_are_scarce() -> None:
-    bucket = repeated_index_bucket()
-    tuples, truncated = extract_k_tuples(bucket, 3)
-    assert tuples == []
-    assert not truncated
+def test_index_subsets_when_distinct_indices_are_scarce() -> None:
+    assert _index_subsets(repeated_index_bucket().indices, 3, DEFAULT_TUPLES_PER_BUCKET) == []
 
 
-def test_extract_respects_the_emission_cap() -> None:
-    bucket = repeated_index_bucket()
-    tuples, truncated = extract_k_tuples(bucket, 2, cap=1)
-    assert len(tuples) == 1
-    assert truncated
-    exact, truncated = extract_k_tuples(bucket, 2, cap=2)
-    assert len(exact) == 2
-    assert not truncated
-
-
-def test_extract_rejects_degenerate_k() -> None:
-    with pytest.raises(ValueError):
-        extract_k_tuples(repeated_index_bucket(), 1)
-
-
-@pytest.mark.parametrize("cap", [0, -1, -2])
-def test_extract_rejects_a_cap_below_one(cap: int) -> None:
-    # cap 0 and -1 used to return ([], True); -2 leaked islice's own message.
-    with pytest.raises(ValueError, match="cap must be >= 1"):
-        extract_k_tuples(repeated_index_bucket(), 2, cap=cap)
+def test_index_subsets_respect_the_emission_cap() -> None:
+    indices = repeated_index_bucket().indices
+    assert _index_subsets(indices, 2, 1) == [(0, 1)]
+    assert _index_subsets(indices, 2, 2) == [(0, 1), (0, 2)]
 
 
 def three_index_bucket() -> HomeoClassBucket:
@@ -187,26 +166,13 @@ def three_index_bucket() -> HomeoClassBucket:
     return bucket
 
 
-def test_extract_returns_tuples_sorted_by_members() -> None:
-    bucket = three_index_bucket()
-    members = [t for t, _ in bucket.members()]
-    tuples, truncated = extract_k_tuples(bucket, 2)
-    assert not truncated
-    expected = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)]
-    assert [t.members for t in tuples] == [
-        (members[i], members[j]) for i, j in expected
-    ]
-    assert [t.indices for t in tuples] == [(8, 2), (8, 4), (8, 4), (2, 4), (2, 4)]
+def test_index_subsets_are_sorted_by_members() -> None:
+    subsets = _index_subsets(three_index_bucket().indices, 2, DEFAULT_TUPLES_PER_BUCKET)
+    assert subsets == [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)]
 
 
-def test_extract_caps_in_combination_order_then_sorts() -> None:
-    bucket = three_index_bucket()
-    members = [t for t, _ in bucket.members()]
-    tuples, truncated = extract_k_tuples(bucket, 2, cap=3)
-    assert truncated
-    assert [t.members for t in tuples] == [
-        (members[i], members[j]) for i, j in [(0, 1), (1, 2), (1, 3)]
-    ]
+def test_index_subsets_cap_in_combination_order_then_sort() -> None:
+    assert _index_subsets(three_index_bucket().indices, 2, 3) == [(0, 1), (1, 2), (1, 3)]
 
 
 def test_search_finds_the_worked_example_pair() -> None:
@@ -269,6 +235,25 @@ def test_search_max_results_truncates_after_sorting() -> None:
 def test_search_rejects_bound_above_cap() -> None:
     with pytest.raises(BoundTooLarge):
         search(SearchConfig(bound=10_001))
+
+
+def test_search_refuses_more_types_than_the_limit(monkeypatch: pytest.MonkeyPatch) -> None:
+    search_module = importlib.import_module("bidouble.search")
+    monkeypatch.setattr(search_module, "MAX_SEARCH_TYPES", 406)
+    assert scan(SearchConfig(bound=20)).stats.types == 406
+    with pytest.raises(BoundTooLarge, match="bound 21 gives 528 types, above the limit of 406"):
+        scan(SearchConfig(bound=21))
+
+
+def test_search_refuses_bound_10000_before_listing_a_pair(
+    monkeypatch: pytest.MonkeyPatch,
+) -> None:
+    def no_pairs(bound: int) -> list[tuple[int, int]]:
+        raise AssertionError(f"branch_pairs({bound}) was called")
+
+    monkeypatch.setattr(importlib.import_module("bidouble.search"), "branch_pairs", no_pairs)
+    with pytest.raises(BoundTooLarge, match="77968871831256 types, above the limit of 30000000"):
+        scan(SearchConfig(bound=10_000))
 
 
 def test_search_rejects_degenerate_configs() -> None:
@@ -334,13 +319,50 @@ def oracle_buckets(bound: int) -> dict[HomeoClassKey, HomeoClassBucket]:
     return group_by_homeo_class(enumerate_admissible(bound))
 
 
+def reference_tuples(
+    bucket: HomeoClassBucket, k: int, cap: int
+) -> tuple[list[CataneseTuple], bool]:
+    """The Catanese k-tuples of one bucket, and whether ``cap`` cut them.
+
+    By definition these are the k-subsets of the bucket's members (one key)
+    whose indices are pairwise distinct; taken in member order, they come
+    sorted by members.  Only when there are more than ``cap`` of them does
+    the truncation rule choose: the members grouped by index, the groups in
+    ascending index, k groups at a time, each choice multiplied out member
+    by member; the first ``cap`` subsets of that walk are kept, then sorted.
+    """
+    members = bucket.members()
+    chosen = [
+        subset
+        for subset in itertools.combinations(members, k)
+        if len({r for _, r in subset}) == k
+    ]
+    truncated = len(chosen) > cap
+    if truncated:
+        groups = [
+            [member for member in members if member[1] == r]
+            for r in sorted(set(bucket.indices))
+        ]
+        walk = (
+            tuple(sorted(subset))
+            for k_groups in itertools.combinations(groups, k)
+            for subset in itertools.product(*k_groups)
+        )
+        chosen = sorted(itertools.islice(walk, cap))
+    tuples = [
+        CataneseTuple(bucket.key, tuple(t for t, _ in subset), tuple(r for _, r in subset))
+        for subset in chosen
+    ]
+    return tuples, truncated
+
+
 def oracle_search(config: SearchConfig, cap: int) -> SearchResult:
-    """The enumerate-bucket-extract path through covers.py, globally sorted."""
+    """The enumerate-bucket path through covers.py, tuples by definition, sorted."""
     buckets = oracle_buckets(config.bound)
     collected: list[CataneseTuple] = []
     truncated: list[HomeoClassKey] = []
     for key in sorted(buckets):
-        tuples, was_truncated = extract_k_tuples(buckets[key], config.k, cap=cap)
+        tuples, was_truncated = reference_tuples(buckets[key], config.k, cap)
         collected.extend(tuples)
         if was_truncated:
             truncated.append(key)
@@ -425,7 +447,7 @@ def test_head_counts_come_from_e_k_of_the_index_group_sizes(
     k: int, cap: int, monkeypatch: pytest.MonkeyPatch
 ) -> None:
     # The kernel pass fills tuple_count and truncated_buckets without
-    # extracting: a bucket holds e_k(sizes) tuples, so extraction emits
+    # building a tuple: a bucket holds e_k(sizes) tuples, so it emits
     # min(cap, e_k) of them and truncates exactly when e_k > cap.
     tuples = 0
     truncated = []
@@ -433,7 +455,7 @@ def test_head_counts_come_from_e_k_of_the_index_group_sizes(
         sizes = Counter(bucket.indices).values()
         e_k = sum(prod(chosen) for chosen in itertools.combinations(sizes, k))
         assert _elementary_symmetric(sizes, k) == e_k
-        extracted, was_truncated = extract_k_tuples(bucket, k, cap=cap)
+        extracted, was_truncated = reference_tuples(bucket, k, cap)
         assert len(extracted) == min(cap, e_k)
         assert was_truncated == (e_k > cap)
         tuples += len(extracted)
