@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import fcntl
 import json
+import math
 import os
 from dataclasses import dataclass
 from itertools import chain, islice
@@ -115,13 +116,22 @@ def _reject_constant(name: str) -> NoReturn:
     raise ValueError(f"{name} is not a JSON value")
 
 
+def _finite_float(text: str) -> float:
+    """A JSON float, refused when it overflows a double to an infinity."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{text} overflows a double")
+    return value
+
+
 def read_catalog(path: str | PathLike[str]) -> list[CatalogRecord]:
     """Parse the JSONL file at ``path`` into records, strictly.
 
     Raises :class:`SchemaMismatch` naming the line number for invalid JSON
-    (including bytes that are not UTF-8, and ``NaN`` or the infinities), a
-    wrong key set, an unsupported schema version (or one that is not an
-    ``int``, such as ``true`` or ``1.0``), or an unknown kind.
+    (including bytes that are not UTF-8, ``NaN`` or the infinities, and
+    numbers that overflow a double), a wrong key set, an unsupported schema
+    version (or one that is not an ``int``, such as ``true`` or ``1.0``), or
+    an unknown kind.
     """
     records: list[CatalogRecord] = []
     with open(path, "rb") as handle:
@@ -130,7 +140,9 @@ def read_catalog(path: str | PathLike[str]) -> list[CatalogRecord]:
                 line = raw.decode("utf-8").strip()
                 if not line:
                     continue
-                obj = json.loads(line, parse_constant=_reject_constant)
+                obj = json.loads(
+                    line, parse_constant=_reject_constant, parse_float=_finite_float
+                )
             except ValueError as exc:  # also UnicodeDecodeError and JSONDecodeError
                 raise SchemaMismatch(f"line {lineno}: invalid JSON ({exc})") from exc
             if not isinstance(obj, dict):

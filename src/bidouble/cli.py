@@ -14,6 +14,10 @@ off the command's arity, or a ``search`` range that
 subcommand's usage line.  Only ``_emit`` writes stdout, under one guard,
 so a closed stdout never ends in a traceback.
 
+The parser is built once per process, on the first call to :func:`main`,
+and holds no command function: each call looks ``cmd_<command>`` up by name
+when it runs.
+
 JSON output is ``json.dumps(payload, indent=2)``, except for ``search``,
 which streams.  It runs the kernel pass
 (:func:`bidouble.search.scan`), which fills every count of the JSON head
@@ -44,6 +48,7 @@ import sys
 import time
 from dataclasses import fields
 from datetime import datetime, timezone
+from functools import cache
 from pathlib import Path
 from typing import Any, Iterable, Iterator, Sequence
 
@@ -304,16 +309,22 @@ def _add_common_flags(parser: argparse.ArgumentParser, *, out: bool = False) -> 
         )
 
 
-def _add_command(
-    sub: Any, name: str, func: Any, help_text: str
-) -> argparse.ArgumentParser:
-    """A subcommand parser that runs ``func`` and reports usage errors itself."""
+def _add_command(sub: Any, name: str, help_text: str) -> argparse.ArgumentParser:
+    """A subcommand parser that reports usage errors itself; it holds no function."""
     p = sub.add_parser(name, help=help_text)
-    p.set_defaults(func=func, command_parser=p)
+    p.set_defaults(command_parser=p)
     return p
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command line parser, built on the first call and shared by every later one.
+
+    Parsing does not change it: each call fills a new namespace, and an
+    ``append`` flag copies its default list before it appends.  A call without
+    the flag gets the default list itself, so commands only read
+    ``args.types`` and ``args.mults``.
+    """
     parser = argparse.ArgumentParser(
         prog="bidouble",
         description=(
@@ -325,28 +336,28 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = _add_command(
-        sub, "invariants", cmd_invariants,
+        sub, "invariants",
         "derived parameters and surface invariants of one type",
     )
     _add_type_flag(p, 1, 1)
     _add_common_flags(p, out=True)
 
     p = _add_command(
-        sub, "check-pair", cmd_check_pair,
+        sub, "check-pair",
         "homeomorphism and diffeomorphism verdict for two types",
     )
     _add_type_flag(p, 2, 2)
     _add_common_flags(p)
 
     p = _add_command(
-        sub, "check-tuple", cmd_check_tuple,
+        sub, "check-tuple",
         "Catanese verdict for two or more types",
     )
     _add_type_flag(p, 2, None)
     _add_common_flags(p)
 
     p = _add_command(
-        sub, "discriminant", cmd_discriminant,
+        sub, "discriminant",
         "discriminant-curve profiles of one type",
     )
     _add_type_flag(p, 1, 1)
@@ -354,7 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common_flags(p)
 
     p = _add_command(
-        sub, "search", cmd_search,
+        sub, "search",
         "enumerate types up to a bound and extract Catanese k-tuples",
     )
     p.add_argument("--bound", type=int, required=True, help="field bound, >= 3")
@@ -365,7 +376,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common_flags(p, out=True)
 
     p = _add_command(
-        sub, "certify", cmd_certify,
+        sub, "certify",
         "Zariski certificate for a Catanese tuple",
     )
     _add_type_flag(p, 2, None)
@@ -373,7 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common_flags(p, out=True)
 
     p = _add_command(
-        sub, "verify-paper-example", cmd_verify_paper_example,
+        sub, "verify-paper-example",
         "recompute the published worked example and report the match pattern",
     )
     _add_mult_flag(
@@ -437,8 +448,10 @@ def _error_view(exc: BidoubleError | OSError) -> dict[str, Any]:
 def main(argv: Sequence[str] | None = None) -> int:
     args, extras = build_parser().parse_known_args(argv)
     _check_usage(args, extras)
+    # Looked up on every call, so a command patched after the first call runs.
+    command = globals()["cmd_" + args.command.replace("-", "_")]
     try:
-        payload, rows, code = args.func(args)
+        payload, rows, code = command(args)
     except (BidoubleError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         payload, rows, code = _error_view(exc), None, 1

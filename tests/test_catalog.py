@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 from typing import Iterator
 
@@ -186,8 +187,11 @@ def test_catalog_rejects_a_version_equal_to_but_not_the_integer_1(
         '{"schema_version": 1, "kind": "tuple", "payload": {"x": NaN}, "created_at": ""}',
         '{"schema_version": 1, "kind": "tuple", "payload": {"x": Infinity}, "created_at": ""}',
         '{"schema_version": 1, "kind": "tuple", "payload": {"x": -Infinity}, "created_at": ""}',
+        # Valid JSON numbers, but they overflow a double to an infinity.
+        '{"schema_version": 1, "kind": "tuple", "payload": {"x": 1e400}, "created_at": ""}',
+        '{"schema_version": 1, "kind": "tuple", "payload": {"x": -1e400}, "created_at": ""}',
     ],
-    ids=["truncated", "NaN", "Infinity", "-Infinity"],
+    ids=["truncated", "NaN", "Infinity", "-Infinity", "1e400", "-1e400"],
 )
 def test_catalog_rejects_invalid_json(tmp_path: Path, line: str) -> None:
     path = tmp_path / "catalog.jsonl"
@@ -195,6 +199,17 @@ def test_catalog_rejects_invalid_json(tmp_path: Path, line: str) -> None:
     with pytest.raises(SchemaMismatch) as excinfo:
         read_catalog(path)
     assert str(excinfo.value).startswith("line 1: invalid JSON")
+
+
+def test_catalog_reads_finite_floats_as_before(tmp_path: Path) -> None:
+    path = tmp_path / "catalog.jsonl"
+    path.write_text(
+        '{"schema_version": 1, "kind": "tuple", "created_at": "", '
+        '"payload": {"x": 1.5, "big": 1e308, "zero": -0.0}}\n'
+    )
+    (record,) = read_catalog(path)
+    assert record.payload == {"x": 1.5, "big": 1e308, "zero": 0.0}
+    assert math.copysign(1.0, record.payload["zero"]) == -1.0
 
 
 def test_catalog_rejects_bytes_that_are_not_utf8(tmp_path: Path) -> None:

@@ -9,6 +9,7 @@ import importlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -608,6 +609,78 @@ def test_stdout_is_deterministic(capsys: pytest.CaptureFixture[str]) -> None:
     third = run(capsys, "verify-paper-example", "--m", "6")
     fourth = run(capsys, "verify-paper-example", "--m", "6")
     assert third == fourth
+
+
+PAIR = ["--type", "16,22,52,4", "--type", "28,10,28,10"]
+
+# Calls that share the cached parser, in this order: certify and
+# verify-paper-example without --m after calls with it, and each usage error
+# followed by a valid call to the same subcommand.
+CACHED_PARSER_CALLS = [
+    ["certify", *PAIR, "--m", "5"],
+    ["certify", *PAIR],
+    ["verify-paper-example", "--m", "6"],
+    ["verify-paper-example"],
+    ["certify", *PAIR, "--m", "7", "--format", "csv"],
+    ["certify", *PAIR, "--format", "csv"],
+    ["invariants", "--type", "16,22,52,4", "--bogus"],
+    ["invariants", "--type", "16,22,52,4", "--format", "csv"],
+    ["check-pair", "--type", "16,22,52,4"],
+    ["check-pair", *PAIR],
+    ["search", "--bound", "2"],
+    ["search", "--bound", "20", "--format", "csv"],
+    ["search", "--bound", "20"],
+    ["invariants", "--type", "16,22,52,5"],
+    ["discriminant", "--type", "16,22,52,4", "--m", "5", "--m", "6"],
+    ["check-tuple", *PAIR, "--format", "csv"],
+]
+
+
+def outcome(capsys: pytest.CaptureFixture[str], argv: list[str]) -> tuple[Any, str, str]:
+    """Exit code, stdout and stderr of one call, less the search pass times."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    return code, out, re.sub(r'"(kernel_s|emit_s)": [^,}]+', r'"\1": 0', err)
+
+
+def test_the_cached_parser_gives_what_a_fresh_one_gives(
+    capsys: pytest.CaptureFixture[str],
+) -> None:
+    parser = build_parser()
+    assert build_parser() is parser
+    cached = [outcome(capsys, argv) for argv in CACHED_PARSER_CALLS]
+    assert build_parser() is parser
+    fresh = []
+    for argv in CACHED_PARSER_CALLS:
+        build_parser.cache_clear()
+        fresh.append(outcome(capsys, argv))
+    assert build_parser() is not parser
+    assert cached == fresh
+    codes = [code for code, _, _ in cached]
+    assert codes == [0, 0, 0, 0, 0, 0, 2, 0, 2, 0, 2, 0, 0, 1, 0, 0]
+    # A certify without --m has no profiles, after one that had them.
+    assert len(json.loads(cached[0][1])["profiles"]) == 1
+    assert json.loads(cached[1][1])["profiles"] == []
+
+
+def test_a_command_patched_after_the_first_call_is_the_one_that_runs(
+    capsys: pytest.CaptureFixture[str], monkeypatch: pytest.MonkeyPatch
+) -> None:
+    assert main(["invariants", "--type", "16,22,52,4"]) == 0
+    capsys.readouterr()
+    seen = []
+
+    def patched(args: argparse.Namespace) -> tuple[dict[str, Any], None, int]:
+        seen.append(args.types)
+        return {"patched": True}, None, 0
+
+    monkeypatch.setattr(bidouble.cli, "cmd_invariants", patched)
+    assert main(["invariants", "--type", "16,22,52,4"]) == 0
+    assert json.loads(capsys.readouterr().out) == {"patched": True}
+    assert seen == [[bidouble.CoverType(16, 22, 52, 4)]]
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv"])

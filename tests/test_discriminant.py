@@ -81,6 +81,30 @@ def test_profile_closed_forms_over_a_mult_range() -> None:
         assert profile.nodes >= 0
 
 
+def ciliberto_flamini_cusps(kk: int, chi: int, mult: int) -> int:
+    """Cusps of the branch curve of a general projection by L = mK, after
+    Ciliberto and Flamini (Trans. AMS 2011): 12L^2 + 9KL + 3K^2 - 12chi."""
+    return kk * (12 * mult * mult + 9 * mult + 3) - 12 * chi
+
+
+def test_cusps_agree_with_the_ciliberto_flamini_formula() -> None:
+    # A second derivation of the count that cusp_count_general reaches
+    # through the Euler characteristic: every member of every bound-40
+    # Catanese tuple, at m = 5..12.
+    members = {m for t in search(SearchConfig(bound=40)).tuples for m in t.members}
+    assert len(members) == 1_068
+    for member in members:
+        inv = surface_invariants(member)
+        for mult in range(5, 13):
+            want = ciliberto_flamini_cusps(inv.kk, inv.chi, mult)
+            assert discriminant_profile(inv, mult).cusps == want
+    # The constant term of the paper's type, 3K^2 - 12chi.
+    assert (INV.kk, INV.chi) == (10368, 1856)
+    for mult in range(5, 13):
+        cusps = discriminant_profile(INV, mult).cusps
+        assert cusps - INV.kk * (12 * mult * mult + 9 * mult) == 8832
+
+
 def test_profile_depends_only_on_key() -> None:
     other = surface_invariants(TYPE_2)
     for mult in (5, 9):

@@ -59,3 +59,84 @@ def test_bench_search_reads_a_version_without_a_report(tmp_path: Path) -> None:
     (run,) = bench_search("--src", str(tmp_path), "20")["runs"]
     assert (run["exit_code"], run["types"], run["buckets"], run["tuples"]) == (0, 406, 356, 6)
     assert (run["stats"], run["kernel_s"], run["emit_s"]) == (None, None, None)
+
+
+def bench_pairs(*args: str) -> dict:
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "bench_pairs.py"), *args],
+        check=True,
+        capture_output=True,
+        text=True,
+    )
+    return json.loads(done.stdout)
+
+
+def test_bench_pairs_runs_this_checkout_against_itself() -> None:
+    report = bench_pairs(
+        str(ROOT), str(ROOT), "--workload", "cli-mix", "--seeds", "1", "--seconds", "0.1", "--smoke"
+    )
+    assert report["invalid"] == []
+    (pair,) = report["pairs"]
+    assert (pair["seed"], pair["first"]) == (1, "parent")
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    assert list(report["metrics"]) == [metric["name"] for metric in spec["end_to_end"]]
+    for row in report["metrics"].values():
+        assert (row["parent"]["n"], row["change"]["n"], row["pairs"]) == (1, 1, 1)
+        assert row["parent"]["median"] > 0 and row["change"]["median"] > 0
+        # One pair is too few to claim a gain.
+        assert row["gain"] is False
+
+
+# A stand-in harness: its result line for each seed, or None for no line.
+STUB_RUN = '''
+import json, sys
+RESULTS = {results!r}
+result = RESULTS[sys.argv[sys.argv.index("--seed") + 1]]
+if result is None:
+    sys.exit(1)
+print("# report")
+print(json.dumps(result))
+'''
+
+
+def stub_checkout(root: Path, results: dict[str, dict | None]) -> Path:
+    (root / "perfbench").mkdir(parents=True)
+    (root / "perfbench" / "run.py").write_text(STUB_RUN.format(results=results))
+    (root / "BENCHMARK.json").write_text((ROOT / "BENCHMARK.json").read_text())
+    return root
+
+
+def stub_result(ops_per_s: float, p50: float, correct: bool = True) -> dict:
+    metrics = {"setup_s": 0.1, "op_p50_ms": p50, "op_p95_ms": 2 * p50,
+               "ops_per_s": ops_per_s, "peak_rss_mb": 22.0}
+    return {"correct": correct, "attempted": 100, "failed": 0 if correct else 1,
+            "metrics": {name: {"value": value, "unit": "-"} for name, value in metrics.items()}}
+
+
+def test_bench_pairs_leaves_invalid_runs_out(tmp_path: Path) -> None:
+    parent = stub_checkout(tmp_path / "parent", {
+        "1": stub_result(700.0, 1.2),
+        "2": stub_result(-34.91, 1.2),  # impossible
+        "3": stub_result(700.0, 1.1, correct=False),
+        "4": stub_result(750.0, 1.1),
+    })
+    change = stub_checkout(tmp_path / "change", {
+        "1": stub_result(3000.0, 0.2),
+        "2": stub_result(3000.0, 0.2),
+        "3": stub_result(3000.0, 0.2),
+        "4": None,  # no result line
+    })
+    report = bench_pairs(str(parent), str(change), "--workload", "cli-mix", "--seeds", "1-4",
+                         "--seconds", "1")
+    assert [(p["seed"], p["first"]) for p in report["pairs"]] == [
+        (1, "parent"), (2, "change"), (3, "parent"), (4, "change"),
+    ]
+    assert [(i["seed"], i["side"]) for i in report["invalid"]] == [
+        (2, "parent"), (3, "parent"), (4, "change"),
+    ]
+    rate = report["metrics"]["ops_per_s"]
+    assert (rate["parent"]["n"], rate["change"]["n"], rate["pairs"]) == (2, 3, 1)
+    assert rate["parent"]["median"] == 725.0 and rate["change"]["median"] == 3000.0
+    assert rate["change_wins"] == 1 and rate["gain"] is False
+    assert report["metrics"]["op_p50_ms"]["change_wins"] == 1
+    assert report["metrics"]["peak_rss_mb"]["change_wins"] == 0  # a tie
