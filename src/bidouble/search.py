@@ -12,14 +12,16 @@ pair, s = x + y - 2 and d = x - y: the type built from pairs i <= j has
 u, v, w, z = s_i, s_j, d_i, d_j, hence the key (K^2, chi) =
 (8*s_i*s_j, (3*s_i*s_j - d_i*d_j)/2 + s_i + s_j + 2) and the index
 r = gcd(s_i, s_j).  Within one value of s, d names the pair, so the kernel
-works on s-classes.  For an unordered pair of s values sa <= sb, every cell
-has the product P = sa*sb, the index gcd(sa, sb) and
-2*chi = 3P + 2(sa + sb + 2) - da*db.  For each P in ascending order the
-kernel counts the keys from set products of the classes' d values, skips P
-when its class pairs carry fewer than k distinct indices, keeps the chi
-values that at least k index groups share, and recovers their cells in one
-pass over each class pair that holds one of them: each row da meets the
-wanted products da*db in one set intersection.
+works on s-classes, and each s-class is every even d in an interval, held as
+a range.  For an unordered pair of s values sa <= sb, every cell has the
+product P = sa*sb, the index gcd(sa, sb) and
+2*chi = 3P + 2(sa + sb + 2) - da*db, so each row da of the pair holds its
+2*chi values as one range of step -2*da.  For each P in ascending order the
+kernel counts the keys from those row ranges, skips P when its class pairs
+carry fewer than k distinct indices, keeps the chi values that at least k
+index groups share, and recovers their cells in one pass over each class
+pair that holds one of them: each row's range meets the wanted values in
+one intersection.
 
 :func:`scan` is that kernel pass.  It stores each bucket with at least k
 distinct indices as plain integers in flat arrays (its key, its cells'
@@ -227,6 +229,24 @@ def _x_ranges(bound: int) -> Iterator[tuple[int, range]]:
         yield y, range(2 * y + 1 if y % 2 else 2 * y + 2, bound + 1, 2)
 
 
+def _s_classes(bound: int) -> dict[int, range]:
+    """The s-classes of P(bound): each s = x + y - 2 with the d = x - y of its pairs.
+
+    As (x, y) = ((s + 2 + d)/2, (s + 2 - d)/2), y >= 3, x > 2*y and x <= bound
+    say (s + 2)/3 < d <= min(s - 4, 2*bound - s - 2), and equal parity says d
+    is even; s is even too.  So each class is every even d in that interval,
+    held as a range, and a class exists exactly when the interval holds one.
+    """
+    classes: dict[int, range] = {}
+    # s runs from 8, at (x, y) = (7, 3), to below 1.5 * bound.
+    for s in range(8, 2 * bound, 2):
+        first = (s + 2) // 3 + 1
+        ds = range(first + first % 2, min(s - 4, 2 * bound - s - 2) + 1, 2)
+        if ds:
+            classes[s] = ds
+    return classes
+
+
 def enumerate_admissible(bound: int) -> Iterator[CoverType]:
     """Yield each admissibility class exactly once, in canonical form.
 
@@ -324,10 +344,7 @@ def scan(config: SearchConfig) -> SearchScan:
             f"bound {config.bound} gives {type_count} types, "
             f"above the limit of {MAX_SEARCH_TYPES}"
         )
-    # The s-class of s: the d of every branch pair with that s.
-    classes: dict[int, set[int]] = {}
-    for x, y in branch_pairs(config.bound):
-        classes.setdefault(x + y - 2, set()).add(x - y)
+    classes = _s_classes(config.bound)
     s_values = sorted(classes)
     by_product: dict[int, list[tuple[int, int]]] = {}
     for position, sa in enumerate(s_values):
@@ -352,19 +369,28 @@ def scan(config: SearchConfig) -> SearchScan:
                 groups_of.update(values)
             bucket_count += len(groups_of)
             shared = {value for value, groups in groups_of.items() if groups >= k}
+            # The product's buckets go into the arrays in one call each.
+            product_keys: list[int] = []
+            product_fields: list[int] = []
+            product_indices: list[int] = []
+            product_ends: list[int] = []
             for twice_chi, cells in _shared_buckets(
                 product, shared, class_pairs, twice_chis, classes
             ):
-                cell_indices = [r for _, r in cells]
-                count = _elementary_symmetric(Counter(cell_indices).values(), k)
+                cell_fields, cell_indices = zip(*cells)
+                count = _elementary_symmetric(map(cell_indices.count, set(cell_indices)), k)
                 if count > cap:
                     truncated.append(HomeoClassKey(8 * product, twice_chi // 2))
                     count = cap
                 tuple_count += count
-                keys.extend((8 * product, twice_chi // 2))
-                fields.extend(itertools.chain.from_iterable(f for f, _ in cells))
-                indices.extend(cell_indices)
-                ends.append(len(indices))
+                product_keys += (8 * product, twice_chi // 2)
+                product_fields.extend(itertools.chain.from_iterable(cell_fields))
+                product_indices += cell_indices
+                product_ends.append(len(indices) + len(product_indices))
+            keys.fromlist(product_keys)
+            fields.fromlist(product_fields)
+            indices.fromlist(product_indices)
+            ends.fromlist(product_ends)
     limit = config.max_results
     clipped = limit is not None and tuple_count > limit
     stats = SearchStats(
@@ -413,13 +439,19 @@ def _twice_chi_shift(sa: int, sb: int) -> int:
     return 3 * sa * sb + 2 * (sa + sb + 2)
 
 
-def _twice_chi_values(sa: int, sb: int, classes: dict[int, set[int]]) -> set[int]:
-    """2*chi of every cell of the class pair (sa, sb), one set product per row."""
+def _twice_chi_values(sa: int, sb: int, classes: dict[int, range]) -> set[int]:
+    """2*chi of every cell of the class pair (sa, sb), one range per row.
+
+    Row da of the pair holds 2*chi = shift - da*db for db in the class of sb,
+    an arithmetic progression of step -2*da from shift - da*first.
+    """
     ds_b = classes[sb]
-    prods: set[int] = set()
+    first, last = ds_b[0], ds_b[-1]
+    shift = _twice_chi_shift(sa, sb)
+    values: set[int] = set()
     for da in classes[sa]:
-        prods.update(map(da.__mul__, ds_b))
-    return set(map(_twice_chi_shift(sa, sb).__sub__, prods))
+        values.update(range(shift - da * first, shift - da * last - 1, -2 * da))
+    return values
 
 
 def _shared_buckets(
@@ -427,16 +459,16 @@ def _shared_buckets(
     shared: set[int],
     class_pairs: list[tuple[int, int]],
     twice_chis: list[set[int]],
-    classes: dict[int, set[int]],
+    classes: dict[int, range],
 ) -> Iterator[tuple[int, list[tuple[tuple[int, int, int, int], int]]]]:
     """The cells of the keys (8*product, chi) with 2*chi in ``shared``.
 
     Yields ``(2*chi, cells)`` in ascending order of chi, where the cells are
     the ``(fields, r)`` of the key's canonical types in member order.  Each
-    class pair holding one of those keys is scanned once: its row da meets
-    the targets da*db = 3P + 2(sa + sb + 2) - 2*chi in one set intersection.
-    A diagonal class pair (sa == sb) keeps db >= da, since its cells are
-    unordered.
+    class pair holding one of those keys is scanned once: the wanted values
+    are met with each row da's range of 2*chi values (as in
+    :func:`_twice_chi_values`) in one intersection.  A diagonal class pair
+    (sa == sb) keeps db >= da, since its cells are unordered.
     """
     cells: dict[int, list[tuple[tuple[int, int, int, int], int]]] = {}
     for (sa, sb), values in zip(class_pairs, twice_chis):
@@ -445,20 +477,23 @@ def _shared_buckets(
             continue
         r = gcd(sa, sb)
         shift = _twice_chi_shift(sa, sb)
-        targets = set(map(shift.__sub__, hits))
         ds_b = classes[sb]
+        first, last = ds_b[0], ds_b[-1]
         for da in classes[sa]:
-            for target in targets.intersection(map(da.__mul__, ds_b)):
-                db = target // da
+            # Pair (s, d) is (x, y) = ((s + 2 + d)/2, (s + 2 - d)/2).
+            x1, y1 = (sa + 2 + da) // 2, (sa + 2 - da) // 2
+            for twice_chi in hits.intersection(
+                range(shift - da * first, shift - da * last - 1, -2 * da)
+            ):
+                db = (shift - twice_chi) // da
                 if sa == sb and db < da:
                     continue
-                # Pair (s, d) is (x, y) = ((s + 2 + d)/2, (s + 2 - d)/2); the
-                # canonical type is the lex-min of the two orderings, as
-                # covers.canonicalize takes it.
-                x1, y1 = (sa + 2 + da) // 2, (sa + 2 - da) // 2
                 x2, y2 = (sb + 2 + db) // 2, (sb + 2 - db) // 2
-                fields = min((x1, y2, x2, y1), (x2, y1, x1, y2))
-                cells.setdefault(shift - target, []).append((fields, r))
+                # The canonical type is the lex-min of the two orderings, as
+                # covers.canonicalize takes it; the first two fields decide,
+                # since equal ones make the orderings equal.
+                fields = (x1, y2, x2, y1) if (x1, y2) <= (x2, y1) else (x2, y1, x1, y2)
+                cells.setdefault(twice_chi, []).append((fields, r))
     for twice_chi in sorted(cells):
         # Field tuples order as CoverType does, and no two cells share one.
         yield twice_chi, sorted(cells[twice_chi])

@@ -30,6 +30,7 @@ from bidouble.search import (
     SearchStats,
     _elementary_symmetric,
     _index_subsets,
+    _s_classes,
     branch_pairs,
     scan,
 )
@@ -249,9 +250,11 @@ def test_search_refuses_bound_10000_before_listing_a_pair(
     monkeypatch: pytest.MonkeyPatch,
 ) -> None:
     def no_pairs(bound: int) -> list[tuple[int, int]]:
-        raise AssertionError(f"branch_pairs({bound}) was called")
+        raise AssertionError(f"the pairs of bound {bound} were listed")
 
-    monkeypatch.setattr(importlib.import_module("bidouble.search"), "branch_pairs", no_pairs)
+    search_module = importlib.import_module("bidouble.search")
+    monkeypatch.setattr(search_module, "branch_pairs", no_pairs)
+    monkeypatch.setattr(search_module, "_s_classes", no_pairs)
     with pytest.raises(BoundTooLarge, match="77968871831256 types, above the limit of 30000000"):
         scan(SearchConfig(bound=10_000))
 
@@ -480,16 +483,43 @@ def test_search_kernel_oracle_cases_reach_the_bucket_cap(
 def test_search_kernel_class_facts_hold_up_to_bound_200() -> None:
     # The kernel keys cells by the s-classes of their two pairs: it needs s
     # and d even (exact halving of chi and of x, y), d >= 4 (a nonzero
-    # divisor in the cell lookup), and (s, d) naming exactly one pair.
+    # divisor in the cell lookup), and (s, d) naming exactly one pair.  It
+    # holds each class as the even range (s+2)/3 < d <= min(s-4, 2*bound-s-2),
+    # so a class with a gap, or other ends, would add or lose cells.
     for bound in range(3, 201):
         pairs = branch_pairs(bound)
         seen: dict[tuple[int, int], tuple[int, int]] = {}
+        classes: dict[int, set[int]] = {}
         for x, y in pairs:
             s, d = x + y - 2, x - y
             assert s % 2 == 0 and d % 2 == 0
             assert d >= 4
             assert seen.setdefault((s, d), (x, y)) == (x, y)
+            classes.setdefault(s, set()).add(d)
         assert len(seen) == len(pairs)
+        for s, ds in classes.items():
+            closed_form = [
+                d for d in range(0, min(s - 4, 2 * bound - s - 2) + 1, 2) if 3 * d > s + 2
+            ]
+            assert sorted(ds) == closed_form
+        assert _s_classes(bound) == {s: range(min(ds), max(ds) + 1, 2) for s, ds in classes.items()}
+
+
+@pytest.mark.parametrize("bound", range(3, 51))
+def test_search_kernel_counts_match_the_oracle_at_every_bound_to_50(bound: int) -> None:
+    # The class ranges' ends move with the parity of the bound, so every
+    # bound up to 50 is checked: a bound-50 bucket cut down to the types
+    # whose fields are all at most the bound is a bucket of that bound.
+    buckets = [
+        indices
+        for bucket in oracle_buckets(50).values()
+        if (indices := [r for t, r in bucket.members() if max(t.as_tuple()) <= bound])
+    ]
+    multi = [indices for indices in buckets if len(set(indices)) >= 2]
+    stats = scan(SearchConfig(bound=bound)).stats
+    assert stats.buckets == len(buckets)
+    assert stats.multi_index_buckets == len(multi)
+    assert stats.cells == sum(map(len, multi))
 
 
 def test_search_pins_the_bound_80_counts() -> None:
