@@ -24,7 +24,8 @@ which streams.  It runs the kernel pass
 and stores the multi-index buckets as packed integers; then the emit pass
 renders the tuples straight from them as it writes, through
 :func:`bidouble.serialize.search_to_json_chunks` (byte-identical to
-``json.dumps`` of the view) or the CSV rows.  With ``--out`` it runs once
+``json.dumps`` of the view, whose head and per-tuple template come from one
+``json.dumps`` call) or the CSV rows.  With ``--out`` it runs once
 more before that, through :func:`bidouble.serialize.search_to_catalog_lines`
 (byte-identical to :func:`bidouble.catalog.record_to_line`), and the catalog
 is appended in chunks under one lock.  No cover type or tuple object is

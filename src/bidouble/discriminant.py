@@ -27,12 +27,18 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .covers import CoverType, SurfaceInvariants, canonicalize, surface_invariants
-from .errors import MultTooSmall, NegativeNodes, NotCatanese
+from .errors import MultTooSmall, NegativeNodes, NotCatanese, OutOfRange
 from .topology import HomeoClassKey, homeo_class_key, is_catanese_tuple
 
 #: Smallest canonical multiple for which the projection is generic enough
 #: for the fiber counts above to hold.
 MIN_MULT = 5
+
+#: Canonical multiples are below this, so that every profile field stays
+#: within the 4300 digits Python converts between int and text: at the
+#: largest admissible K^2 (8 * 14996^2) and m = MAX_MULT - 1, the largest
+#: field, nodes, has about 4020 digits.
+MAX_MULT = 10**1000
 
 
 @dataclass(frozen=True, slots=True)
@@ -109,11 +115,15 @@ def node_count(deg_b: int, genus: int, cusps: int) -> int:
 def discriminant_profile(inv: SurfaceInvariants, mult: int) -> DiscriminantProfile:
     """Profile of the discriminant curve of the ``mult``-canonical projection.
 
-    Requires ``mult`` >= 5 (:class:`MultTooSmall` below that); every output
-    field is determined by (K^2, chi) and ``mult`` alone.
+    Requires 5 <= ``mult`` < :data:`MAX_MULT` (:class:`MultTooSmall` below,
+    :class:`OutOfRange` above); every output field is determined by (K^2,
+    chi) and ``mult`` alone.
     """
     if mult < MIN_MULT:
         raise MultTooSmall(f"canonical multiple must be >= {MIN_MULT}, got {mult}")
+    if mult >= MAX_MULT:
+        # str() of such a number may itself exceed the conversion limit.
+        raise OutOfRange("canonical multiple must be below 10**1000")
     kk = inv.kk
     ram_mult = 3 * mult + 1
     deg_f = mult * mult * kk
@@ -141,9 +151,9 @@ def zariski_certificate(
 
     Raises :class:`NotCatanese` (with the per-pair failures) when the members
     do not form a Catanese tuple and, from :func:`discriminant_profile`,
-    :class:`MultTooSmall` at the first multiple below 5.  Profiles are
-    computed once from the shared (K^2, chi): by construction they apply
-    verbatim to every member.
+    :class:`MultTooSmall` or :class:`OutOfRange` at the first multiple out of
+    range.  Profiles are computed once from the shared (K^2, chi): by
+    construction they apply verbatim to every member.
     """
     verdict = is_catanese_tuple(types)
     if not verdict.is_catanese:

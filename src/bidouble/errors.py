@@ -24,7 +24,12 @@ class ConstraintViolation(BidoubleError):
 
 
 class OutOfRange(BidoubleError):
-    """A branch-data field exceeds the configured per-field cap."""
+    """A value lies above the range the package computes with.
+
+    Raised for a branch-data field above the configured per-field cap and
+    for a canonical multiple of :data:`~bidouble.discriminant.MAX_MULT` or
+    more.
+    """
 
 
 class NotComparable(BidoubleError):

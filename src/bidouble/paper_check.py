@@ -8,8 +8,10 @@ cusps = 10368 (12 m^2 + 9m) - 13632.
 
 Recomputation reproduces K^2, both indices, the degree, and the genus
 exactly, but yields chi = 1856 for both members (the printed 1456 is off by
-400) and a cusp count whose constant term exceeds the printed one by 22464;
-the quadratic coefficients agree.  This module freezes that exact
+400) and a cusp count whose constant term, 3K^2 - 12 chi = 8832, exceeds the
+printed one by 22464; the quadratic coefficients agree.  The printed -13632
+equals 12 * 1456 - 3K^2, that constant with its sign flipped and computed
+with the misprinted chi.  This module freezes that exact
 match/mismatch pattern so that a regression in either direction, drifting
 off the recomputed values or silently "repairing" them to the printed ones,
 fails loudly.

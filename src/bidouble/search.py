@@ -374,9 +374,7 @@ def scan(config: SearchConfig) -> SearchScan:
             product_fields: list[int] = []
             product_indices: list[int] = []
             product_ends: list[int] = []
-            for twice_chi, cells in _shared_buckets(
-                product, shared, class_pairs, twice_chis, classes
-            ):
+            for twice_chi, cells in _shared_buckets(shared, class_pairs, twice_chis, classes):
                 cell_fields, cell_indices = zip(*cells)
                 count = _elementary_symmetric(map(cell_indices.count, set(cell_indices)), k)
                 if count > cap:
@@ -455,20 +453,20 @@ def _twice_chi_values(sa: int, sb: int, classes: dict[int, range]) -> set[int]:
 
 
 def _shared_buckets(
-    product: int,
     shared: set[int],
     class_pairs: list[tuple[int, int]],
     twice_chis: list[set[int]],
     classes: dict[int, range],
 ) -> Iterator[tuple[int, list[tuple[tuple[int, int, int, int], int]]]]:
-    """The cells of the keys (8*product, chi) with 2*chi in ``shared``.
+    """The cells of the keys (8*sa*sb, chi) with 2*chi in ``shared``.
 
     Yields ``(2*chi, cells)`` in ascending order of chi, where the cells are
     the ``(fields, r)`` of the key's canonical types in member order.  Each
     class pair holding one of those keys is scanned once: the wanted values
     are met with each row da's range of 2*chi values (as in
     :func:`_twice_chi_values`) in one intersection.  A diagonal class pair
-    (sa == sb) keeps db >= da, since its cells are unordered.
+    (sa == sb) keeps db >= da, since its cells are unordered.  All class
+    pairs have the same product sa*sb.
     """
     cells: dict[int, list[tuple[tuple[int, int, int, int], int]]] = {}
     for (sa, sb), values in zip(class_pairs, twice_chis):

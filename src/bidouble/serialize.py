@@ -9,10 +9,11 @@ strict and raise :class:`SchemaMismatch` on any shape or type drift.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import re
 from itertools import chain, islice
-from typing import Any, Iterable, Iterator, Mapping
+from typing import Any, Callable, Iterable, Iterator, Mapping
 
 from .catalog import CatalogRecord, record_to_line
 from .covers import CoverType, DerivedParams, SurfaceInvariants
@@ -23,7 +24,7 @@ from .search import CataneseTuple, SearchScan
 from .topology import HomeoClassKey, TupleVerdict
 
 _PROFILE_BIG_FIELDS = ("deg_f", "deg_b", "half_deg", "genus", "cusps", "nodes")
-_TYPE_FIELDS = ("a", "b", "m2", "n2")
+_TYPE_FIELDS = tuple(field.name for field in dataclasses.fields(CoverType))
 
 
 def cover_type_to_json(t: CoverType) -> dict[str, int]:
@@ -85,21 +86,24 @@ def search_to_json_chunks(run: SearchScan) -> Iterator[str]:
     """The JSON view of one search run in pieces, as ``json.dumps(view, indent=2)`` renders it.
 
     The view is the run's config and counts followed by ``"tuples"``, a list
-    of :func:`tuple_to_json` objects.  The first chunk is the head, rendered
-    by :mod:`json` up to ``"tuples": [`` from the counts of the kernel pass;
-    then come the tuples of the emit pass (:meth:`SearchScan.rows`),
-    :data:`TUPLES_PER_CHUNK` per chunk, each spliced in from a fixed indent-2
-    template over its integer fields, whose ``str`` is their JSON, so no
-    per-tuple object is built; the last chunk closes the list and the
-    object.  At most one chunk's text is alive at a time when the caller
-    writes each chunk before asking for the next.
+    of :func:`tuple_to_json` objects.  :mod:`json` renders it once, its only
+    tuple a :func:`tuple_row_to_json` object with a ``%d`` slot in each
+    integer field.  The text up to ``"tuples": [`` is the first chunk; the
+    tuple's text, leading newline and indentation included, is the template
+    each row of the emit pass (:meth:`SearchScan.rows`) fills, so no
+    per-tuple object is built.  Rows come :data:`TUPLES_PER_CHUNK` per
+    chunk, and the last chunk closes the list and the object.  At most one
+    chunk's text is alive at a time when the caller writes each chunk before
+    asking for the next.
     """
     config, stats = run.config, run.stats
-    head = json.dumps(
+    slot, k = "%d", config.k
+    row = tuple_row_to_json(slot, slot, [(slot,) * 4] * k, (slot,) * k)  # type: ignore[arg-type]
+    text = json.dumps(
         {
             "config": {
                 "bound": config.bound,
-                "k": config.k,
+                "k": k,
                 "max_results": config.max_results,
                 # Fixed, as the search runs as one shard; the field stays so
                 # that the view's bytes and the digests pinned on them hold.
@@ -108,40 +112,26 @@ def search_to_json_chunks(run: SearchScan) -> Iterator[str]:
             "type_count": stats.types,
             "bucket_count": stats.buckets,
             "tuple_count": stats.tuples,
-            "truncated_buckets": [key_to_json(k) for k in run.truncated_buckets],
+            "truncated_buckets": [key_to_json(key) for key in run.truncated_buckets],
             "clipped": stats.clipped,
-            "tuples": [],
+            "tuples": [row],
         },
         indent=2,
-    )
+    ).replace(f'"{slot}"', slot)
+    head, template, close = re.fullmatch(r'(.*"tuples": \[)(.*)(\n  \]\n\})', text, re.S).groups()
     if not stats.tuples:
-        yield head
+        yield head + "]\n}"  # json writes an empty list as []
         return
-    # head ends in '"tuples": []\n}'; the tuples go between the brackets.
-    yield head[: -len("]\n}")]
-    template = _tuple_template(config.k)
+    yield head
     rows = run.rows()
-    separator = "\n"
+    separator = ""
     while batch := list(islice(rows, TUPLES_PER_CHUNK)):
-        yield separator + ",\n".join(
+        yield separator + ",".join(
             template % (kk, chi, *chain.from_iterable(members), *indices)
             for kk, chi, members, indices in batch
         )
-        separator = ",\n"
-    yield "\n  ]\n}"
-
-
-def _tuple_template(k: int) -> str:
-    """A k-member :func:`tuple_to_json` object as an element of the search view.
-
-    Rendered from :func:`tuple_row_to_json` with a ``%d`` slot in every
-    integer field, so the slots come in the order kk, chi, each member's
-    fields, then the indices.
-    """
-    slot = "%d"
-    shape = tuple_row_to_json(slot, slot, [(slot,) * 4] * k, (slot,) * k)  # type: ignore[arg-type]
-    text = json.dumps(shape, indent=2).replace(f'"{slot}"', slot)
-    return "\n".join("    " + line for line in text.splitlines())
+        separator = ","
+    yield close
 
 
 def search_to_catalog_lines(run: SearchScan, created_at: str) -> Iterator[str]:
@@ -245,6 +235,14 @@ def _list_field(obj: Mapping[str, Any], field: str, where: str) -> list[Any]:
     return value
 
 
+def _items(
+    obj: Mapping[str, Any], field: str, where: str, parse: Callable[[Any, str], Any]
+) -> tuple[Any, ...]:
+    """Each element of the array ``field``, parsed at ``{where}.{field}[i]``."""
+    items = _list_field(obj, field, where)
+    return tuple(parse(item, f"{where}.{field}[{i}]") for i, item in enumerate(items))
+
+
 def cover_type_from_json(payload: Any, where: str = "type") -> CoverType:
     obj = _require_mapping(payload, where)
     return CoverType(*(_int_field(obj, f, where) for f in _TYPE_FIELDS))
@@ -274,12 +272,18 @@ def _indices_from_json(obj: Mapping[str, Any], where: str) -> tuple[int, ...]:
     return tuple(indices)
 
 
+def _step_from_json(payload: Any, where: str) -> ArgumentStep:
+    step = _require_mapping(payload, where)
+    return ArgumentStep(
+        step=_int_field(step, "step", where),
+        name=_str_field(step, "name", where),
+        statement=_str_field(step, "statement", where),
+    )
+
+
 def tuple_from_json(payload: Any, where: str = "tuple") -> CataneseTuple:
     obj = _require_mapping(payload, where)
-    members = tuple(
-        cover_type_from_json(m, f"{where}.members[{i}]")
-        for i, m in enumerate(_list_field(obj, "members", where))
-    )
+    members = _items(obj, "members", where, cover_type_from_json)
     return CataneseTuple(
         key=key_from_json(obj.get("key"), f"{where}.key"),
         members=members,
@@ -289,29 +293,13 @@ def tuple_from_json(payload: Any, where: str = "tuple") -> CataneseTuple:
 
 def certificate_from_json(payload: Any, where: str = "certificate") -> ZariskiCertificate:
     obj = _require_mapping(payload, where)
-    members = tuple(
-        cover_type_from_json(m, f"{where}.members[{i}]")
-        for i, m in enumerate(_list_field(obj, "members", where))
-    )
-    profiles = tuple(
-        profile_from_json(p, f"{where}.profiles[{i}]")
-        for i, p in enumerate(_list_field(obj, "profiles", where))
-    )
-    argument = []
-    for i, raw in enumerate(_list_field(obj, "argument", where)):
-        step_where = f"{where}.argument[{i}]"
-        step = _require_mapping(raw, step_where)
-        argument.append(
-            ArgumentStep(
-                step=_int_field(step, "step", step_where),
-                name=_str_field(step, "name", step_where),
-                statement=_str_field(step, "statement", step_where),
-            )
-        )
+    members = _items(obj, "members", where, cover_type_from_json)
+    profiles = _items(obj, "profiles", where, profile_from_json)
+    argument = _items(obj, "argument", where, _step_from_json)
     return ZariskiCertificate(
         members=members,
         shared=key_from_json(obj.get("shared"), f"{where}.shared"),
         indices=_indices_from_json(obj, where),
         profiles=profiles,
-        argument=tuple(argument),
+        argument=argument,
     )

@@ -19,13 +19,24 @@ from typing import Any
 import pytest
 
 import bidouble
-from bidouble import SearchConfig, SearchResult, SearchStats, read_catalog, scan, search
+from bidouble import (
+    CoverType,
+    SearchConfig,
+    SearchResult,
+    SearchStats,
+    discriminant_profile,
+    read_catalog,
+    scan,
+    search,
+    surface_invariants,
+)
 from bidouble.catalog import CatalogRecord, record_to_line
 from bidouble.cli import build_parser, main
 from bidouble.search import DEFAULT_TUPLES_PER_BUCKET
 from bidouble.serialize import (
     certificate_from_json,
     key_to_json,
+    profile_from_json,
     search_to_catalog_lines,
     search_to_json_chunks,
     tuple_row_to_json,
@@ -155,6 +166,38 @@ def test_discriminant_small_multiple_is_a_domain_error(
     code, out, _ = run(capsys, "discriminant", "--type", "16,22,52,4", "--m", "4")
     assert code == 1
     assert json.loads(out)["error"] == "MultTooSmall"
+
+
+HUGE_MULT_ARGV = [
+    ["discriminant", "--type", "16,22,52,4"],
+    ["certify", "--type", "16,22,52,4", "--type", "28,10,28,10"],
+    ["verify-paper-example"],
+]
+
+
+@pytest.mark.parametrize("argv", HUGE_MULT_ARGV, ids=lambda argv: argv[0])
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_a_multiple_of_10_to_the_1000_is_a_domain_error(
+    capsys: pytest.CaptureFixture[str], argv: list[str], fmt: str
+) -> None:
+    code, out, err = run(capsys, *argv, "--m", str(10**1000), "--format", fmt)
+    assert code == 1
+    assert json.loads(out) == {
+        "error": "OutOfRange", "message": "canonical multiple must be below 10**1000",
+    }
+    assert err == "error: canonical multiple must be below 10**1000\n"
+
+
+def test_a_multiple_just_below_10_to_the_1000_reads_back(
+    capsys: pytest.CaptureFixture[str],
+) -> None:
+    mult = 10**1000 - 1
+    code, out, _ = run(capsys, "discriminant", "--type", "16,22,52,4", "--m", str(mult))
+    assert code == 0
+    (profile,) = json.loads(out)["profiles"]
+    assert profile_from_json(profile) == discriminant_profile(
+        surface_invariants(CoverType(16, 22, 52, 4)), mult
+    )
 
 
 def test_search_writes_catalog(
@@ -338,22 +381,22 @@ def first_difference(got: str, want: str) -> str:
     return f"{len(got)} characters != {len(want)}"
 
 
-@pytest.mark.parametrize(
-    ("config", "cap"),
-    [
-        (SearchConfig(bound=3), DEFAULT_TUPLES_PER_BUCKET),
-        *((SearchConfig(bound=b, k=k), DEFAULT_TUPLES_PER_BUCKET)
-          for b in (20, 40, 60) for k in (2, 3)),
-        (SearchConfig(bound=40, max_results=0), DEFAULT_TUPLES_PER_BUCKET),
-        (SearchConfig(bound=40, max_results=7), DEFAULT_TUPLES_PER_BUCKET),
-        # Every multi-index bucket truncated.
-        (SearchConfig(bound=40), 1),
-        # One full chunk of tuples, and one tuple past it.
-        (SearchConfig(bound=60, max_results=1024), DEFAULT_TUPLES_PER_BUCKET),
-        (SearchConfig(bound=60, max_results=1025), DEFAULT_TUPLES_PER_BUCKET),
-    ],
-    ids=repr,
-)
+# Search configs with the per-bucket cap to run them under.
+VIEW_CASES = [
+    (SearchConfig(bound=3), DEFAULT_TUPLES_PER_BUCKET),
+    *((SearchConfig(bound=b, k=k), DEFAULT_TUPLES_PER_BUCKET)
+      for b in (20, 40, 60) for k in (2, 3)),
+    (SearchConfig(bound=40, max_results=0), DEFAULT_TUPLES_PER_BUCKET),
+    (SearchConfig(bound=40, max_results=7), DEFAULT_TUPLES_PER_BUCKET),
+    # Every multi-index bucket truncated.
+    (SearchConfig(bound=40), 1),
+    # One full chunk of tuples, and one tuple past it.
+    (SearchConfig(bound=60, max_results=1024), DEFAULT_TUPLES_PER_BUCKET),
+    (SearchConfig(bound=60, max_results=1025), DEFAULT_TUPLES_PER_BUCKET),
+]
+
+
+@pytest.mark.parametrize(("config", "cap"), VIEW_CASES, ids=repr)
 def test_search_text_equals_json_dumps_of_the_view(
     config: SearchConfig, cap: int, monkeypatch: pytest.MonkeyPatch
 ) -> None:
@@ -366,6 +409,26 @@ def test_search_text_equals_json_dumps_of_the_view(
     # A bare comparison would make pytest diff megabytes of text for minutes.
     same = text == expected
     assert same, first_difference(text, expected)
+
+
+@pytest.mark.parametrize(("config", "cap"), VIEW_CASES, ids=repr)
+def test_search_report_line_agrees_with_the_json_head(
+    config: SearchConfig, cap: int, capsys: pytest.CaptureFixture[str],
+    monkeypatch: pytest.MonkeyPatch,
+) -> None:
+    # Tools read a run's counts from the report line alone.
+    search_module = importlib.import_module("bidouble.search")
+    monkeypatch.setattr(search_module, "DEFAULT_TUPLES_PER_BUCKET", cap)
+    argv = ["search", "--bound", str(config.bound), "--k", str(config.k)]
+    if config.max_results is not None:
+        argv += ["--max-results", str(config.max_results)]
+    code, out, err = run(capsys, *argv)
+    assert code == 0
+    head, report = json.loads(out), search_report(err)
+    assert [report[f] for f in ("types", "buckets", "tuples", "clipped")] == [
+        head[f] for f in ("type_count", "bucket_count", "tuple_count", "clipped")
+    ]
+    assert report["truncated"] == len(head["truncated_buckets"])
 
 
 def test_search_bound_above_cap_is_a_domain_error(

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import random
 
 import pytest
@@ -11,6 +12,7 @@ from bidouble import (
     MultTooSmall,
     NegativeNodes,
     NotCatanese,
+    OutOfRange,
     SearchConfig,
     cusp_count_general,
     discriminant_profile,
@@ -18,8 +20,11 @@ from bidouble import (
     search,
     surface_invariants,
     swap,
+    validate_type,
     zariski_certificate,
 )
+from bidouble.discriminant import MAX_MULT
+from bidouble.serialize import profile_from_json, profile_to_json
 
 TYPE_1 = CoverType(16, 22, 52, 4)
 TYPE_2 = CoverType(28, 10, 28, 10)
@@ -68,6 +73,23 @@ def test_profile_rejects_small_multiples() -> None:
     for mult in (0, 1, 4):
         with pytest.raises(MultTooSmall):
             discriminant_profile(INV, mult)
+
+
+def test_profile_refuses_multiples_from_max_mult_on() -> None:
+    for mult in (10**1000, 10**1100, 10**5000):
+        with pytest.raises(OutOfRange, match=r"below 10\*\*1000$"):
+            discriminant_profile(INV, mult)
+
+
+def test_profile_below_max_mult_round_trips_at_the_largest_k_squared() -> None:
+    # Every field of the largest admissible type is at or near the cap, so
+    # K^2 = 8 * 14996^2 is the largest there is; nodes then has about 4020
+    # digits, still within the int/str conversion limit.
+    inv = surface_invariants(validate_type(10000, 4998, 10000, 4998))
+    assert inv.kk == 8 * 14996**2
+    profile = discriminant_profile(inv, MAX_MULT - 1)
+    assert 4000 < len(str(profile.nodes)) < 4300
+    assert profile_from_json(json.loads(json.dumps(profile_to_json(profile)))) == profile
 
 
 def test_profile_closed_forms_over_a_mult_range() -> None:

@@ -50,15 +50,21 @@ def main(argv):
 '''
 
 
-def test_bench_search_reads_a_version_without_a_report(tmp_path: Path) -> None:
-    # A bidouble whose search writes its JSON head and no report line.
+def test_bench_search_refuses_a_version_without_a_report(tmp_path: Path) -> None:
+    # A bidouble whose search writes its JSON head and no report line: the
+    # counts are read from that line alone, so the run cannot be reported.
     package = tmp_path / "bidouble"
     package.mkdir()
     (package / "__init__.py").write_text("")
     (package / "cli.py").write_text(STUB_CLI)
-    (run,) = bench_search("--src", str(tmp_path), "20")["runs"]
-    assert (run["exit_code"], run["types"], run["buckets"], run["tuples"]) == (0, 406, 356, 6)
-    assert (run["stats"], run["kernel_s"], run["emit_s"]) == (None, None, None)
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "bench_search.py"), "--src", str(tmp_path), "20"],
+        capture_output=True,
+        text=True,
+    )
+    assert done.returncode != 0 and done.stdout == ""
+    assert "search --bound 20 wrote no report line on stderr" in done.stderr
+    assert "Traceback" not in done.stderr
 
 
 def bench_pairs(*args: str) -> dict:

@@ -11,18 +11,16 @@ For each bound a child interpreter imports ``bidouble`` from ``--src``
 B])`` once with stdout going to a sink that keeps only a digest, and
 reports:
 
-- ``types``, ``buckets``, ``tuples``: the counts in the JSON head, so that
+- ``stats``: the report line ``search`` writes on stderr, less its times
+- ``types``, ``buckets``, ``tuples``: the counts from that line, so that
   runs of two versions can be checked to have done the same work
 - ``stdout_bytes`` and ``stdout_sha256``
-- ``stats``: the report line ``search`` writes on stderr, less its times
 - ``kernel_s`` and ``emit_s``: the wall times of the kernel pass and of the
   stdout emit pass, from the same line
 - ``total_s`` and ``peak_rss_mb`` (the child's own ``ru_maxrss``)
 
-Versions that write no report line report ``null`` for ``stats``,
-``kernel_s`` and ``emit_s``.  Commits ``c89fd10`` to ``e16921f`` write it
-only behind ``search --stats``; to time their two passes, run the copy of
-this script in that checkout.  With ``--catalog`` each run
+A version whose search writes no report line is refused: the script exits
+non-zero with a message that says so.  With ``--catalog`` each run
 also appends its tuples with ``--out`` to a new catalog in a temporary
 directory, as ``search --out CATALOG --no-timestamp``, and reports
 ``catalog_bytes`` and ``catalog_sha256``; the catalog write is the part of
@@ -46,19 +44,17 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 CHILD = r"""
-import hashlib, io, json, re, resource, sys, time
+import hashlib, io, json, resource, sys, time
 sys.path.insert(0, sys.argv[1])
 from bidouble import cli
 
 class Sink(io.TextIOBase):
     def __init__(self):
-        self.sha, self.size, self.head = hashlib.sha256(), 0, ""
+        self.sha, self.size = hashlib.sha256(), 0
     def write(self, text):
         data = text.encode()
         self.sha.update(data)
         self.size += len(data)
-        if len(self.head) < 4096:
-            self.head += text[:4096]
         return len(text)
 
 bound, out = sys.argv[2], sys.argv[3:]
@@ -69,20 +65,19 @@ begun = time.perf_counter()
 code = cli.main(argv)
 total = time.perf_counter() - begun
 sys.stdout, sys.stderr = real
-counts = dict(re.findall(r'"(type_count|bucket_count|tuple_count)": (\d+)', sink.head))
 stats = next(
     (json.loads(line) for line in err.getvalue().splitlines() if line.startswith("{")),
     None,
 )
-times = {"kernel_s": None, "emit_s": None}
-if stats is not None:
-    times = {name: round(stats.pop(name), 3) for name in times}
+if stats is None:
+    sys.exit(f"search --bound {bound} wrote no report line on stderr")
+times = {name: round(stats.pop(name), 3) for name in ("kernel_s", "emit_s")}
 print(json.dumps({
     "bound": int(bound),
     "exit_code": code,
-    "types": int(counts["type_count"]),
-    "buckets": int(counts["bucket_count"]),
-    "tuples": int(counts["tuple_count"]),
+    "types": stats["types"],
+    "buckets": stats["buckets"],
+    "tuples": stats["tuples"],
     "stdout_bytes": sink.size,
     "stdout_sha256": sink.sha.hexdigest(),
     **times,
@@ -99,10 +94,11 @@ def run_bound(src: Path, bound: int, catalog: bool) -> dict:
         out = Path(scratch) / "catalog.jsonl"
         done = subprocess.run(
             [sys.executable, "-c", CHILD, str(src), str(bound), *([str(out)] if catalog else [])],
-            check=True,
             capture_output=True,
             text=True,
         )
+        if done.returncode:
+            raise SystemExit(f"bench_search: {done.stderr.strip()}")
         report = json.loads(done.stdout)
         if catalog:
             sha = hashlib.sha256()
