@@ -45,13 +45,10 @@ from .errors import (
 from .paper_check import PaperExampleReport, ReportEntry, verify_paper_example
 from .search import (
     CataneseTuple,
-    HomeoClassBucket,
     SearchConfig,
     SearchResult,
     SearchScan,
     SearchStats,
-    enumerate_admissible,
-    group_by_homeo_class,
     scan,
     search,
 )
@@ -79,7 +76,6 @@ __all__ = [
     "DerivedParams",
     "DiffeoVerdict",
     "DiscriminantProfile",
-    "HomeoClassBucket",
     "HomeoClassKey",
     "InvalidMember",
     "MIN_MULT",
@@ -106,8 +102,6 @@ __all__ = [
     "diffeo_obstruction",
     "discriminant_profile",
     "divisibility_index",
-    "enumerate_admissible",
-    "group_by_homeo_class",
     "homeo_class_key",
     "is_catanese_tuple",
     "node_count",

@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from .errors import ConstraintViolation, OutOfRange
+from .errors import ConstraintViolation, OutOfRange, int_text
 
 #: Inclusive cap applied to every branch-data field.  It also keeps the
 #: search kernel's 16-bit arrays of fields and indices in range.  It does
@@ -97,14 +97,16 @@ def validate_type(a: int, b: int, m2: int, n2: int) -> CoverType:
             raise TypeError(f"{name} must be an integer, got {value!r}")
     for name, value in fields:
         if value > DEFAULT_FIELD_CAP:
-            raise OutOfRange(f"{name}={value} exceeds the field cap {DEFAULT_FIELD_CAP}")
+            raise OutOfRange(f"{name}={int_text(value)} exceeds the field cap {DEFAULT_FIELD_CAP}")
+    # Each value as message text; str() refuses one of more than 4300 digits.
+    a_, b_, m2_, n2_ = map(int_text, (a, b, m2, n2))
     checks = (
-        (a > 2 * n2, f"a > 2*n2 (got a={a}, n2={n2})"),
-        (n2 >= 3, f"n2 >= 3 (got n2={n2})"),
-        (m2 > 2 * b, f"m2 > 2*b (got m2={m2}, b={b})"),
-        (b >= 3, f"b >= 3 (got b={b})"),
-        ((a - n2) % 2 == 0, f"a == n2 (mod 2) (got a={a}, n2={n2})"),
-        ((b - m2) % 2 == 0, f"b == m2 (mod 2) (got b={b}, m2={m2})"),
+        (a > 2 * n2, f"a > 2*n2 (got a={a_}, n2={n2_})"),
+        (n2 >= 3, f"n2 >= 3 (got n2={n2_})"),
+        (m2 > 2 * b, f"m2 > 2*b (got m2={m2_}, b={b_})"),
+        (b >= 3, f"b >= 3 (got b={b_})"),
+        ((a - n2) % 2 == 0, f"a == n2 (mod 2) (got a={a_}, n2={n2_})"),
+        ((b - m2) % 2 == 0, f"b == m2 (mod 2) (got b={b_}, m2={m2_})"),
     )
     violations = [message for ok, message in checks if not ok]
     if violations:

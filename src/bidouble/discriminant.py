@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .covers import CoverType, SurfaceInvariants, canonicalize, surface_invariants
-from .errors import MultTooSmall, NegativeNodes, NotCatanese, OutOfRange
+from .errors import MultTooSmall, NegativeNodes, NotCatanese, OutOfRange, int_text
 from .topology import HomeoClassKey, homeo_class_key, is_catanese_tuple
 
 #: Smallest canonical multiple for which the projection is generic enough
@@ -120,7 +120,7 @@ def discriminant_profile(inv: SurfaceInvariants, mult: int) -> DiscriminantProfi
     chi) and ``mult`` alone.
     """
     if mult < MIN_MULT:
-        raise MultTooSmall(f"canonical multiple must be >= {MIN_MULT}, got {mult}")
+        raise MultTooSmall(f"canonical multiple must be >= {MIN_MULT}, got {int_text(mult)}")
     if mult >= MAX_MULT:
         # str() of such a number may itself exceed the conversion limit.
         raise OutOfRange("canonical multiple must be below 10**1000")

@@ -60,8 +60,27 @@ class NotCatanese(BidoubleError):
 
 
 class BoundTooLarge(BidoubleError):
-    """The requested search bound exceeds the global cap."""
+    """The requested search bound is above the search's limits.
+
+    Raised for a bound above the global field cap
+    :data:`~bidouble.covers.DEFAULT_FIELD_CAP` and for one whose run would
+    visit more than :data:`~bidouble.search.MAX_SEARCH_TYPES` types.
+    """
 
 
 class SchemaMismatch(BidoubleError):
     """A serialized record or payload does not match the expected schema."""
+
+
+def int_text(value: int) -> str:
+    """``str(value)`` for an error message, even past Python's digit limit.
+
+    Python refuses to convert an int of more digits than
+    ``sys.get_int_max_str_digits()`` (4300 by default) to text; such a value
+    is shown by its sign and bit length instead, as in ``-<16610-bit
+    integer>``, so that raising the error does not raise :class:`ValueError`.
+    """
+    try:
+        return str(value)
+    except ValueError:
+        return f"{'-' if value < 0 else ''}<{value.bit_length()}-bit integer>"

@@ -38,11 +38,15 @@ into :class:`CataneseTuple` objects.  The emit pass walks combinations of
 distinct-index groups rather than filtering all k-subsets, so buckets with
 many members but few distinct indices cost nothing.
 
-:func:`enumerate_admissible` and :func:`group_by_homeo_class` remain the
-readable path to the buckets through :mod:`bidouble.covers` and
-:mod:`bidouble.topology`; buckets hold their members as cover types in
-lexicographic order.  The tests check the kernel's buckets against them, and
-its tuples against every k-subset of a bucket with pairwise distinct indices.
+The kernel is the package's only path to the buckets.  The readable path,
+which lists P(bound), pairs its members into canonical cover types and
+buckets them by (K^2, chi) through :mod:`bidouble.covers` and
+:mod:`bidouble.topology`, is the tests' oracle and lives with them, so
+``enumerate_admissible``, ``group_by_homeo_class`` and ``HomeoClassBucket``
+are no longer public names.  The tests check the kernel's buckets against
+it, and its tuples against every k-subset of a bucket with pairwise distinct
+indices.  :func:`search` stays because the benchmark harness builds its
+certificate inputs from it and checks its type count.
 """
 
 from __future__ import annotations
@@ -57,14 +61,9 @@ from math import gcd
 from operator import itemgetter
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
-from .covers import (
-    DEFAULT_FIELD_CAP,
-    CoverType,
-    canonicalize,
-    surface_invariants,
-)
-from .errors import BoundTooLarge
-from .topology import HomeoClassKey, homeo_class_key
+from .covers import DEFAULT_FIELD_CAP, CoverType
+from .errors import BoundTooLarge, int_text
+from .topology import HomeoClassKey
 
 #: The per-bucket emission cap, read at run time so that tests can lower it.
 DEFAULT_TUPLES_PER_BUCKET = 10_000
@@ -101,27 +100,6 @@ class SearchConfig:
             raise ValueError("k must be >= 2")
         if self.max_results is not None and self.max_results < 0:
             raise ValueError("max_results must be >= 0")
-
-
-@dataclass(frozen=True, slots=True)
-class HomeoClassBucket:
-    """The canonical types of one homeomorphism key.
-
-    :func:`group_by_homeo_class` builds one bucket per key of the types it is
-    given.  ``types`` holds the members sorted (lexicographically) and
-    deduplicated; ``indices`` is the divisibility index of each member,
-    aligned by position.
-    """
-
-    key: HomeoClassKey
-    types: tuple[CoverType, ...]
-    indices: tuple[int, ...]
-
-    def __len__(self) -> int:
-        return len(self.types)
-
-    def members(self) -> list[tuple[CoverType, int]]:
-        return list(zip(self.types, self.indices))
 
 
 @dataclass(frozen=True, slots=True)
@@ -217,18 +195,6 @@ class SearchScan:
             start = end
 
 
-def branch_pairs(bound: int) -> list[tuple[int, int]]:
-    """P(bound): all (x, y) with y >= 3, x > 2*y, x <= bound, equal parity."""
-    return [(x, y) for y, xs in _x_ranges(bound) for x in xs]
-
-
-def _x_ranges(bound: int) -> Iterator[tuple[int, range]]:
-    """Each y of P(bound) in ascending order, with the range of its x values."""
-    for y in range(3, bound // 2 + 1):
-        # First x > 2*y with x == y (mod 2): 2*y+1 for odd y, 2*y+2 for even y.
-        yield y, range(2 * y + 1 if y % 2 else 2 * y + 2, bound + 1, 2)
-
-
 def _s_classes(bound: int) -> dict[int, range]:
     """The s-classes of P(bound): each s = x + y - 2 with the d = x - y of its pairs.
 
@@ -245,36 +211,6 @@ def _s_classes(bound: int) -> dict[int, range]:
         if ds:
             classes[s] = ds
     return classes
-
-
-def enumerate_admissible(bound: int) -> Iterator[CoverType]:
-    """Yield each admissibility class exactly once, in canonical form.
-
-    Unordered pairs i <= j of :func:`branch_pairs` are visited in index
-    order, so the iteration order is deterministic.
-    """
-    pairs = branch_pairs(bound)
-    for i, (x1, y1) in enumerate(pairs):
-        for x2, y2 in pairs[i:]:
-            # (a, n2) = (x1, y1), (m2, b) = (x2, y2).
-            yield canonicalize(CoverType(x1, y2, x2, y1))
-
-
-def group_by_homeo_class(
-    types: Iterable[CoverType],
-) -> dict[HomeoClassKey, HomeoClassBucket]:
-    """Bucket types by (K^2, chi); members end up canonical, sorted, unique."""
-    accumulator: dict[HomeoClassKey, dict[CoverType, int]] = {}
-    for t in types:
-        canonical = canonicalize(t)
-        inv = surface_invariants(canonical)
-        accumulator.setdefault(homeo_class_key(inv), {})[canonical] = inv.r
-    buckets: dict[HomeoClassKey, HomeoClassBucket] = {}
-    for key, index_of in accumulator.items():
-        members = tuple(sorted(index_of))
-        indices = tuple(index_of[t] for t in members)
-        buckets[key] = HomeoClassBucket(key=key, types=members, indices=indices)
-    return buckets
 
 
 def _index_subsets(indices: Sequence[int], k: int, cap: int) -> list[tuple[int, ...]]:
@@ -335,9 +271,12 @@ def scan(config: SearchConfig) -> SearchScan:
     """
     if config.bound > DEFAULT_FIELD_CAP:
         raise BoundTooLarge(
-            f"bound {config.bound} exceeds the field cap {DEFAULT_FIELD_CAP}"
+            f"bound {int_text(config.bound)} exceeds the field cap {DEFAULT_FIELD_CAP}"
         )
-    pair_count = sum(len(xs) for _, xs in _x_ranges(config.bound))
+    # |P(bound)|: each y from 3 has the x of its parity from 2*y + 1 to the bound.
+    pair_count = sum(
+        len(range(2 * y + 2 - y % 2, config.bound + 1, 2)) for y in range(3, config.bound // 2 + 1)
+    )
     type_count = pair_count * (pair_count + 1) // 2
     if type_count > MAX_SEARCH_TYPES:
         raise BoundTooLarge(

@@ -20,7 +20,6 @@ from bidouble import (
     cusp_count_general,
     derive_params,
     discriminant_profile,
-    enumerate_admissible,
     homeo_class_key,
     are_homeomorphic,
     is_catanese_tuple,
@@ -32,9 +31,9 @@ from bidouble import (
     write_catalog,
     zariski_certificate,
 )
-from bidouble.search import group_by_homeo_class
 from bidouble.serialize import certificate_from_json, certificate_to_json
 from bidouble.topology import HomeoClassKey
+from oracle import enumerate_admissible, group_by_homeo_class
 
 TYPE_1 = CoverType(16, 22, 52, 4)
 TYPE_2 = CoverType(28, 10, 28, 10)

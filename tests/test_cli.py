@@ -188,6 +188,22 @@ def test_a_multiple_of_10_to_the_1000_is_a_domain_error(
     assert err == "error: canonical multiple must be below 10**1000\n"
 
 
+def test_a_small_multiple_is_printed_up_to_the_digit_limit(
+    capsys: pytest.CaptureFixture[str],
+) -> None:
+    # The longest --m that parses has 4300 digits, so the message always
+    # prints the multiple itself; one digit more is a usage error.
+    mult = -(10**4300 - 1)
+    code, out, _ = run(capsys, "discriminant", "--type", "16,22,52,4", "--m", str(mult))
+    assert code == 1
+    assert json.loads(out) == {
+        "error": "MultTooSmall", "message": f"canonical multiple must be >= 5, got {mult}",
+    }
+    with pytest.raises(SystemExit) as excinfo:
+        main(["discriminant", "--type", "16,22,52,4", "--m", "-1" + "0" * 4300])
+    assert excinfo.value.code == 2
+
+
 def test_a_multiple_just_below_10_to_the_1000_reads_back(
     capsys: pytest.CaptureFixture[str],
 ) -> None:

@@ -57,6 +57,17 @@ def test_validate_enforces_field_cap() -> None:
         validate_type(10_001, 22, 52, 5)
 
 
+def test_validate_names_fields_past_the_digit_limit() -> None:
+    with pytest.raises(OutOfRange, match=r"^a=<16610-bit integer> exceeds the field cap 10000$"):
+        validate_type(10**5000, 3, 7, 3)
+    with pytest.raises(ConstraintViolation) as excinfo:
+        validate_type(-(10**5000), 3, 7, 3)
+    assert excinfo.value.violations == [
+        "a > 2*n2 (got a=-<16610-bit integer>, n2=3)",
+        "a == n2 (mod 2) (got a=-<16610-bit integer>, n2=3)",
+    ]
+
+
 def test_validate_rejects_non_integers() -> None:
     with pytest.raises(TypeError):
         validate_type(16.0, 22, 52, 4)  # type: ignore[arg-type]

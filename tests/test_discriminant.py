@@ -75,6 +75,14 @@ def test_profile_rejects_small_multiples() -> None:
             discriminant_profile(INV, mult)
 
 
+def test_profile_names_a_small_multiple_past_the_digit_limit() -> None:
+    # str() refuses an int of more than 4300 digits, so the message names
+    # such a multiple by its sign and bit length.
+    with pytest.raises(MultTooSmall) as excinfo:
+        discriminant_profile(INV, -(10**5000))
+    assert str(excinfo.value) == "canonical multiple must be >= 5, got -<16610-bit integer>"
+
+
 def test_profile_refuses_multiples_from_max_mult_on() -> None:
     for mult in (10**1000, 10**1100, 10**5000):
         with pytest.raises(OutOfRange, match=r"below 10\*\*1000$"):

@@ -12,8 +12,6 @@ from bidouble import (
     CoverType,
     canonicalize,
     derive_params,
-    enumerate_admissible,
-    group_by_homeo_class,
     homeo_class_key,
     are_homeomorphic,
     diffeo_obstruction,
@@ -24,6 +22,7 @@ from bidouble import (
     swap,
     validate_type,
 )
+from oracle import enumerate_admissible, group_by_homeo_class
 
 MAX_FIELD = 500
 

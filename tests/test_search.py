@@ -14,12 +14,9 @@ import pytest
 from bidouble import (
     BoundTooLarge,
     CoverType,
-    HomeoClassBucket,
     HomeoClassKey,
     SearchConfig,
     SearchResult,
-    enumerate_admissible,
-    group_by_homeo_class,
     is_catanese_tuple,
     search,
 )
@@ -31,9 +28,9 @@ from bidouble.search import (
     _elementary_symmetric,
     _index_subsets,
     _s_classes,
-    branch_pairs,
     scan,
 )
+from oracle import HomeoClassBucket, branch_pairs, enumerate_admissible, group_by_homeo_class
 
 TYPE_1 = CoverType(16, 22, 52, 4)
 TYPE_2 = CoverType(28, 10, 28, 10)
@@ -238,6 +235,11 @@ def test_search_rejects_bound_above_cap() -> None:
         search(SearchConfig(bound=10_001))
 
 
+def test_search_refuses_a_bound_past_the_digit_limit() -> None:
+    with pytest.raises(BoundTooLarge, match=r"^bound <16610-bit integer> exceeds the field cap 10000$"):
+        scan(SearchConfig(bound=10**5000))
+
+
 def test_search_refuses_more_types_than_the_limit(monkeypatch: pytest.MonkeyPatch) -> None:
     search_module = importlib.import_module("bidouble.search")
     monkeypatch.setattr(search_module, "MAX_SEARCH_TYPES", 406)
@@ -253,7 +255,6 @@ def test_search_refuses_bound_10000_before_listing_a_pair(
         raise AssertionError(f"the pairs of bound {bound} were listed")
 
     search_module = importlib.import_module("bidouble.search")
-    monkeypatch.setattr(search_module, "branch_pairs", no_pairs)
     monkeypatch.setattr(search_module, "_s_classes", no_pairs)
     with pytest.raises(BoundTooLarge, match="77968871831256 types, above the limit of 30000000"):
         scan(SearchConfig(bound=10_000))
@@ -520,6 +521,15 @@ def test_search_kernel_counts_match_the_oracle_at_every_bound_to_50(bound: int) 
     assert stats.buckets == len(buckets)
     assert stats.multi_index_buckets == len(multi)
     assert stats.cells == sum(map(len, multi))
+
+
+def test_search_counts_the_pairs_of_the_definition_at_every_bound_to_60() -> None:
+    # scan counts P(bound) from one x range per y without listing it; the
+    # oracle lists it from the definition.
+    for bound in range(3, 61):
+        pairs = len(branch_pairs(bound))
+        stats = scan(SearchConfig(bound=bound)).stats
+        assert (stats.pairs, stats.types) == (pairs, pairs * (pairs + 1) // 2)
 
 
 def test_search_pins_the_bound_80_counts() -> None:
