@@ -107,7 +107,8 @@ def node_count(deg_b: int, genus: int, cusps: int) -> int:
     nodes = (deg_b - 1) * (deg_b - 2) // 2 - genus - cusps
     if nodes < 0:
         raise NegativeNodes(
-            f"node count {nodes} < 0 for deg_b={deg_b}, genus={genus}, cusps={cusps}"
+            f"node count {int_text(nodes)} < 0 for deg_b={int_text(deg_b)}, "
+            f"genus={int_text(genus)}, cusps={int_text(cusps)}"
         )
     return nodes
 

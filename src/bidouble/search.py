@@ -29,14 +29,17 @@ fields and indices in member order, its end offset) and fills every count
 of the run without building a tuple: a bucket whose index groups have sizes
 n_1, ..., n_g holds e_k(n_1, ..., n_g) tuples, e_k being the k-th
 elementary symmetric polynomial, so it emits min(cap, e_k) of them and is
-truncated exactly when e_k > cap.  :meth:`SearchScan.rows` is the emit
-pass: it walks the stored buckets in key order and yields each tuple as a
-row of plain integers, sorted by members within its bucket, so no global
-sort is needed and nothing holds the whole result.  The command line
-renders its output straight from those rows; :func:`search` collects them
-into :class:`CataneseTuple` objects.  The emit pass walks combinations of
-distinct-index groups rather than filtering all k-subsets, so buckets with
-many members but few distinct indices cost nothing.
+truncated exactly when e_k > cap.  The count depends only on the bucket's
+tuple of member indices, and many buckets share one, so the kernel computes
+it once per distinct index tuple of the run.  :meth:`SearchScan.rows` is the
+emit pass: it walks the stored buckets in key order and yields each tuple
+as a row of plain integers, sorted by members within its bucket, so no
+global sort is needed and nothing holds the whole result.  The command
+line renders its output straight from those rows; :func:`search` collects
+them into :class:`CataneseTuple` objects.  A bucket within the cap is
+walked by the definition, its k-subsets in member order filtered to those
+with pairwise distinct indices; :func:`_index_subsets` is the cap's
+selection rule and runs only for a truncated bucket.
 
 The kernel is the package's only path to the buckets.  The readable path,
 which lists P(bound), pairs its members into canonical cover types and
@@ -174,7 +177,9 @@ class SearchScan:
         Tuples come sorted by key and then by members, and ``max_results``
         clips the stream.  Each member is its field tuple, or
         ``member(a, b, m2, n2)``, built once per bucket cell and shared by
-        the rows of that bucket.
+        the rows of that bucket.  A bucket within the cap yields its
+        k-subsets of members with pairwise distinct indices, by definition;
+        a truncated bucket yields those :func:`_index_subsets` selects.
         """
         rows = self._bucket_rows(member)
         limit = self.config.max_results
@@ -184,15 +189,31 @@ class SearchScan:
         k, cap = self.config.k, DEFAULT_TUPLES_PER_BUCKET
         keys, fields, indices = self.keys, self.fields, self.indices
         start = 0
+        truncated = set(self.truncated_buckets)
         for bucket, end in enumerate(self.ends):
             kk, chi = keys[2 * bucket], keys[2 * bucket + 1]
             cell_indices = indices[start:end].tolist()
             cells = zip(*[iter(fields[4 * start : 4 * end])] * 4)
             members = list(cells if member is None else itertools.starmap(member, cells))
-            for positions in _index_subsets(cell_indices, k, cap):
-                take = itemgetter(*positions)  # k >= 2 items, so it returns a tuple
-                yield kk, chi, take(members), take(cell_indices)
             start = end
+            if (kk, chi) in truncated:
+                # The cap's selection rule decides which tuples a capped bucket keeps.
+                for positions in _index_subsets(cell_indices, k, cap):
+                    take = itemgetter(*positions)  # k >= 2 items, so it returns a tuple
+                    yield kk, chi, take(members), take(cell_indices)
+            else:
+                # Every k-subset with pairwise distinct indices, by definition;
+                # members are stored sorted, so the subsets come in member order.
+                subsets = itertools.combinations(cell_indices, k)
+                yield from itertools.compress(
+                    zip(
+                        itertools.repeat(kk),
+                        itertools.repeat(chi),
+                        itertools.combinations(members, k),
+                        itertools.combinations(cell_indices, k),
+                    ),
+                    map(k.__eq__, map(len, map(set, subsets))),
+                )
 
 
 def _s_classes(bound: int) -> dict[int, range]:
@@ -214,13 +235,14 @@ def _s_classes(bound: int) -> dict[int, range]:
 
 
 def _index_subsets(indices: Sequence[int], k: int, cap: int) -> list[tuple[int, ...]]:
-    """The first ``cap`` k-subsets of positions with pairwise distinct indices, sorted.
+    """The cap's selection rule: which ``cap`` tuples a truncated bucket keeps.
 
     ``indices`` are a bucket's member indices in member order.  Positions
     are grouped by index, the groups taken in ascending index, and the
     subsets are the products over each combination of k groups, in the
     order of those combinations and products; the first ``cap`` are kept.
-    Sorted, the position subsets are the tuples in member order.
+    Sorted, the position subsets are the tuples in member order.  A bucket
+    within the cap is walked by the definition instead.
     """
     by_index: dict[int, list[int]] = {}
     for position, r in enumerate(indices):
@@ -293,6 +315,8 @@ def scan(config: SearchConfig) -> SearchScan:
     keys, fields, indices, ends = array("q"), array("H"), array("H"), array("q")
     truncated: list[HomeoClassKey] = []
     bucket_count = tuple_count = 0
+    # e_k depends only on a bucket's member indices, and many buckets share them.
+    counts: dict[tuple[int, ...], int] = {}
     with _collector_paused():
         for product in sorted(by_product):
             class_pairs = by_product[product]
@@ -315,7 +339,11 @@ def scan(config: SearchConfig) -> SearchScan:
             product_ends: list[int] = []
             for twice_chi, cells in _shared_buckets(shared, class_pairs, twice_chis, classes):
                 cell_fields, cell_indices = zip(*cells)
-                count = _elementary_symmetric(map(cell_indices.count, set(cell_indices)), k)
+                count = counts.get(cell_indices)
+                if count is None:
+                    count = counts[cell_indices] = _elementary_symmetric(
+                        map(cell_indices.count, set(cell_indices)), k
+                    )
                 if count > cap:
                     truncated.append(HomeoClassKey(8 * product, twice_chi // 2))
                     count = cap

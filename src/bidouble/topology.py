@@ -19,7 +19,7 @@ from itertools import combinations
 from typing import NamedTuple, Sequence
 
 from .covers import CoverType, SurfaceInvariants, surface_invariants, validate_type
-from .errors import BidoubleError, InvalidMember, NotComparable
+from .errors import BidoubleError, InvalidMember, NotComparable, int_text
 
 
 class HomeoClassKey(NamedTuple):
@@ -93,7 +93,8 @@ def is_catanese_tuple(types: Sequence[CoverType]) -> TupleVerdict:
         try:
             validate_type(t.a, t.b, t.m2, t.n2)
         except BidoubleError as exc:
-            raise InvalidMember(f"member {position} {t.as_tuple()}: {exc}") from exc
+            fields = ", ".join(map(int_text, t.as_tuple()))
+            raise InvalidMember(f"member {position} ({fields}): {exc}") from exc
         invariants.append(surface_invariants(t))
     keys = [homeo_class_key(inv) for inv in invariants]
     failures: list[str] = []

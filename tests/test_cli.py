@@ -258,8 +258,10 @@ def test_search_csv_lists_members(capsys: pytest.CaptureFixture[str]) -> None:
 # Exit code and SHA-256 of stdout for each subcommand in both formats,
 # frozen before the CSV tables were derived from the JSON views.  The
 # `search --bound 60` pair dates from the enumerate-bucket-extract
-# implementation, before the pair-indexed kernel.  Domain errors print the
-# same JSON error object in either format.
+# implementation, before the pair-indexed kernel, and the `search --bound 80
+# --k 4` pair from the index-group walk, before in-cap buckets were emitted
+# by the definition.  Domain errors print the same JSON error object in
+# either format.
 GOLDEN_STDOUT: dict[str, dict[str, tuple[int, str]]] = {
     "invariants --type 16,22,52,4": {
         "json": (0, "4227f74c391c6f66542b498d8769913d978ab9162069cf0bbd33365d070bd75f"),
@@ -308,6 +310,10 @@ GOLDEN_STDOUT: dict[str, dict[str, tuple[int, str]]] = {
     "search --bound 60": {
         "json": (0, "9044865f9ce021f9ca37de9ff7af8510105d4dbfd6c934b0901a3555d3b9787a"),
         "csv": (0, "9e5587b4d33761d916b2e9fa373bd422c996bdb7bdcd90db0d93982179dbb032"),
+    },
+    "search --bound 80 --k 4": {
+        "json": (0, "9aca0736c4f8962f489f6b466d1ffc5d65d891eae9f532baaf2bb670dc167775"),
+        "csv": (0, "f00e4c90534483c83f4688a291dccd02aed3c14b2e76c5b720877b8257e141bb"),
     },
     "certify --type 16,22,52,4 --type 28,10,28,10 --m 5 --m 6": {
         "json": (0, "a0affaf0dda971d18c294418cc437d7ffea7fe5de002ffe6e240afd29c040148"),

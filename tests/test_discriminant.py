@@ -57,6 +57,14 @@ def test_node_count_rejects_negative_residual() -> None:
         node_count(6, 10, 1)
 
 
+def test_node_count_names_a_genus_past_the_digit_limit() -> None:
+    with pytest.raises(NegativeNodes) as excinfo:
+        node_count(0, 10**5000, 0)
+    assert str(excinfo.value) == (
+        "node count -<16610-bit integer> < 0 for deg_b=0, genus=<16610-bit integer>, cusps=0"
+    )
+
+
 def test_profile_worked_example_at_mult_five() -> None:
     profile = discriminant_profile(INV, 5)
     assert profile.mult == 5

@@ -394,6 +394,18 @@ def test_search_kernel_matches_the_oracle(
     assert search(config) == oracle_search(config, cap)
 
 
+@pytest.mark.parametrize("cap", [1, 2, DEFAULT_TUPLES_PER_BUCKET])
+@pytest.mark.parametrize(("bound", "tuples"), [(40, 1), (60, 34)])
+def test_search_kernel_matches_the_oracle_at_k_4(
+    bound: int, tuples: int, cap: int, monkeypatch: pytest.MonkeyPatch
+) -> None:
+    # At k = 4 the definition walk skips the most k-subsets, those that repeat an index.
+    config = SearchConfig(bound=bound, k=4)
+    assert len(search(config).tuples) == tuples
+    cap_buckets_at(monkeypatch, cap)
+    assert search(config) == oracle_search(config, cap)
+
+
 @pytest.mark.parametrize("cap", [2, DEFAULT_TUPLES_PER_BUCKET])
 def test_search_kernel_matches_the_oracle_when_clipped(
     cap: int, monkeypatch: pytest.MonkeyPatch

@@ -33,6 +33,13 @@ def test_bench_search_reports_the_bound_20_counts() -> None:
     assert "catalog_bytes" not in run
 
 
+def test_bench_search_passes_k_on_to_search() -> None:
+    (run,) = bench_search("--k", "3", "40")["runs"]
+    assert (run["bound"], run["k"], run["exit_code"]) == (40, 3, 0)
+    assert (run["types"], run["buckets"], run["tuples"]) == (11781, 8416, 33)
+    assert (run["stats"]["multi_index_buckets"], run["stats"]["cells"]) == (18, 65)
+
+
 def test_bench_search_digests_the_catalog_it_writes() -> None:
     (run,) = bench_search("--catalog", "20")["runs"]
     assert (run["exit_code"], run["tuples"]) == (0, 6)
@@ -46,7 +53,7 @@ def main(argv):
     sys.stdout.write(
         '{\\n  "type_count": 406,\\n  "bucket_count": 356,\\n  "tuple_count": 6,\\n  "tuples": []\\n}\\n'
     )
-    return 0 if argv == ["search", "--bound", "20"] else 2
+    return 0 if argv == ["search", "--bound", "20", "--k", "2"] else 2
 '''
 
 

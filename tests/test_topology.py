@@ -94,6 +94,18 @@ def test_inadmissible_member_is_rejected() -> None:
     assert "member 1" in str(excinfo.value)
 
 
+def test_inadmissible_member_past_the_digit_limit_is_named() -> None:
+    # str() refuses an int of more than 4300 digits, so the message names
+    # such a field by its sign and bit length.
+    with pytest.raises(InvalidMember) as excinfo:
+        is_catanese_tuple([CoverType(-(10**5000), 3, 7, 3), SMALL])
+    assert str(excinfo.value) == (
+        "member 0 (-<16610-bit integer>, 3, 7, 3): "
+        "a > 2*n2 (got a=-<16610-bit integer>, n2=3); "
+        "a == n2 (mod 2) (got a=-<16610-bit integer>, n2=3)"
+    )
+
+
 def test_tuple_needs_at_least_two_members() -> None:
     with pytest.raises(ValueError):
         is_catanese_tuple([TYPE_1])

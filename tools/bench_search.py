@@ -4,12 +4,13 @@ Usage (from the root of a checkout; standard library only):
 
     python3 tools/bench_search.py 40 60 100 140 200
     python3 tools/bench_search.py --src OTHER_CHECKOUT/src 40 60
+    python3 tools/bench_search.py --k 3 140
     python3 tools/bench_search.py --catalog 100 140
 
 For each bound a child interpreter imports ``bidouble`` from ``--src``
 (default: this checkout's ``src``), runs ``cli.main(["search", "--bound",
-B])`` once with stdout going to a sink that keeps only a digest, and
-reports:
+B, "--k", K])`` once, with K from ``--k`` (default 2) and stdout going to
+a sink that keeps only a digest, and reports:
 
 - ``stats``: the report line ``search`` writes on stderr, less its times
 - ``types``, ``buckets``, ``tuples``: the counts from that line, so that
@@ -57,8 +58,9 @@ class Sink(io.TextIOBase):
         self.size += len(data)
         return len(text)
 
-bound, out = sys.argv[2], sys.argv[3:]
-argv = ["search", "--bound", bound, *(["--out", out[0], "--no-timestamp"] if out else [])]
+bound, k, out = sys.argv[2], sys.argv[3], sys.argv[4:]
+argv = ["search", "--bound", bound, "--k", k]
+argv += ["--out", out[0], "--no-timestamp"] if out else []
 sink, err, real = Sink(), io.StringIO(), (sys.stdout, sys.stderr)
 sys.stdout, sys.stderr = sink, err
 begun = time.perf_counter()
@@ -74,6 +76,7 @@ if stats is None:
 times = {name: round(stats.pop(name), 3) for name in ("kernel_s", "emit_s")}
 print(json.dumps({
     "bound": int(bound),
+    "k": int(k),
     "exit_code": code,
     "types": stats["types"],
     "buckets": stats["buckets"],
@@ -88,12 +91,13 @@ print(json.dumps({
 """
 
 
-def run_bound(src: Path, bound: int, catalog: bool) -> dict:
-    """One fresh interpreter searching at ``bound``; its report as a dict."""
+def run_bound(src: Path, bound: int, k: int, catalog: bool) -> dict:
+    """One fresh interpreter searching at ``bound`` for k-tuples; its report as a dict."""
     with tempfile.TemporaryDirectory() as scratch:
         out = Path(scratch) / "catalog.jsonl"
+        argv = [sys.executable, "-c", CHILD, str(src), str(bound), str(k)]
         done = subprocess.run(
-            [sys.executable, "-c", CHILD, str(src), str(bound), *([str(out)] if catalog else [])],
+            argv + ([str(out)] if catalog else []),
             capture_output=True,
             text=True,
         )
@@ -116,6 +120,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--src", type=Path, default=ROOT / "src", help="directory holding the bidouble package"
     )
+    parser.add_argument("--k", type=int, default=2, help="tuple size, passed on as search --k")
     parser.add_argument(
         "--catalog",
         action="store_true",
@@ -127,7 +132,7 @@ def main(argv: list[str] | None = None) -> int:
         "python": platform.python_version(),
         "machine": platform.machine(),
         "catalog": args.catalog,
-        "runs": [run_bound(args.src, bound, args.catalog) for bound in args.bounds],
+        "runs": [run_bound(args.src, bound, args.k, args.catalog) for bound in args.bounds],
     }
     print(json.dumps(report, indent=2))
     return 0
