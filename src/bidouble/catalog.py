@@ -131,13 +131,15 @@ def read_catalog(path: str | PathLike[str]) -> list[CatalogRecord]:
     (including bytes that are not UTF-8, ``NaN`` or the infinities, and
     numbers that overflow a double), a wrong key set, an unsupported schema
     version (or one that is not an ``int``, such as ``true`` or ``1.0``), or
-    an unknown kind.
+    an unknown kind.  A line of JSON whitespace alone is skipped; any other
+    character around a record, such as U+001C or U+0085, is invalid JSON.
     """
     records: list[CatalogRecord] = []
     with open(path, "rb") as handle:
         for lineno, raw in enumerate(handle, start=1):
             try:
-                line = raw.decode("utf-8").strip()
+                # str.strip() would also drop characters that JSON rejects.
+                line = raw.decode("utf-8").strip(" \t\n\r")
                 if not line:
                     continue
                 obj = json.loads(

@@ -21,7 +21,7 @@ when it runs.
 JSON output is ``json.dumps(payload, indent=2)``, except for ``search``,
 which streams.  It runs the kernel pass
 (:func:`bidouble.search.scan`), which fills every count of the JSON head
-and stores the multi-index buckets as packed integers; then the emit pass
+and stores the multi-index buckets in flat 16-bit arrays; then the emit pass
 renders the tuples straight from them as it writes, through
 :func:`bidouble.serialize.search_to_json_chunks` (byte-identical to
 ``json.dumps`` of the view, whose head and per-tuple template come from one

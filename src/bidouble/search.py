@@ -36,20 +36,19 @@ emit pass: it walks the stored buckets in key order and yields each tuple
 as a row of plain integers, sorted by members within its bucket, so no
 global sort is needed and nothing holds the whole result.  The command
 line renders its output straight from those rows; :func:`search` collects
-them into :class:`CataneseTuple` objects.  A bucket within the cap is
-walked by the definition, its k-subsets in member order filtered to those
-with pairwise distinct indices; :func:`_index_subsets` is the cap's
-selection rule and runs only for a truncated bucket.
+them into :class:`CataneseTuple` objects.  Each bucket is walked by the
+definition, its k-subsets in member order filtered to those with pairwise
+distinct indices, and a truncated bucket keeps the first ``cap`` tuples of
+that walk, as ``max_results`` keeps the first tuples of the run.
 
 The kernel is the package's only path to the buckets.  The readable path,
 which lists P(bound), pairs its members into canonical cover types and
 buckets them by (K^2, chi) through :mod:`bidouble.covers` and
-:mod:`bidouble.topology`, is the tests' oracle and lives with them, so
-``enumerate_admissible``, ``group_by_homeo_class`` and ``HomeoClassBucket``
-are no longer public names.  The tests check the kernel's buckets against
-it, and its tuples against every k-subset of a bucket with pairwise distinct
-indices.  :func:`search` stays because the benchmark harness builds its
-certificate inputs from it and checks its type count.
+:mod:`bidouble.topology`, is the tests' oracle and lives with them.  The
+tests check the kernel's buckets against it, and its tuples against every
+k-subset of a bucket with pairwise distinct indices.  :func:`search` stays
+because the benchmark harness builds its certificate inputs from it and
+checks its type count.
 """
 
 from __future__ import annotations
@@ -61,8 +60,7 @@ from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass
 from math import gcd
-from operator import itemgetter
-from typing import Any, Callable, Iterable, Iterator, Sequence
+from typing import Any, Callable, Iterable, Iterator
 
 from .covers import DEFAULT_FIELD_CAP, CoverType
 from .errors import BoundTooLarge, int_text
@@ -89,7 +87,8 @@ class SearchConfig:
     ``bound`` (>= 3) caps every branch-data field; ``k`` (>= 2) is the tuple
     size; ``max_results`` (>= 0) truncates the sorted output when set.
     Construction raises :class:`ValueError` for a value out of those ranges.
-    Each homeomorphism class emits at most :data:`DEFAULT_TUPLES_PER_BUCKET`.
+    Each homeomorphism class emits at most :data:`DEFAULT_TUPLES_PER_BUCKET`
+    tuples, the first ones in member order.
     """
 
     bound: int
@@ -177,9 +176,10 @@ class SearchScan:
         Tuples come sorted by key and then by members, and ``max_results``
         clips the stream.  Each member is its field tuple, or
         ``member(a, b, m2, n2)``, built once per bucket cell and shared by
-        the rows of that bucket.  A bucket within the cap yields its
-        k-subsets of members with pairwise distinct indices, by definition;
-        a truncated bucket yields those :func:`_index_subsets` selects.
+        the rows of that bucket.  A bucket yields its k-subsets of members
+        with pairwise distinct indices, by definition, in member order; a
+        truncated bucket yields the first :data:`DEFAULT_TUPLES_PER_BUCKET`
+        of them.
         """
         rows = self._bucket_rows(member)
         limit = self.config.max_results
@@ -189,31 +189,25 @@ class SearchScan:
         k, cap = self.config.k, DEFAULT_TUPLES_PER_BUCKET
         keys, fields, indices = self.keys, self.fields, self.indices
         start = 0
-        truncated = set(self.truncated_buckets)
         for bucket, end in enumerate(self.ends):
             kk, chi = keys[2 * bucket], keys[2 * bucket + 1]
             cell_indices = indices[start:end].tolist()
             cells = zip(*[iter(fields[4 * start : 4 * end])] * 4)
             members = list(cells if member is None else itertools.starmap(member, cells))
             start = end
-            if (kk, chi) in truncated:
-                # The cap's selection rule decides which tuples a capped bucket keeps.
-                for positions in _index_subsets(cell_indices, k, cap):
-                    take = itemgetter(*positions)  # k >= 2 items, so it returns a tuple
-                    yield kk, chi, take(members), take(cell_indices)
-            else:
-                # Every k-subset with pairwise distinct indices, by definition;
-                # members are stored sorted, so the subsets come in member order.
-                subsets = itertools.combinations(cell_indices, k)
-                yield from itertools.compress(
-                    zip(
-                        itertools.repeat(kk),
-                        itertools.repeat(chi),
-                        itertools.combinations(members, k),
-                        itertools.combinations(cell_indices, k),
-                    ),
-                    map(k.__eq__, map(len, map(set, subsets))),
-                )
+            # Every k-subset with pairwise distinct indices, by definition;
+            # members are stored sorted, so the subsets come in member order.
+            subsets = itertools.combinations(cell_indices, k)
+            tuples = itertools.compress(
+                zip(
+                    itertools.repeat(kk),
+                    itertools.repeat(chi),
+                    itertools.combinations(members, k),
+                    itertools.combinations(cell_indices, k),
+                ),
+                map(k.__eq__, map(len, map(set, subsets))),
+            )
+            yield from itertools.islice(tuples, cap)
 
 
 def _s_classes(bound: int) -> dict[int, range]:
@@ -232,28 +226,6 @@ def _s_classes(bound: int) -> dict[int, range]:
         if ds:
             classes[s] = ds
     return classes
-
-
-def _index_subsets(indices: Sequence[int], k: int, cap: int) -> list[tuple[int, ...]]:
-    """The cap's selection rule: which ``cap`` tuples a truncated bucket keeps.
-
-    ``indices`` are a bucket's member indices in member order.  Positions
-    are grouped by index, the groups taken in ascending index, and the
-    subsets are the products over each combination of k groups, in the
-    order of those combinations and products; the first ``cap`` are kept.
-    Sorted, the position subsets are the tuples in member order.  A bucket
-    within the cap is walked by the definition instead.
-    """
-    by_index: dict[int, list[int]] = {}
-    for position, r in enumerate(indices):
-        by_index.setdefault(r, []).append(position)
-    groups = [by_index[r] for r in sorted(by_index)]
-    subsets = (
-        tuple(sorted(positions))
-        for chosen in itertools.combinations(groups, k)
-        for positions in itertools.product(*chosen)
-    )
-    return sorted(itertools.islice(subsets, cap))
 
 
 def _elementary_symmetric(values: Iterable[int], k: int) -> int:
@@ -399,24 +371,23 @@ def search(config: SearchConfig) -> SearchResult:
     )
 
 
-def _twice_chi_shift(sa: int, sb: int) -> int:
-    """3P + 2(sa + sb + 2), P = sa*sb: cell (da, db) has 2*chi = this - da*db."""
-    return 3 * sa * sb + 2 * (sa + sb + 2)
+def _rows(sa: int, sb: int, classes: dict[int, range]) -> Iterator[range]:
+    """The 2*chi values of the class pair (sa, sb), one range per row da, in order.
 
-
-def _twice_chi_values(sa: int, sb: int, classes: dict[int, range]) -> set[int]:
-    """2*chi of every cell of the class pair (sa, sb), one range per row.
-
-    Row da of the pair holds 2*chi = shift - da*db for db in the class of sb,
-    an arithmetic progression of step -2*da from shift - da*first.
+    Cell (da, db) has 2*chi = 3P + 2(sa + sb + 2) - da*db, P = sa*sb, so row
+    da, with db running over the class of sb, holds an arithmetic
+    progression of step -2*da from db = ``classes[sb][0]``.
     """
     ds_b = classes[sb]
     first, last = ds_b[0], ds_b[-1]
-    shift = _twice_chi_shift(sa, sb)
-    values: set[int] = set()
+    shift = 3 * sa * sb + 2 * (sa + sb + 2)
     for da in classes[sa]:
-        values.update(range(shift - da * first, shift - da * last - 1, -2 * da))
-    return values
+        yield range(shift - da * first, shift - da * last - 1, -2 * da)
+
+
+def _twice_chi_values(sa: int, sb: int, classes: dict[int, range]) -> set[int]:
+    """2*chi of every cell of the class pair (sa, sb), over its :func:`_rows`."""
+    return set(itertools.chain.from_iterable(_rows(sa, sb, classes)))
 
 
 def _shared_buckets(
@@ -430,10 +401,9 @@ def _shared_buckets(
     Yields ``(2*chi, cells)`` in ascending order of chi, where the cells are
     the ``(fields, r)`` of the key's canonical types in member order.  Each
     class pair holding one of those keys is scanned once: the wanted values
-    are met with each row da's range of 2*chi values (as in
-    :func:`_twice_chi_values`) in one intersection.  A diagonal class pair
-    (sa == sb) keeps db >= da, since its cells are unordered.  All class
-    pairs have the same product sa*sb.
+    are met with each of its :func:`_rows` ranges in one intersection.  A
+    diagonal class pair (sa == sb) keeps db >= da, since its cells are
+    unordered.  All class pairs have the same product sa*sb.
     """
     cells: dict[int, list[tuple[tuple[int, int, int, int], int]]] = {}
     for (sa, sb), values in zip(class_pairs, twice_chis):
@@ -441,16 +411,13 @@ def _shared_buckets(
         if not hits:
             continue
         r = gcd(sa, sb)
-        shift = _twice_chi_shift(sa, sb)
-        ds_b = classes[sb]
-        first, last = ds_b[0], ds_b[-1]
-        for da in classes[sa]:
+        first = classes[sb][0]
+        for da, row in zip(classes[sa], _rows(sa, sb, classes)):
             # Pair (s, d) is (x, y) = ((s + 2 + d)/2, (s + 2 - d)/2).
             x1, y1 = (sa + 2 + da) // 2, (sa + 2 - da) // 2
-            for twice_chi in hits.intersection(
-                range(shift - da * first, shift - da * last - 1, -2 * da)
-            ):
-                db = (shift - twice_chi) // da
+            for twice_chi in hits.intersection(row):
+                # row.start - 2*chi = da*(db - first).
+                db = first + (row.start - twice_chi) // da
                 if sa == sb and db < da:
                     continue
                 x2, y2 = (sb + 2 + db) // 2, (sb + 2 - db) // 2

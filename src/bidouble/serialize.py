@@ -94,11 +94,17 @@ def search_to_json_chunks(run: SearchScan) -> Iterator[str]:
     per-tuple object is built.  Rows come :data:`TUPLES_PER_CHUNK` per
     chunk, and the last chunk closes the list and the object.  At most one
     chunk's text is alive at a time when the caller writes each chunk before
-    asking for the next.
+    asking for the next.  A run with no tuple is rendered whole, as one
+    chunk, with no template: a template's size grows with k, and a huge k
+    leaves no bucket with k distinct indices.
     """
     config, stats = run.config, run.stats
     slot, k = "%d", config.k
-    row = tuple_row_to_json(slot, slot, [(slot,) * 4] * k, (slot,) * k)  # type: ignore[arg-type]
+    shape = (
+        [tuple_row_to_json(slot, slot, [(slot,) * 4] * k, (slot,) * k)]  # type: ignore[arg-type]
+        if stats.tuples
+        else []
+    )
     text = json.dumps(
         {
             "config": {
@@ -114,14 +120,14 @@ def search_to_json_chunks(run: SearchScan) -> Iterator[str]:
             "tuple_count": stats.tuples,
             "truncated_buckets": [key_to_json(key) for key in run.truncated_buckets],
             "clipped": stats.clipped,
-            "tuples": [row],
+            "tuples": shape,
         },
         indent=2,
     ).replace(f'"{slot}"', slot)
-    head, template, close = re.fullmatch(r'(.*"tuples": \[)(.*)(\n  \]\n\})', text, re.S).groups()
-    if not stats.tuples:
-        yield head + "]\n}"  # json writes an empty list as []
+    if not shape:
+        yield text
         return
+    head, template, close = re.fullmatch(r'(.*"tuples": \[)(.*)(\n  \]\n\})', text, re.S).groups()
     yield head
     rows = run.rows()
     separator = ""
@@ -141,7 +147,10 @@ def search_to_catalog_lines(run: SearchScan, created_at: str) -> Iterator[str]:
     record of the tuple's :func:`tuple_row_to_json` payload.  That line is
     rendered once with a positional slot in every integer field and in the
     stamp, and each row fills the slots, so no per-tuple object is built.
+    A run with no tuple yields no line and renders no template.
     """
+    if not run.stats.tuples:
+        return
     k = run.config.k
     slots = [f"{{{i}}}" for i in range(2 + 5 * k + 1)]
     members = [slots[2 + 4 * j : 6 + 4 * j] for j in range(k)]

@@ -221,6 +221,20 @@ def test_catalog_rejects_bytes_that_are_not_utf8(tmp_path: Path) -> None:
     assert str(excinfo.value).startswith("line 2: invalid JSON")
 
 
+@pytest.mark.parametrize(
+    "tail", ["\x1c", "\n\x85"], ids=["record-ending-in-x1c", "line-of-only-x85"]
+)
+def test_catalog_strips_only_json_whitespace(tmp_path: Path, tail: str) -> None:
+    # str.strip() also drops these characters; json.loads rejects them.
+    path = tmp_path / "catalog.jsonl"
+    good = record_to_line(CatalogRecord("tuple", {"x": 1}))
+    path.write_text(good + "\n" + good + tail + "\n", encoding="utf-8")
+    with pytest.raises(SchemaMismatch) as excinfo:
+        read_catalog(path)
+    lineno = 2 + tail.count("\n")
+    assert str(excinfo.value).startswith(f"line {lineno}: invalid JSON")
+
+
 def test_catalog_rejects_unexpected_keys(tmp_path: Path) -> None:
     path = tmp_path / "catalog.jsonl"
     extra = {

@@ -530,7 +530,7 @@ class Discard(io.TextIOBase):
 
 
 def test_search_memory_stays_flat_at_bound_80(monkeypatch: pytest.MonkeyPatch) -> None:
-    # The JSON is rendered from the kernel's packed buckets as it is written,
+    # The JSON is rendered from the kernel's bucket arrays as it is written,
     # so the peak stays far below the 10.7 MB of output and its 30,911
     # tuples (9.9 MB when every tuple was collected before the first write).
     monkeypatch.setattr(sys, "stdout", Discard())
@@ -541,6 +541,29 @@ def test_search_memory_stays_flat_at_bound_80(monkeypatch: pytest.MonkeyPatch) -
     finally:
         tracemalloc.stop()
     assert peak < 4_000_000
+
+
+@pytest.mark.parametrize("to_catalog", [False, True], ids=["json", "out"])
+def test_search_with_a_huge_k_renders_no_template(
+    capsys: pytest.CaptureFixture[str], tmp_path: Path, to_catalog: bool
+) -> None:
+    # A tuple needs k distinct indices in one bucket, so no tuple exists, and
+    # neither renderer may build its template of O(k) slots.
+    argv = ["search", "--bound", "20", "--k", "100000"]
+    if to_catalog:
+        argv += ["--out", str(tmp_path / "catalog.jsonl")]
+    tracemalloc.start()
+    try:
+        code = main(argv)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    out, err = capsys.readouterr()
+    assert code == 0
+    assert json.loads(out)["tuple_count"] == 0 == search_report(err)["tuples"]
+    assert peak < 4_000_000
+    if to_catalog:
+        assert read_catalog(tmp_path / "catalog.jsonl") == []
 
 
 # The option strings of each subcommand, so that adding or removing a knob

@@ -23,10 +23,10 @@ from bidouble import (
 from bidouble.search import (
     DEFAULT_TUPLES_PER_BUCKET,
     CataneseTuple,
+    Row,
     SearchScan,
     SearchStats,
     _elementary_symmetric,
-    _index_subsets,
     _s_classes,
     scan,
 )
@@ -119,58 +119,6 @@ def test_group_by_homeo_class_canonicalizes_and_dedupes() -> None:
 
 def test_group_by_homeo_class_empty_input() -> None:
     assert group_by_homeo_class([]) == {}
-
-
-def repeated_index_bucket() -> HomeoClassBucket:
-    # Three admissible types sharing key (2304, 422): indices 4, 12, 12.
-    types = [CoverType(7, 5, 33, 3), CoverType(10, 5, 21, 4), CoverType(11, 7, 19, 3)]
-    buckets = group_by_homeo_class(types)
-    (bucket,) = buckets.values()
-    return bucket
-
-
-def test_index_subsets_respect_index_multiplicity() -> None:
-    bucket = repeated_index_bucket()
-    assert bucket.indices == (4, 12, 12)
-    subsets = _index_subsets(bucket.indices, 2, DEFAULT_TUPLES_PER_BUCKET)
-    # Two members share index 12, so only the {4, 12} combinations survive.
-    assert subsets == [(0, 1), (0, 2)]
-    for positions in subsets:
-        assert is_catanese_tuple([bucket.types[p] for p in positions]).is_catanese
-
-
-def test_index_subsets_when_distinct_indices_are_scarce() -> None:
-    assert _index_subsets(repeated_index_bucket().indices, 3, DEFAULT_TUPLES_PER_BUCKET) == []
-
-
-def test_index_subsets_respect_the_emission_cap() -> None:
-    indices = repeated_index_bucket().indices
-    assert _index_subsets(indices, 2, 1) == [(0, 1)]
-    assert _index_subsets(indices, 2, 2) == [(0, 1), (0, 2)]
-
-
-def three_index_bucket() -> HomeoClassBucket:
-    # Key (2560, 458) at positions 0..3 with indices 8, 2, 4, 4: the index
-    # groups in ascending order are [1], [2, 3], [0], so the subsets come
-    # out of the combinations as (1,2), (1,3), (0,1), (0,2), (0,3).
-    types = [
-        CoverType(7, 3, 39, 3),
-        CoverType(9, 6, 28, 3),
-        CoverType(14, 5, 17, 4),
-        CoverType(15, 6, 16, 3),
-    ]
-    (bucket,) = group_by_homeo_class(types).values()
-    assert bucket.indices == (8, 2, 4, 4)
-    return bucket
-
-
-def test_index_subsets_are_sorted_by_members() -> None:
-    subsets = _index_subsets(three_index_bucket().indices, 2, DEFAULT_TUPLES_PER_BUCKET)
-    assert subsets == [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)]
-
-
-def test_index_subsets_cap_in_combination_order_then_sort() -> None:
-    assert _index_subsets(three_index_bucket().indices, 2, 3) == [(0, 1), (1, 2), (1, 3)]
 
 
 def test_search_finds_the_worked_example_pair() -> None:
@@ -330,10 +278,8 @@ def reference_tuples(
 
     By definition these are the k-subsets of the bucket's members (one key)
     whose indices are pairwise distinct; taken in member order, they come
-    sorted by members.  Only when there are more than ``cap`` of them does
-    the truncation rule choose: the members grouped by index, the groups in
-    ascending index, k groups at a time, each choice multiplied out member
-    by member; the first ``cap`` subsets of that walk are kept, then sorted.
+    sorted by members.  When there are more than ``cap`` of them, the first
+    ``cap`` are kept.
     """
     members = bucket.members()
     chosen = [
@@ -342,20 +288,9 @@ def reference_tuples(
         if len({r for _, r in subset}) == k
     ]
     truncated = len(chosen) > cap
-    if truncated:
-        groups = [
-            [member for member in members if member[1] == r]
-            for r in sorted(set(bucket.indices))
-        ]
-        walk = (
-            tuple(sorted(subset))
-            for k_groups in itertools.combinations(groups, k)
-            for subset in itertools.product(*k_groups)
-        )
-        chosen = sorted(itertools.islice(walk, cap))
     tuples = [
         CataneseTuple(bucket.key, tuple(t for t, _ in subset), tuple(r for _, r in subset))
-        for subset in chosen
+        for subset in chosen[:cap]
     ]
     return tuples, truncated
 
@@ -491,6 +426,26 @@ def test_search_kernel_oracle_cases_reach_the_bucket_cap(
     assert search(SearchConfig(bound=40, k=2)).truncated_buckets
     cap_buckets_at(monkeypatch, 2)
     assert search(SearchConfig(bound=40, k=3)).truncated_buckets
+
+
+@pytest.mark.parametrize("cap", [1, 2])
+@pytest.mark.parametrize("k", [2, 3])
+def test_a_capped_bucket_keeps_the_first_cap_tuples_of_its_walk(
+    k: int, cap: int, monkeypatch: pytest.MonkeyPatch
+) -> None:
+    def rows_by_key() -> dict[tuple[int, int], list[Row]]:
+        by_key: dict[tuple[int, int], list[Row]] = {}
+        for row in scan(SearchConfig(bound=40, k=k)).rows():
+            by_key.setdefault(row[:2], []).append(row)
+        return by_key
+
+    uncapped = rows_by_key()
+    assert any(len(rows) > cap for rows in uncapped.values())
+    cap_buckets_at(monkeypatch, cap)
+    capped = rows_by_key()
+    assert capped.keys() == uncapped.keys()
+    for key, rows in uncapped.items():
+        assert capped[key] == rows[:cap]
 
 
 def test_search_kernel_class_facts_hold_up_to_bound_200() -> None:
