@@ -16,12 +16,16 @@ works on s-classes, and each s-class is every even d in an interval, held as
 a range.  For an unordered pair of s values sa <= sb, every cell has the
 product P = sa*sb, the index gcd(sa, sb) and
 2*chi = 3P + 2(sa + sb + 2) - da*db, so each row da of the pair holds its
-2*chi values as one range of step -2*da.  For each P in ascending order the
-kernel counts the keys from those row ranges, skips P when its class pairs
-carry fewer than k distinct indices, keeps the chi values that at least k
-index groups share, and recovers their cells in one pass over each class
-pair that holds one of them: each row's range meets the wanted values in
-one intersection.
+2*chi values as an arithmetic progression of step 2*da.  As s and d are
+even, every 2*chi is 0 mod 4.  For each P in ascending order the kernel
+gives each value from the product's lowest 2*chi upward, in steps of 4, a
+byte lane, and each row sets its values with one extended slice of lanes.
+The product's keys are its lanes that are set.  When its class pairs carry
+at least k distinct indices, each index group fills its own lane array, and
+the arrays added as integers count the groups of each lane; the lanes that
+at least k groups share are the multi-index keys, and one pass over the
+product's class pairs recovers their cells, each row picking its cells
+with its slice of those lanes.
 
 :func:`scan` is that kernel pass.  It stores each bucket with at least k
 distinct indices as plain integers in flat arrays (its key, its cells'
@@ -56,7 +60,6 @@ from __future__ import annotations
 import gc
 import itertools
 from array import array
-from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass
 from math import gcd
@@ -86,7 +89,8 @@ class SearchConfig:
 
     ``bound`` (>= 3) caps every branch-data field; ``k`` (>= 2) is the tuple
     size; ``max_results`` (>= 0) truncates the sorted output when set.
-    Construction raises :class:`ValueError` for a value out of those ranges.
+    Construction raises :class:`ValueError` for a value that is not an
+    ``int`` (a ``bool`` included) or is out of those ranges.
     Each homeomorphism class emits at most :data:`DEFAULT_TUPLES_PER_BUCKET`
     tuples, the first ones in member order.
     """
@@ -96,6 +100,13 @@ class SearchConfig:
     max_results: int | None = None
 
     def __post_init__(self) -> None:
+        for name in ("bound", "k", "max_results"):
+            value = getattr(self, name)
+            if name == "max_results" and value is None:
+                continue
+            # A float k or max_results would fail only after the kernel pass.
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(f"{name} must be an int, not {type(value).__name__}")
         if self.bound < 3:
             raise ValueError("bound must be >= 3")
         if self.k < 2:
@@ -257,11 +268,13 @@ def _collector_paused() -> Iterator[None]:
 def scan(config: SearchConfig) -> SearchScan:
     """The kernel pass: bucket s-class pairs by product and store multi-index buckets.
 
-    Every count of the run is known when it returns; no tuple is built until
-    :meth:`SearchScan.rows` is walked.  Raises :class:`BoundTooLarge`, before
-    any work, above the global field cap or when the run would visit more
-    than :data:`MAX_SEARCH_TYPES` types; :class:`SearchConfig` has already
-    checked the other ranges.  The pass runs under :func:`_collector_paused`.
+    Each product's keys are counted on byte lanes, one per 2*chi, as the
+    module docstring describes.  Every count of the run is known when it
+    returns; no tuple is built until :meth:`SearchScan.rows` is walked.
+    Raises :class:`BoundTooLarge`, before any work, above the global field
+    cap or when the run would visit more than :data:`MAX_SEARCH_TYPES`
+    types; :class:`SearchConfig` has already checked the other ranges.
+    The pass runs under :func:`_collector_paused`.
     """
     if config.bound > DEFAULT_FIELD_CAP:
         raise BoundTooLarge(
@@ -284,6 +297,8 @@ def scan(config: SearchConfig) -> SearchScan:
         for sb in s_values[position:]:
             by_product.setdefault(sa * sb, []).append((sa, sb))
     k, cap = config.k, DEFAULT_TUPLES_PER_BUCKET
+    # Maps a lane's count of index groups to 1 when it is at least k.
+    at_least_k = bytes(min(k, 256)).ljust(256, b"\x01")
     keys, fields, indices, ends = array("q"), array("H"), array("H"), array("q")
     truncated: list[HomeoClassKey] = []
     bucket_count = tuple_count = 0
@@ -292,24 +307,45 @@ def scan(config: SearchConfig) -> SearchScan:
     with _collector_paused():
         for product in sorted(by_product):
             class_pairs = by_product[product]
-            twice_chis = [_twice_chi_values(sa, sb, classes) for sa, sb in class_pairs]
-            by_index: dict[int, set[int]] = {}
-            for (sa, sb), values in zip(class_pairs, twice_chis):
-                by_index.setdefault(gcd(sa, sb), set()).update(values)
+            by_index: dict[int, list[tuple[int, int]]] = {}
+            lowest: list[int] = []
+            highest: list[int] = []
+            for sa, sb in class_pairs:
+                by_index.setdefault(gcd(sa, sb), []).append((sa, sb))
+                ds_a, ds_b = classes[sa], classes[sb]
+                shift = 3 * product + 2 * (sa + sb + 2)
+                lowest.append(shift - ds_a[-1] * ds_b[-1])
+                highest.append(shift - ds_a[0] * ds_b[0])
+            # Lane 0 is the product's lowest 2*chi; the last lane its highest.
+            base = min(lowest)
+            size = (max(highest) - base) // 4 + 1
+            # A byte lane per 2*chi, set to 1 where a cell has it: one lane
+            # array per index group when there are at least k groups, else
+            # one for the whole product, as fewer groups share no key.
+            filled: list[bytearray] = []
+            for group in by_index.values() if len(by_index) >= k else (class_pairs,):
+                lanes = bytearray(size)
+                for sa, sb in group:
+                    ones = b"\x01" * len(classes[sb])
+                    for row in _rows(sa, sb, base, classes):
+                        lanes[row] = ones
+                filled.append(lanes)
             if len(by_index) < k:
-                bucket_count += len(set().union(*by_index.values()))
+                bucket_count += size - lanes.count(0)
                 continue
-            groups_of: Counter[int] = Counter()
-            for values in by_index.values():
-                groups_of.update(values)
-            bucket_count += len(groups_of)
-            shared = {value for value, groups in groups_of.items() if groups >= k}
+            # Added as integers, the arrays give each lane its number of
+            # groups.  A product has fewer than 256 groups (10 at most up to
+            # bound 253, the largest admitted), so no lane carries into the next.
+            total = sum(int.from_bytes(lanes, "little") for lanes in filled)
+            groups_of = total.to_bytes(size, "little")
+            bucket_count += size - groups_of.count(0)
+            shared = groups_of.translate(at_least_k)
             # The product's buckets go into the arrays in one call each.
             product_keys: list[int] = []
             product_fields: list[int] = []
             product_indices: list[int] = []
             product_ends: list[int] = []
-            for twice_chi, cells in _shared_buckets(shared, class_pairs, twice_chis, classes):
+            for twice_chi, cells in _shared_buckets(shared, base, class_pairs, classes):
                 cell_fields, cell_indices = zip(*cells)
                 count = counts.get(cell_indices)
                 if count is None:
@@ -371,53 +407,50 @@ def search(config: SearchConfig) -> SearchResult:
     )
 
 
-def _rows(sa: int, sb: int, classes: dict[int, range]) -> Iterator[range]:
-    """The 2*chi values of the class pair (sa, sb), one range per row da, in order.
+def _rows(sa: int, sb: int, base: int, classes: dict[int, range]) -> Iterator[slice]:
+    """The lanes of the class pair (sa, sb), one slice per row da, in order.
 
-    Cell (da, db) has 2*chi = 3P + 2(sa + sb + 2) - da*db, P = sa*sb, so row
-    da, with db running over the class of sb, holds an arithmetic
-    progression of step -2*da from db = ``classes[sb][0]``.
+    Cell (da, db) has 2*chi = 3P + 2(sa + sb + 2) - da*db, P = sa*sb, in
+    lane (2*chi - base)/4: every 2*chi of the product is 0 mod 4, as sa, sb,
+    da and db are even.  So row da, with db running down the class of sb,
+    holds the lanes from that of db = ``classes[sb][-1]`` upward in steps of
+    da/2.
     """
     ds_b = classes[sb]
-    first, last = ds_b[0], ds_b[-1]
-    shift = 3 * sa * sb + 2 * (sa + sb + 2)
+    last, span = ds_b[-1], len(ds_b) - 1
+    shift = 3 * sa * sb + 2 * (sa + sb + 2) - base
     for da in classes[sa]:
-        yield range(shift - da * first, shift - da * last - 1, -2 * da)
-
-
-def _twice_chi_values(sa: int, sb: int, classes: dict[int, range]) -> set[int]:
-    """2*chi of every cell of the class pair (sa, sb), over its :func:`_rows`."""
-    return set(itertools.chain.from_iterable(_rows(sa, sb, classes)))
+        start = (shift - da * last) // 4
+        yield slice(start, start + da // 2 * span + 1, da // 2)
 
 
 def _shared_buckets(
-    shared: set[int],
+    shared: bytes,
+    base: int,
     class_pairs: list[tuple[int, int]],
-    twice_chis: list[set[int]],
     classes: dict[int, range],
 ) -> Iterator[tuple[int, list[tuple[tuple[int, int, int, int], int]]]]:
-    """The cells of the keys (8*sa*sb, chi) with 2*chi in ``shared``.
+    """The cells of the keys (8*sa*sb, chi) whose lane is 1 in ``shared``.
 
-    Yields ``(2*chi, cells)`` in ascending order of chi, where the cells are
-    the ``(fields, r)`` of the key's canonical types in member order.  Each
-    class pair holding one of those keys is scanned once: the wanted values
-    are met with each of its :func:`_rows` ranges in one intersection.  A
-    diagonal class pair (sa == sb) keeps db >= da, since its cells are
-    unordered.  All class pairs have the same product sa*sb.
+    Lane i of ``shared`` stands for 2*chi = base + 4*i, as :func:`_rows`
+    lays them out.  Yields ``(2*chi, cells)`` in ascending order of chi,
+    where the cells are the ``(fields, r)`` of the key's canonical types in
+    member order.  Each class pair is scanned once: each of its rows picks
+    its cells with the row's slice of ``shared``.  A diagonal class pair
+    (sa == sb) keeps db >= da, since its cells are unordered.  All class
+    pairs have the same product sa*sb.
     """
     cells: dict[int, list[tuple[tuple[int, int, int, int], int]]] = {}
-    for (sa, sb), values in zip(class_pairs, twice_chis):
-        hits = shared.intersection(values)
-        if not hits:
-            continue
+    for sa, sb in class_pairs:
+        ds_a, ds_b = classes[sa], classes[sb]
+        shift = 3 * sa * sb + 2 * (sa + sb + 2)
         r = gcd(sa, sb)
-        first = classes[sb][0]
-        for da, row in zip(classes[sa], _rows(sa, sb, classes)):
+        # A row's lanes ascend as db descends.
+        ds_down = ds_b[::-1]
+        for da, row in zip(ds_a, _rows(sa, sb, base, classes)):
             # Pair (s, d) is (x, y) = ((s + 2 + d)/2, (s + 2 - d)/2).
             x1, y1 = (sa + 2 + da) // 2, (sa + 2 - da) // 2
-            for twice_chi in hits.intersection(row):
-                # row.start - 2*chi = da*(db - first).
-                db = first + (row.start - twice_chi) // da
+            for db in itertools.compress(ds_down, shared[row]):
                 if sa == sb and db < da:
                     continue
                 x2, y2 = (sb + 2 + db) // 2, (sb + 2 - db) // 2
@@ -425,7 +458,7 @@ def _shared_buckets(
                 # covers.canonicalize takes it; the first two fields decide,
                 # since equal ones make the orderings equal.
                 fields = (x1, y2, x2, y1) if (x1, y2) <= (x2, y1) else (x2, y1, x1, y2)
-                cells.setdefault(twice_chi, []).append((fields, r))
+                cells.setdefault(shift - da * db, []).append((fields, r))
     for twice_chi in sorted(cells):
         # Field tuples order as CoverType does, and no two cells share one.
         yield twice_chi, sorted(cells[twice_chi])

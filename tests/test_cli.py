@@ -543,6 +543,41 @@ def test_search_memory_stays_flat_at_bound_80(monkeypatch: pytest.MonkeyPatch) -
     assert peak < 4_000_000
 
 
+class Digest(io.TextIOBase):
+    """A stdout that keeps only the SHA-256 of the text written to it."""
+
+    def __init__(self) -> None:
+        self.sha = hashlib.sha256()
+
+    def write(self, text: str) -> int:
+        self.sha.update(text.encode())
+        return len(text)
+
+
+def test_search_pins_the_bound_100_output(
+    capsys: pytest.CaptureFixture[str], monkeypatch: pytest.MonkeyPatch
+) -> None:
+    # The kernel's lane arrays reach 1,981 lanes and 6 index groups here,
+    # against 1,249 and 5 at bound 80.  The digest of the 33 MB of JSON is
+    # the one every recorded bound-100 benchmark run has printed.
+    sink = Digest()
+    monkeypatch.setattr(sys, "stdout", sink)
+    assert main(["search", "--bound", "100"]) == 0
+    monkeypatch.undo()
+    report = search_report(capsys.readouterr().err)
+    counts = ("types", "buckets", "multi_index_buckets", "cells", "tuples")
+    assert {count: report[count] for count in counts} == {
+        "types": 636_756,
+        "buckets": 367_890,
+        "multi_index_buckets": 29_475,
+        "cells": 100_230,
+        "tuples": 93_543,
+    }
+    assert sink.sha.hexdigest() == (
+        "dbda50c340c28b44837eb067c646a027add10ee2d3bc4566558dc1933ae0d095"
+    )
+
+
 @pytest.mark.parametrize("to_catalog", [False, True], ids=["json", "out"])
 def test_search_with_a_huge_k_renders_no_template(
     capsys: pytest.CaptureFixture[str], tmp_path: Path, to_catalog: bool

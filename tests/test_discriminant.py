@@ -143,6 +143,39 @@ def test_cusps_agree_with_the_ciliberto_flamini_formula() -> None:
         assert cusps - INV.kk * (12 * mult * mult + 9 * mult) == 8832
 
 
+def plucker_class_and_flexes(deg: int, nodes: int, cusps: int) -> tuple[int, int]:
+    """Plücker: the class and the flex count of a plane curve of degree
+    ``deg`` whose only singularities are ``nodes`` nodes and ``cusps`` cusps."""
+    return deg * (deg - 1) - 2 * nodes - 3 * cusps, 3 * deg * (deg - 2) - 6 * nodes - 8 * cusps
+
+
+def test_branch_curves_satisfy_plucker_with_the_pencil_count() -> None:
+    # A third derivation, through other geometry: a general pencil of lines
+    # pulls back to a pencil in |mK|, whose singular members are the tangent
+    # lines, so counting Euler numbers gives the class e + (3m^2 + 2m)K^2,
+    # and Plücker's second formula then gives the flexes
+    # K^2(12m^2 + 12m + 2) + 2e.  Every member of every bound-40 Catanese
+    # tuple, at m = 5..12.
+    members = {m for t in search(SearchConfig(bound=40)).tuples for m in t.members}
+    assert len(members) == 1_068
+    for member in members:
+        inv = surface_invariants(member)
+        for mult in range(5, 13):
+            profile = discriminant_profile(inv, mult)
+            assert plucker_class_and_flexes(profile.deg_b, profile.nodes, profile.cusps) == (
+                inv.euler + (3 * mult * mult + 2 * mult) * inv.kk,
+                inv.kk * (12 * mult * mult + 12 * mult + 2) + 2 * inv.euler,
+            )
+    profile = discriminant_profile(INV, 5)
+    assert plucker_class_and_flexes(profile.deg_b, profile.nodes, profile.cusps) == (
+        893_184,
+        3_777_024,
+    )
+    # The cubic surface's branch sextic has 6 cusps and no node; with L = -K,
+    # L^2 = 3 and e = 9, the pencil count gives the class e + 3L^2 + 2LK = 12.
+    assert plucker_class_and_flexes(6, 0, 6) == (9 + 3 * 3 - 2 * 3, 24)
+
+
 def test_profile_depends_only_on_key() -> None:
     other = surface_invariants(TYPE_2)
     for mult in (5, 9):

@@ -7,7 +7,7 @@ import importlib
 import itertools
 from collections import Counter
 from functools import lru_cache
-from math import prod
+from math import gcd, prod
 
 import pytest
 
@@ -22,6 +22,7 @@ from bidouble import (
 )
 from bidouble.search import (
     DEFAULT_TUPLES_PER_BUCKET,
+    MAX_SEARCH_TYPES,
     CataneseTuple,
     Row,
     SearchScan,
@@ -216,6 +217,35 @@ def test_search_rejects_degenerate_configs() -> None:
     # A negative slice would silently drop the tail (708 of 709 at bound 40).
     with pytest.raises(ValueError, match="max_results must be >= 0"):
         search(SearchConfig(bound=40, max_results=-1))
+
+
+@pytest.mark.parametrize(
+    ("fields", "message"),
+    [
+        # Unchecked, a float bound raises a bare TypeError from the type count.
+        ({"bound": 40.0}, "bound must be an int, not float"),
+        # Unchecked, a float k runs the whole kernel pass, then fails in the emit.
+        ({"k": 2.5}, "k must be an int, not float"),
+        ({"k": 2.0}, "k must be an int, not float"),
+        # Unchecked, a float max_results runs the kernel pass, then fails in islice.
+        ({"max_results": 1.5}, "max_results must be an int, not float"),
+        # Unchecked, max_results=True clips the run to one tuple without a word.
+        ({"max_results": True}, "max_results must be an int, not bool"),
+        ({"bound": True}, "bound must be an int, not bool"),
+        ({"k": True}, "k must be an int, not bool"),
+    ],
+    ids=["bound-40.0", "k-2.5", "k-2.0", "max_results-1.5", "max_results-True", "bound-True", "k-True"],
+)
+def test_search_refuses_a_config_field_that_is_not_an_int(
+    fields: dict[str, object], message: str, monkeypatch: pytest.MonkeyPatch
+) -> None:
+    def no_classes(bound: int) -> dict[int, range]:
+        raise AssertionError(f"the s-classes of bound {bound} were built")
+
+    # Any kernel pass would fail here, so the refusal comes before any work.
+    monkeypatch.setattr(importlib.import_module("bidouble.search"), "_s_classes", no_classes)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        search(SearchConfig(**{"bound": 40, **fields}))
 
 
 @pytest.mark.parametrize("enabled", [True, False])
@@ -515,6 +545,26 @@ def test_search_pins_the_bound_80_counts() -> None:
         truncated=0,
         clipped=False,
     )
+
+
+def test_no_product_up_to_the_largest_bound_has_256_index_groups(
+    monkeypatch: pytest.MonkeyPatch,
+) -> None:
+    # scan adds a product's per-group byte-lane arrays as one integer each,
+    # so a lane, which counts the groups that share it, must stay below 256.
+    # Bound 253 is the largest that MAX_SEARCH_TYPES admits, and every lower
+    # bound's products are restrictions of its products.
+    pairs = len(branch_pairs(253))
+    assert pairs * (pairs + 1) // 2 <= MAX_SEARCH_TYPES
+    with pytest.raises(BoundTooLarge):
+        scan(SearchConfig(bound=254))
+    classes = _s_classes(253)
+    s_values = sorted(classes)
+    groups: dict[int, set[int]] = {}
+    for position, sa in enumerate(s_values):
+        for sb in s_values[position:]:
+            groups.setdefault(sa * sb, set()).add(gcd(sa, sb))
+    assert max(map(len, groups.values())) == 10
 
 
 def test_search_stats_count_the_clipped_output(monkeypatch: pytest.MonkeyPatch) -> None:
