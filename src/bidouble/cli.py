@@ -24,12 +24,14 @@ which streams.  It runs the kernel pass
 and stores the multi-index buckets in flat 16-bit arrays; then the emit pass
 renders the tuples straight from them as it writes, through
 :func:`bidouble.serialize.search_to_json_chunks` (byte-identical to
-``json.dumps`` of the view, whose head and per-tuple template come from one
-``json.dumps`` call) or the CSV rows.  With ``--out`` it runs once
-more before that, through :func:`bidouble.serialize.search_to_catalog_lines`
-(byte-identical to :func:`bidouble.catalog.record_to_line`), and the catalog
-is appended in chunks under one lock.  No cover type or tuple object is
-built and the whole output is never held in memory.  Every ``search``
+``json.dumps`` of the view, whose head, member template and tuple template
+come from one ``json.dumps`` call; each cell's member text is rendered once
+and each tuple fills its key, members' text and indices) or the CSV rows.
+With ``--out`` it runs once more before that, through
+:func:`bidouble.serialize.search_to_catalog_lines` (byte-identical to
+:func:`bidouble.catalog.record_to_line`), and the catalog is appended in
+chunks under one lock.  No cover type or tuple object is built and the
+whole output is never held in memory.  Every ``search``
 then writes one JSON line on stderr, after any ``appended`` note: the run's
 counts and the wall time of the kernel pass and of the stdout emit pass.
 

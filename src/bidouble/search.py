@@ -36,11 +36,14 @@ elementary symmetric polynomial, so it emits min(cap, e_k) of them and is
 truncated exactly when e_k > cap.  The count depends only on the bucket's
 tuple of member indices, and many buckets share one, so the kernel computes
 it once per distinct index tuple of the run.  :meth:`SearchScan.rows` is the
-emit pass: it walks the stored buckets in key order and yields each tuple
-as a row of plain integers, sorted by members within its bucket, so no
-global sort is needed and nothing holds the whole result.  The command
-line renders its output straight from those rows; :func:`search` collects
-them into :class:`CataneseTuple` objects.  Each bucket is walked by the
+emit pass: it walks the stored buckets in key order, taking each bucket's
+cells off one cursor per array, and yields each tuple as a row, sorted by
+members within its bucket, so no global sort is needed and nothing holds
+the whole result.  A row's members are the cells' field tuples, or what a
+caller's ``member`` function makes of each cell, once per cell and shared
+by the bucket's rows.  The command line renders its JSON straight from
+those rows, each member's text once per cell; :func:`search` collects them
+into :class:`CataneseTuple` objects.  Each bucket is walked by the
 definition, its k-subsets in member order filtered to those with pairwise
 distinct indices, and a truncated bucket keeps the first ``cap`` tuples of
 that walk, as ``max_results`` keeps the first tuples of the run.
@@ -78,8 +81,8 @@ DEFAULT_TUPLES_PER_BUCKET = 10_000
 MAX_SEARCH_TYPES = 30_000_000
 
 #: One tuple as the emit pass yields it: kk, chi, the members (field tuples
-#: a, b, m2, n2 unless :meth:`SearchScan.rows` is given a member type) and
-#: their indices.
+#: (a, b, m2, n2), or what :meth:`SearchScan.rows`'s ``member`` makes of
+#: them) and their indices.
 Row = tuple[int, int, tuple[Any, ...], tuple[int, ...]]
 
 
@@ -181,13 +184,16 @@ class SearchScan:
     indices: array
     ends: array
 
-    def rows(self, member: Callable[[int, int, int, int], Any] | None = None) -> Iterator[Row]:
+    def rows(
+        self, member: Callable[[tuple[int, int, int, int]], Any] | None = None
+    ) -> Iterator[Row]:
         """The emit pass: every tuple of the run as a :data:`Row`, in output order.
 
         Tuples come sorted by key and then by members, and ``max_results``
-        clips the stream.  Each member is its field tuple, or
-        ``member(a, b, m2, n2)``, built once per bucket cell and shared by
-        the rows of that bucket.  A bucket yields its k-subsets of members
+        clips the stream.  Each member is its field tuple (a, b, m2, n2), or
+        ``member`` of that tuple, called once per stored cell as the walk
+        reaches its bucket and shared by the rows of that bucket; it is
+        never called per tuple.  A bucket yields its k-subsets of members
         with pairwise distinct indices, by definition, in member order; a
         truncated bucket yields the first :data:`DEFAULT_TUPLES_PER_BUCKET`
         of them.
@@ -196,27 +202,31 @@ class SearchScan:
         limit = self.config.max_results
         return rows if limit is None else itertools.islice(rows, limit)
 
-    def _bucket_rows(self, member: Callable[..., Any] | None) -> Iterator[Row]:
+    def _bucket_rows(
+        self, member: Callable[[tuple[int, int, int, int]], Any] | None
+    ) -> Iterator[Row]:
         k, cap = self.config.k, DEFAULT_TUPLES_PER_BUCKET
-        keys, fields, indices = self.keys, self.fields, self.indices
+        # One cursor per array: each bucket takes its cells off the front.
+        keys = zip(*[iter(self.keys)] * 2)
+        cells = zip(*[iter(self.fields)] * 4)
+        members = cells if member is None else map(member, cells)
+        indices = iter(self.indices)
         start = 0
-        for bucket, end in enumerate(self.ends):
-            kk, chi = keys[2 * bucket], keys[2 * bucket + 1]
-            cell_indices = indices[start:end].tolist()
-            cells = zip(*[iter(fields[4 * start : 4 * end])] * 4)
-            members = list(cells if member is None else itertools.starmap(member, cells))
+        for (kk, chi), end in zip(keys, self.ends):
+            cell_indices = tuple(itertools.islice(indices, end - start))
+            # combinations takes its cells at once, so the cursors stay in step.
+            subsets = itertools.combinations(itertools.islice(members, end - start), k)
             start = end
             # Every k-subset with pairwise distinct indices, by definition;
             # members are stored sorted, so the subsets come in member order.
-            subsets = itertools.combinations(cell_indices, k)
             tuples = itertools.compress(
                 zip(
                     itertools.repeat(kk),
                     itertools.repeat(chi),
-                    itertools.combinations(members, k),
+                    subsets,
                     itertools.combinations(cell_indices, k),
                 ),
-                map(k.__eq__, map(len, map(set, subsets))),
+                map(k.__eq__, map(len, map(set, itertools.combinations(cell_indices, k)))),
             )
             yield from itertools.islice(tuples, cap)
 
@@ -394,7 +404,7 @@ def search(config: SearchConfig) -> SearchResult:
     with _collector_paused():
         collected: list[CataneseTuple] = []
         key = None
-        for kk, chi, members, member_indices in run.rows(CoverType):
+        for kk, chi, members, member_indices in run.rows(lambda fields: CoverType(*fields)):
             if key != (kk, chi):
                 key = HomeoClassKey(kk, chi)
             collected.append(CataneseTuple(key, members, member_indices))

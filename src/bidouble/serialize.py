@@ -88,15 +88,20 @@ def search_to_json_chunks(run: SearchScan) -> Iterator[str]:
     The view is the run's config and counts followed by ``"tuples"``, a list
     of :func:`tuple_to_json` objects.  :mod:`json` renders it once, its only
     tuple a :func:`tuple_row_to_json` object with a ``%d`` slot in each
-    integer field.  The text up to ``"tuples": [`` is the first chunk; the
-    tuple's text, leading newline and indentation included, is the template
-    each row of the emit pass (:meth:`SearchScan.rows`) fills, so no
-    per-tuple object is built.  Rows come :data:`TUPLES_PER_CHUNK` per
-    chunk, and the last chunk closes the list and the object.  At most one
-    chunk's text is alive at a time when the caller writes each chunk before
-    asking for the next.  A run with no tuple is rendered whole, as one
-    chunk, with no template: a template's size grows with k, and a huge k
-    leaves no bucket with k distinct indices.
+    integer field.  The text up to ``"tuples": [`` is the first chunk.  The
+    tuple's text, leading newline and indentation included, splits into two
+    ASCII ``bytes`` templates: a member object, with its four ``%d`` slots,
+    and the tuple, with a ``%b`` slot in place of each member.  The emit
+    pass (:meth:`SearchScan.rows`) renders each stored cell's member object
+    once, and each row fills the tuple template with its key, its members'
+    text and its indices, so no per-tuple object is built and no member is
+    formatted twice.  Rows come :data:`TUPLES_PER_CHUNK` per chunk, each
+    chunk joined as bytes and decoded once, and the last chunk closes the
+    list and the object.  At most one chunk's text is alive at a time when
+    the caller writes each chunk before asking for the next.  A run with no
+    tuple is rendered whole, as one chunk, with no template: a template's
+    size grows with k, and a huge k leaves no bucket with k distinct
+    indices.
     """
     config, stats = run.config, run.stats
     slot, k = "%d", config.k
@@ -128,14 +133,20 @@ def search_to_json_chunks(run: SearchScan) -> Iterator[str]:
         yield text
         return
     head, template, close = re.fullmatch(r'(.*"tuples": \[)(.*)(\n  \]\n\})', text, re.S).groups()
+    # Every member object of the tuple has the same text; the key object
+    # has no "a" field.
+    member = re.search(r'\{[^{}]*"a": %d[^{}]*\}', template).group()
+    member_template = member.encode("ascii")
+    tuple_template = template.replace(member, "%b").encode("ascii")
     yield head
-    rows = run.rows()
+    rows = run.rows(member_template.__mod__)
     separator = ""
-    while batch := list(islice(rows, TUPLES_PER_CHUNK)):
-        yield separator + ",".join(
-            template % (kk, chi, *chain.from_iterable(members), *indices)
-            for kk, chi, members, indices in batch
-        )
+    # A tuple's text is never empty, so an empty chunk means the rows ran out.
+    while chunk := b",".join(
+        tuple_template % (kk, chi, *members, *indices)
+        for kk, chi, members, indices in islice(rows, TUPLES_PER_CHUNK)
+    ):
+        yield separator + chunk.decode("ascii")
         separator = ","
     yield close
 

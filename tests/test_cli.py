@@ -415,6 +415,10 @@ VIEW_CASES = [
     # One full chunk of tuples, and one tuple past it.
     (SearchConfig(bound=60, max_results=1024), DEFAULT_TUPLES_PER_BUCKET),
     (SearchConfig(bound=60, max_results=1025), DEFAULT_TUPLES_PER_BUCKET),
+    # More member slots per tuple, and a truncated walk with k > 2.
+    (SearchConfig(bound=60, k=4), DEFAULT_TUPLES_PER_BUCKET),
+    (SearchConfig(bound=80, k=5), DEFAULT_TUPLES_PER_BUCKET),
+    (SearchConfig(bound=60, k=3), 2),
 ]
 
 

@@ -478,6 +478,29 @@ def test_a_capped_bucket_keeps_the_first_cap_tuples_of_its_walk(
         assert capped[key] == rows[:cap]
 
 
+@pytest.mark.parametrize("k", [2, 3])
+def test_rows_call_member_once_per_stored_cell(k: int) -> None:
+    # member renders a cell once, however many tuples share it; its results
+    # stand where the field tuples stand in the plain walk.
+    run = scan(SearchConfig(bound=60, k=k))
+    calls = Counter[tuple[int, int, int, int]]()
+
+    def member(fields: tuple[int, int, int, int]) -> tuple[str, tuple[int, int, int, int]]:
+        calls[fields] += 1
+        return ("member", fields)
+
+    rendered = list(run.rows(member))
+    assert sum(calls.values()) == run.stats.cells
+    assert len(calls) == run.stats.cells
+    assert rendered == [
+        (kk, chi, tuple(("member", fields) for fields in members), indices)
+        for kk, chi, members, indices in run.rows()
+    ]
+    # The tuples hold more member places than there are cells, so a call
+    # per member of a tuple would not match the count above.
+    assert k * len(rendered) == k * run.stats.tuples > run.stats.cells
+
+
 def test_search_kernel_class_facts_hold_up_to_bound_200() -> None:
     # The kernel keys cells by the s-classes of their two pairs: it needs s
     # and d even (exact halving of chi and of x, y), d >= 4 (a nonzero
