@@ -21,12 +21,14 @@ when it runs.
 JSON output is ``json.dumps(payload, indent=2)``, except for ``search``,
 which streams.  It runs the kernel pass
 (:func:`bidouble.search.scan`), which fills every count of the JSON head
-and stores the multi-index buckets in flat 16-bit arrays; then the emit pass
-renders the tuples straight from them as it writes, through
+and stores the multi-index buckets in flat arrays, each with a pattern id
+into a table of the run's distinct index tuples; then the emit pass renders
+the tuples straight from them as it writes, through
 :func:`bidouble.serialize.search_to_json_chunks` (byte-identical to
-``json.dumps`` of the view, whose head, member template and tuple template
-come from one ``json.dumps`` call; each cell's member text is rendered once
-and each tuple fills its key, members' text and indices) or the CSV rows.
+``json.dumps`` of the view, whose head and text pieces come from one
+``json.dumps`` call; each cell's member text is rendered once, and each
+bucket's text is one join of its pieces by a plan built once per index
+shape) or the CSV rows (:meth:`bidouble.search.SearchScan.rows`).
 With ``--out`` it runs once more before that, through
 :func:`bidouble.serialize.search_to_catalog_lines` (byte-identical to
 :func:`bidouble.catalog.record_to_line`), and the catalog is appended in

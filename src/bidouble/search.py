@@ -29,24 +29,31 @@ with its slice of those lanes.
 
 :func:`scan` is that kernel pass.  It stores each bucket with at least k
 distinct indices as plain integers in flat arrays (its key, its cells'
-fields and indices in member order, its end offset) and fills every count
-of the run without building a tuple: a bucket whose index groups have sizes
-n_1, ..., n_g holds e_k(n_1, ..., n_g) tuples, e_k being the k-th
-elementary symmetric polynomial, so it emits min(cap, e_k) of them and is
-truncated exactly when e_k > cap.  The count depends only on the bucket's
-tuple of member indices, and many buckets share one, so the kernel computes
-it once per distinct index tuple of the run.  :meth:`SearchScan.rows` is the
-emit pass: it walks the stored buckets in key order, taking each bucket's
-cells off one cursor per array, and yields each tuple as a row, sorted by
-members within its bucket, so no global sort is needed and nothing holds
+fields in member order, and one pattern id) and fills every count of the
+run without building a tuple.  The pattern id names the bucket's tuple of
+member indices in a table of the run's distinct ones: many buckets share
+one (1,759 tuples for the 11,168 buckets at bound 80).  A bucket whose
+index groups have sizes n_1, ..., n_g holds e_k(n_1, ..., n_g) tuples,
+e_k being the k-th elementary symmetric polynomial, so it emits
+min(cap, e_k) of them and is truncated exactly when e_k > cap; the kernel
+computes that count once per table entry and stores it there.
+
+A bucket's tuples are its k-subsets of members with pairwise distinct
+indices, in member order, and a truncated bucket keeps the first ``cap``
+of that walk, as ``max_results`` keeps the first tuples of the run.  The
+walk depends only on the bucket's *shape*, its index tuple relabelled by
+first occurrence ((18, 18, 36) becomes (0, 0, 1); 284 shapes at bound 80),
+so :func:`walk` is run once per shape and gives the member positions of
+every tuple.  :meth:`SearchScan.buckets` takes each bucket's cells off one
+cursor per array, in key order; :meth:`SearchScan.rows` is the emit pass
+that yields each tuple as a row, members picked from the bucket's cells
+by its shape's positions, so no global sort is needed and nothing holds
 the whole result.  A row's members are the cells' field tuples, or what a
 caller's ``member`` function makes of each cell, once per cell and shared
-by the bucket's rows.  The command line renders its JSON straight from
-those rows, each member's text once per cell; :func:`search` collects them
-into :class:`CataneseTuple` objects.  Each bucket is walked by the
-definition, its k-subsets in member order filtered to those with pairwise
-distinct indices, and a truncated bucket keeps the first ``cap`` tuples of
-that walk, as ``max_results`` keeps the first tuples of the run.
+by the bucket's rows.  :func:`search` collects the rows into
+:class:`CataneseTuple` objects; the command line's JSON skips rows and
+joins each bucket's text at once from a plan of its shape
+(:func:`bidouble.serialize.search_to_json_chunks`).
 
 The kernel is the package's only path to the buckets.  The readable path,
 which lists P(bound), pairs its members into canonical cover types and
@@ -66,7 +73,8 @@ from array import array
 from contextlib import contextmanager
 from dataclasses import dataclass
 from math import gcd
-from typing import Any, Callable, Iterable, Iterator
+from operator import itemgetter
+from typing import Any, Callable, Iterable, Iterator, Sequence, TypeVar
 
 from .covers import DEFAULT_FIELD_CAP, CoverType
 from .errors import BoundTooLarge, int_text
@@ -84,6 +92,9 @@ MAX_SEARCH_TYPES = 30_000_000
 #: (a, b, m2, n2), or what :meth:`SearchScan.rows`'s ``member`` makes of
 #: them) and their indices.
 Row = tuple[int, int, tuple[Any, ...], tuple[int, ...]]
+
+#: What a caller of :meth:`SearchScan.buckets` prepares once per shape.
+Prepared = TypeVar("Prepared")
 
 
 @dataclass(frozen=True, slots=True)
@@ -169,11 +180,13 @@ class SearchScan:
     """One kernel pass: the run's counts and its multi-index buckets as integers.
 
     Built by :func:`scan`.  Bucket b has the key ``keys[2b], keys[2b+1]``
-    (K^2, chi) and the cells ``ends[b-1]`` (0 for the first) to ``ends[b]``:
-    cell c has the index ``indices[c]`` and the fields ``fields[4c:4c+4]``,
-    and the cells of a bucket are in member order.  Fields and indices are
-    16-bit, which :data:`~bidouble.covers.DEFAULT_FIELD_CAP` keeps in range
-    (an index divides s = x + y - 2 < 1.5 * bound).
+    (K^2, chi) and the pattern ``patterns[b]``: its cells' indices, in
+    member order, are ``index_tuples[patterns[b]]``, and it emits
+    ``tuple_counts[patterns[b]]`` tuples, min(cap, e_k).  Its cells follow
+    those of the buckets before it: cell c has the fields
+    ``fields[4c:4c+4]``, and the cells of a bucket are in member order.
+    Fields are 16-bit, which :data:`~bidouble.covers.DEFAULT_FIELD_CAP`
+    keeps in range.
     """
 
     config: SearchConfig
@@ -181,8 +194,42 @@ class SearchScan:
     truncated_buckets: tuple[HomeoClassKey, ...]
     keys: array
     fields: array
-    indices: array
-    ends: array
+    patterns: array
+    index_tuples: tuple[tuple[int, ...], ...]
+    tuple_counts: tuple[int, ...]
+
+    def buckets(
+        self,
+        prepare: Callable[[bytes, int], Prepared],
+        member: Callable[[tuple[int, int, int, int]], Any] | None = None,
+    ) -> Iterator[tuple[int, int, int, tuple[Any, ...], Prepared]]:
+        """Each stored bucket as ``(kk, chi, pattern, members, prepared)``, in key order.
+
+        ``members`` are the bucket's cells in member order: field tuples
+        (a, b, m2, n2), or ``member`` of each, called once per cell.
+        ``prepared`` is ``prepare(positions, cells)``, called once per
+        :func:`shape`, when it first comes up: ``positions`` are the member
+        positions of the bucket's tuples, k per tuple, as :func:`walk` gives
+        them, and ``cells`` the bucket's number of members.
+        """
+        k, index_tuples, tuple_counts = self.config.k, self.index_tuples, self.tuple_counts
+        # One cursor per array: each bucket takes its cells off the front.
+        keys = zip(*[iter(self.keys)] * 2)
+        cells = zip(*[iter(self.fields)] * 4)
+        members = cells if member is None else map(member, cells)
+        by_shape: dict[bytes, Prepared] = {}
+        by_pattern: list[Prepared | None] = [None] * len(index_tuples)
+        for (kk, chi), pattern in zip(keys, self.patterns):
+            indices = index_tuples[pattern]
+            prepared = by_pattern[pattern]
+            if prepared is None:
+                labels = shape(indices)
+                prepared = by_shape.get(labels)
+                if prepared is None:
+                    positions = walk(labels, k, tuple_counts[pattern])
+                    prepared = by_shape[labels] = prepare(positions, len(labels))
+                by_pattern[pattern] = prepared
+            yield kk, chi, pattern, tuple(itertools.islice(members, len(indices))), prepared
 
     def rows(
         self, member: Callable[[tuple[int, int, int, int]], Any] | None = None
@@ -205,30 +252,42 @@ class SearchScan:
     def _bucket_rows(
         self, member: Callable[[tuple[int, int, int, int]], Any] | None
     ) -> Iterator[Row]:
-        k, cap = self.config.k, DEFAULT_TUPLES_PER_BUCKET
-        # One cursor per array: each bucket takes its cells off the front.
-        keys = zip(*[iter(self.keys)] * 2)
-        cells = zip(*[iter(self.fields)] * 4)
-        members = cells if member is None else map(member, cells)
-        indices = iter(self.indices)
-        start = 0
-        for (kk, chi), end in zip(keys, self.ends):
-            cell_indices = tuple(itertools.islice(indices, end - start))
-            # combinations takes its cells at once, so the cursors stay in step.
-            subsets = itertools.combinations(itertools.islice(members, end - start), k)
-            start = end
-            # Every k-subset with pairwise distinct indices, by definition;
-            # members are stored sorted, so the subsets come in member order.
-            tuples = itertools.compress(
-                zip(
-                    itertools.repeat(kk),
-                    itertools.repeat(chi),
-                    subsets,
-                    itertools.combinations(cell_indices, k),
-                ),
-                map(k.__eq__, map(len, map(set, itertools.combinations(cell_indices, k)))),
+        k, index_tuples = self.config.k, self.index_tuples
+        # A getter of the positions of a bucket's tuples, one per shape.
+        buckets = self.buckets(lambda positions, cells: itemgetter(*positions), member)
+        for kk, chi, pattern, members, select in buckets:
+            # The getter hands back k entries per tuple, end to end.
+            yield from zip(
+                itertools.repeat(kk),
+                itertools.repeat(chi),
+                zip(*[iter(select(members))] * k),
+                zip(*[iter(select(index_tuples[pattern]))] * k),
             )
-            yield from itertools.islice(tuples, cap)
+
+
+def shape(indices: tuple[int, ...]) -> bytes:
+    """``indices`` relabelled by first occurrence: (18, 18, 36) is bytes (0, 0, 1).
+
+    A bucket has fewer than 256 distinct indices: its product has 10 index
+    groups at most up to bound 253, the largest admitted.
+    """
+    labels = {r: label for label, r in enumerate(dict.fromkeys(indices))}
+    return bytes(map(labels.__getitem__, indices))
+
+
+def walk(labels: Sequence[int], k: int, limit: int) -> bytes:
+    """The member positions of a bucket's first ``limit`` tuples, k per tuple.
+
+    By definition a bucket's tuples are its k-subsets of members whose
+    ``labels`` (indices, or their :func:`shape`) are pairwise distinct,
+    taken in member order.  A position fits in a byte: a bucket has 23
+    members at most up to bound 253.
+    """
+    chosen = itertools.compress(
+        itertools.combinations(range(len(labels)), k),
+        map(k.__eq__, map(len, map(set, itertools.combinations(labels, k)))),
+    )
+    return bytes(itertools.chain.from_iterable(itertools.islice(chosen, limit)))
 
 
 def _s_classes(bound: int) -> dict[int, range]:
@@ -309,11 +368,14 @@ def scan(config: SearchConfig) -> SearchScan:
     k, cap = config.k, DEFAULT_TUPLES_PER_BUCKET
     # Maps a lane's count of index groups to 1 when it is at least k.
     at_least_k = bytes(min(k, 256)).ljust(256, b"\x01")
-    keys, fields, indices, ends = array("q"), array("H"), array("H"), array("q")
+    keys, fields, patterns = array("q"), array("H"), array("L")
     truncated: list[HomeoClassKey] = []
     bucket_count = tuple_count = 0
-    # e_k depends only on a bucket's member indices, and many buckets share them.
-    counts: dict[tuple[int, ...], int] = {}
+    # The run's distinct index tuples, each with its pattern id, and the
+    # e_k of each: it depends only on a bucket's member indices, and many
+    # buckets share them.
+    pattern_ids: dict[tuple[int, ...], int] = {}
+    e_ks: list[int] = []
     with _collector_paused():
         for product in sorted(by_product):
             class_pairs = by_product[product]
@@ -353,40 +415,48 @@ def scan(config: SearchConfig) -> SearchScan:
             # The product's buckets go into the arrays in one call each.
             product_keys: list[int] = []
             product_fields: list[int] = []
-            product_indices: list[int] = []
-            product_ends: list[int] = []
+            product_patterns: list[int] = []
             for twice_chi, cells in _shared_buckets(shared, base, class_pairs, classes):
                 cell_fields, cell_indices = zip(*cells)
-                count = counts.get(cell_indices)
-                if count is None:
-                    count = counts[cell_indices] = _elementary_symmetric(
-                        map(cell_indices.count, set(cell_indices)), k
+                pattern = pattern_ids.get(cell_indices)
+                if pattern is None:
+                    pattern = pattern_ids[cell_indices] = len(e_ks)
+                    e_ks.append(
+                        _elementary_symmetric(map(cell_indices.count, set(cell_indices)), k)
                     )
+                count = e_ks[pattern]
                 if count > cap:
                     truncated.append(HomeoClassKey(8 * product, twice_chi // 2))
                     count = cap
                 tuple_count += count
                 product_keys += (8 * product, twice_chi // 2)
                 product_fields.extend(itertools.chain.from_iterable(cell_fields))
-                product_indices += cell_indices
-                product_ends.append(len(indices) + len(product_indices))
+                product_patterns.append(pattern)
             keys.fromlist(product_keys)
             fields.fromlist(product_fields)
-            indices.fromlist(product_indices)
-            ends.fromlist(product_ends)
+            patterns.fromlist(product_patterns)
     limit = config.max_results
     clipped = limit is not None and tuple_count > limit
     stats = SearchStats(
         pairs=pair_count,
         types=type_count,
         buckets=bucket_count,
-        multi_index_buckets=len(ends),
-        cells=len(indices),
+        multi_index_buckets=len(patterns),
+        cells=len(fields) // 4,
         tuples=limit if clipped else tuple_count,
         truncated=len(truncated),
         clipped=clipped,
     )
-    return SearchScan(config, stats, tuple(truncated), keys, fields, indices, ends)
+    return SearchScan(
+        config,
+        stats,
+        tuple(truncated),
+        keys,
+        fields,
+        patterns,
+        tuple(pattern_ids),
+        tuple(min(cap, e_k) for e_k in e_ks),
+    )
 
 
 def search(config: SearchConfig) -> SearchResult:

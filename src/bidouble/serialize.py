@@ -5,6 +5,13 @@ a discriminant profile except the multiple and 3m+1) are serialized as
 decimal strings; consumers limited to double-width floats would otherwise
 silently round them.  All other fields are plain JSON integers.  Parsers are
 strict and raise :class:`SchemaMismatch` on any shape or type drift.
+
+A search run's views are streamed from its kernel pass
+(:class:`~bidouble.search.SearchScan`) without a dict per tuple.  The
+JSON view joins each bucket's text at once, by a plan of byte positions
+built once per index shape (:func:`search_to_json_chunks`); the catalog
+lines fill one template per row of :meth:`~bidouble.search.SearchScan.rows`
+(:func:`search_to_catalog_lines`).
 """
 
 from __future__ import annotations
@@ -12,7 +19,9 @@ from __future__ import annotations
 import dataclasses
 import json
 import re
-from itertools import chain, islice
+from functools import cache
+from itertools import chain
+from operator import itemgetter
 from typing import Any, Callable, Iterable, Iterator, Mapping
 
 from .catalog import CatalogRecord, record_to_line
@@ -20,7 +29,7 @@ from .covers import CoverType, DerivedParams, SurfaceInvariants
 from .discriminant import ArgumentStep, DiscriminantProfile, ZariskiCertificate
 from .errors import SchemaMismatch
 from .paper_check import PaperExampleReport
-from .search import CataneseTuple, SearchScan
+from .search import CataneseTuple, SearchScan, walk
 from .topology import HomeoClassKey, TupleVerdict
 
 _PROFILE_BIG_FIELDS = ("deg_f", "deg_b", "half_deg", "genus", "cusps", "nodes")
@@ -77,8 +86,8 @@ def tuple_row_to_json(
     }
 
 
-#: Tuples rendered per chunk of the search view: with k = 2 at bound 60, a
-#: chunk is about 350 KB of text.
+#: The most tuples per chunk of the search view, unless one bucket holds
+#: more: with k = 2 at bound 60, 1024 tuples are about 350 KB of text.
 TUPLES_PER_CHUNK = 1024
 
 
@@ -86,30 +95,32 @@ def search_to_json_chunks(run: SearchScan) -> Iterator[str]:
     """The JSON view of one search run in pieces, as ``json.dumps(view, indent=2)`` renders it.
 
     The view is the run's config and counts followed by ``"tuples"``, a list
-    of :func:`tuple_to_json` objects.  :mod:`json` renders it once, its only
-    tuple a :func:`tuple_row_to_json` object with a ``%d`` slot in each
-    integer field.  The text up to ``"tuples": [`` is the first chunk.  The
-    tuple's text, leading newline and indentation included, splits into two
-    ASCII ``bytes`` templates: a member object, with its four ``%d`` slots,
-    and the tuple, with a ``%b`` slot in place of each member.  The emit
-    pass (:meth:`SearchScan.rows`) renders each stored cell's member object
-    once, and each row fills the tuple template with its key, its members'
-    text and its indices, so no per-tuple object is built and no member is
-    formatted twice.  Rows come :data:`TUPLES_PER_CHUNK` per chunk, each
-    chunk joined as bytes and decoded once, and the last chunk closes the
-    list and the object.  At most one chunk's text is alive at a time when
-    the caller writes each chunk before asking for the next.  A run with no
-    tuple is rendered whole, as one chunk, with no template: a template's
-    size grows with k, and a huge k leaves no bucket with k distinct
-    indices.
+    of :func:`tuple_to_json` objects.  :mod:`json` renders the view with no
+    tuple once, and its text up to ``"tuples": [`` is the first chunk.  A
+    tuple's text comes in ASCII ``bytes`` pieces (:func:`_tuple_pieces`): a
+    key template, a member template and the constant pieces between the
+    member and index slots.  Each stored cell's member text is rendered
+    once (:meth:`SearchScan.buckets`), and each index once, from a table of
+    the run's indices.
+
+    A bucket's text is then one join: its tuples, comma-separated, are
+    pieces of ``(constants, key text, members, index texts)``, and the
+    positions of those pieces depend only on the bucket's
+    :func:`~bidouble.search.shape`, so they are built once per shape from
+    its :func:`~bidouble.search.walk`, into a plan (:func:`_bucket_planner`).
+    A bucket costs one ``%`` for its key, one ``itemgetter`` of its plan's
+    positions and one ``b"".join``; no per-tuple object is built and no
+    member is formatted twice.  When ``max_results`` cuts a bucket, it gets
+    a plan of just the tuples kept.  A chunk holds whole buckets, at most
+    :data:`TUPLES_PER_CHUNK` tuples unless one bucket holds more, and is
+    joined as bytes and decoded once; the last chunk closes the list and
+    the object.  At most one chunk's text is alive at a time when the
+    caller writes each chunk before asking for the next.  A run with no
+    tuple is rendered whole, as one chunk, with no tuple pieces: their size
+    grows with k, and a huge k leaves no bucket with k distinct indices.
     """
     config, stats = run.config, run.stats
-    slot, k = "%d", config.k
-    shape = (
-        [tuple_row_to_json(slot, slot, [(slot,) * 4] * k, (slot,) * k)]  # type: ignore[arg-type]
-        if stats.tuples
-        else []
-    )
+    k = config.k
     text = json.dumps(
         {
             "config": {
@@ -125,30 +136,118 @@ def search_to_json_chunks(run: SearchScan) -> Iterator[str]:
             "tuple_count": stats.tuples,
             "truncated_buckets": [key_to_json(key) for key in run.truncated_buckets],
             "clipped": stats.clipped,
-            "tuples": shape,
+            "tuples": [],
         },
         indent=2,
-    ).replace(f'"{slot}"', slot)
-    if not shape:
+    )
+    if not stats.tuples:
         yield text
         return
-    head, template, close = re.fullmatch(r'(.*"tuples": \[)(.*)(\n  \]\n\})', text, re.S).groups()
+    key_template, member_template, constants = _tuple_pieces(k)
+    # Each index's text, at its own position.
+    digits = [b"%d" % r for r in range(max(map(max, run.index_tuples)) + 1)]
+    # The text up to "tuples": [, without the list's "]\n}".
+    yield text[:-3]
+    chunk: list[bytes] = []
+    in_chunk, left = 0, stats.tuples
+    planner = _bucket_planner(k)
+    buckets = run.buckets(planner, member_template.__mod__)
+    for kk, chi, pattern, members, plan in buckets:
+        indices = run.index_tuples[pattern]
+        count = run.tuple_counts[pattern]
+        if count >= left:
+            # The run's last tuples: max_results may cut this bucket.
+            if count > left:
+                plan = planner(walk(indices, k, left), len(indices))
+            count = left
+        if in_chunk + count > TUPLES_PER_CHUNK and in_chunk:
+            yield from _joined(chunk)
+            in_chunk = 0
+        parts = (*constants, key_template % (kk, chi), *members, *map(digits.__getitem__, indices))
+        chunk.append(b"".join(itemgetter(*plan)(parts)))
+        in_chunk += count
+        left -= count
+        if not left:
+            break
+    yield from _joined(chunk)
+    yield "\n  ]\n}"
+
+
+# Both per-k helpers are kept for each k a process asks for; a k above the
+# most distinct indices of a bucket (9 up to bound 253) has no tuple to render.
+@cache
+def _tuple_pieces(k: int) -> tuple[bytes, bytes, tuple[bytes, ...]]:
+    """One tuple of the search view, cut at its slots, as ASCII bytes.
+
+    :mod:`json` renders the tuple, at its depth in the view, as a
+    :func:`tuple_row_to_json` object with a ``%d`` slot in each integer
+    field; its leading newline and indentation are part of it.  It is cut
+    into the key template, with the two key slots, up to the first member;
+    the member template, with its four ``%d`` slots; and the constant
+    pieces after each member and then each index, and once more the last
+    with the comma that separates a bucket's tuples.
+    """
+    slot = "%d"
+    slotted = tuple_row_to_json(slot, slot, [(slot,) * 4] * k, (slot,) * k)  # type: ignore[arg-type]
+    text = json.dumps({"tuples": [slotted]}, indent=2).replace(f'"{slot}"', slot)
+    template = re.fullmatch(r'\{\n  "tuples": \[(.*)\n  \]\n\}', text, re.S).group(1)
     # Every member object of the tuple has the same text; the key object
     # has no "a" field.
-    member = re.search(r'\{[^{}]*"a": %d[^{}]*\}', template).group()
-    member_template = member.encode("ascii")
-    tuple_template = template.replace(member, "%b").encode("ascii")
-    yield head
-    rows = run.rows(member_template.__mod__)
-    separator = ""
-    # A tuple's text is never empty, so an empty chunk means the rows ran out.
-    while chunk := b",".join(
-        tuple_template % (kk, chi, *members, *indices)
-        for kk, chi, members, indices in islice(rows, TUPLES_PER_CHUNK)
-    ):
-        yield separator + chunk.decode("ascii")
-        separator = ","
-    yield close
+    member = re.search(r'\{[^{}]*"a": %d[^{}]*\}', template).group().encode("ascii")
+    key_template, rest = template.encode("ascii").split(member, 1)
+    constants = rest.replace(member, b"%d").split(b"%d")
+    return key_template, member, (*constants, constants[-1] + b",")
+
+
+def _joined(chunk: list[bytes]) -> Iterator[str]:
+    """The texts in ``chunk`` as one comma-separated chunk; ``chunk`` is emptied
+    before the chunk is decoded, and holds the comma that starts the next one."""
+    text = b",".join(chunk)
+    chunk[:] = [b""]
+    yield text.decode("ascii")
+
+
+@cache
+def _bucket_planner(k: int) -> Callable[[bytes, int], bytearray]:
+    """The plan of a bucket's text, for tuples of k members.
+
+    A plan says where each piece of the bucket's text comes from, for the
+    tuples whose member positions, k per tuple, are ``positions``, as
+    :func:`~bidouble.search.walk` gives them, in a bucket of ``cells``
+    members.  It indexes the pieces ``(constants, key text, members, index
+    texts)`` of :func:`search_to_json_chunks`: constants 0 to k - 1 follow
+    the members of a tuple, k to 2k - 1 its indices, and 2k is the last
+    with a comma; the key text is piece 2k + 1, member i piece 2k + 2 + i
+    and its index text piece 2k + 2 + cells + i.  A tuple's text is the
+    key, each member and its constant, then each index and its constant;
+    every tuple but the bucket's last ends with the comma.
+    """
+    width, first_member = 4 * k + 1, 2 * k + 2
+    # One tuple's pieces, its member and index slots still to fill.
+    pieces = [2 * k + 1]
+    for j in range(k):
+        pieces += (0, j)
+    for j in range(k):
+        pieces += (0, k + j)
+    pieces[-1] = 2 * k
+    one_tuple = bytearray(pieces)
+    # Position i to its member's piece.
+    to_member = bytes(range(first_member, 256)).ljust(256, b"\0")
+
+    def build(positions: bytes, cells: int) -> bytearray:
+        # Position i to its index's piece.  bytes() refuses a piece past 255,
+        # which takes a bucket of over 120 members; up to bound 253 a bucket
+        # has 23 at most.
+        to_index = bytes(range(first_member + cells, first_member + 2 * cells)).ljust(256, b"\0")
+        plan = one_tuple * (len(positions) // k)
+        for j in range(k):
+            column = positions[j::k]
+            plan[1 + 2 * j :: width] = column.translate(to_member)
+            plan[2 * k + 1 + 2 * j :: width] = column.translate(to_index)
+        plan[-1] = 2 * k - 1
+        return plan
+
+    return build
 
 
 def search_to_catalog_lines(run: SearchScan, created_at: str) -> Iterator[str]:

@@ -437,6 +437,25 @@ def test_search_text_equals_json_dumps_of_the_view(
     assert same, first_difference(text, expected)
 
 
+@pytest.mark.parametrize("cap", [1, 2, DEFAULT_TUPLES_PER_BUCKET])
+@pytest.mark.parametrize("k", [2, 3])
+def test_search_text_equals_json_dumps_at_every_max_results(
+    k: int, cap: int, monkeypatch: pytest.MonkeyPatch
+) -> None:
+    # A cut inside a bucket renders that bucket from a plan of the tuples kept.
+    search_module = importlib.import_module("bidouble.search")
+    monkeypatch.setattr(search_module, "DEFAULT_TUPLES_PER_BUCKET", cap)
+    run = scan(SearchConfig(bound=30, k=k))
+    if cap > 1:
+        assert max(run.tuple_counts) > 1
+    for limit in range(run.stats.tuples + 1):
+        config = SearchConfig(bound=30, k=k, max_results=limit)
+        text = "".join(search_to_json_chunks(scan(config)))
+        expected = json.dumps(search_view(config, search(config)), indent=2)
+        same = text == expected
+        assert same, (limit, first_difference(text, expected))
+
+
 @pytest.mark.parametrize(("config", "cap"), VIEW_CASES, ids=repr)
 def test_search_report_line_agrees_with_the_json_head(
     config: SearchConfig, cap: int, capsys: pytest.CaptureFixture[str],

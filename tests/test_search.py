@@ -30,6 +30,8 @@ from bidouble.search import (
     _elementary_symmetric,
     _s_classes,
     scan,
+    shape,
+    walk,
 )
 from oracle import HomeoClassBucket, branch_pairs, enumerate_admissible, group_by_homeo_class
 
@@ -393,16 +395,19 @@ def test_search_kernel_matches_the_oracle_when_clipped_at_bound_60(
 
 
 def stored_buckets(run: SearchScan) -> list[tuple[HomeoClassKey, tuple[CoverType, ...], tuple[int, ...]]]:
-    """The buckets the kernel pass stored, decoded from its arrays."""
+    """The buckets the kernel pass stored, decoded from its arrays and pattern table."""
     decoded = []
     start = 0
-    for bucket, end in enumerate(run.ends):
+    for bucket, pattern in enumerate(run.patterns):
         key = HomeoClassKey(run.keys[2 * bucket], run.keys[2 * bucket + 1])
+        indices = run.index_tuples[pattern]
+        end = start + len(indices)
         types = tuple(
             CoverType(*run.fields[4 * cell : 4 * cell + 4]) for cell in range(start, end)
         )
-        decoded.append((key, types, tuple(run.indices[start:end])))
+        decoded.append((key, types, indices))
         start = end
+    assert start == len(run.fields) // 4
     return decoded
 
 
@@ -420,6 +425,30 @@ def test_search_kernel_hands_extract_the_oracle_buckets() -> None:
         assert stored_buckets(run) == [(b.key, b.types, b.indices) for b in wanted]
         assert run.stats.multi_index_buckets == len(wanted)
         assert run.stats.cells == sum(len(b) for b in wanted)
+
+
+@pytest.mark.parametrize("cap", [2, DEFAULT_TUPLES_PER_BUCKET])
+def test_search_pattern_table_at_bound_80(cap: int, monkeypatch: pytest.MonkeyPatch) -> None:
+    # Each bucket stores one pattern id into the run's table of distinct
+    # index tuples; an entry's count is min(cap, e_k), the length of the
+    # bucket's walk by the definition, and its shape's walk picks the same
+    # members.
+    cap_buckets_at(monkeypatch, cap)
+    run = scan(SearchConfig(bound=80))
+    assert (len(run.index_tuples), len(run.patterns)) == (1_759, 11_168)
+    assert len(set(run.index_tuples)) == len(run.index_tuples) == len(run.tuple_counts)
+    assert set(run.patterns) == set(range(len(run.index_tuples)))
+    assert len({shape(indices) for indices in run.index_tuples}) == 284
+    assert shape((18, 18, 36)) == bytes((0, 0, 1))
+    for indices, count in zip(run.index_tuples, run.tuple_counts):
+        by_definition = [
+            position
+            for subset in itertools.combinations(range(len(indices)), 2)
+            if indices[subset[0]] != indices[subset[1]]
+            for position in subset
+        ][: 2 * cap]
+        assert count == len(by_definition) // 2
+        assert list(walk(shape(indices), 2, count)) == by_definition
 
 
 @pytest.mark.parametrize("cap", [1, 2, DEFAULT_TUPLES_PER_BUCKET])

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import importlib.util
 import json
+import os
+import py_compile
 import subprocess
 import sys
 from pathlib import Path
@@ -153,3 +156,38 @@ def test_bench_pairs_leaves_invalid_runs_out(tmp_path: Path) -> None:
     assert rate["change_wins"] == 1 and rate["gain"] is False
     assert report["metrics"]["op_p50_ms"]["change_wins"] == 1
     assert report["metrics"]["peak_rss_mb"]["change_wins"] == 0  # a tie
+
+
+# A stand-in harness that is correct only when the checkout's src/mod.py has
+# bytecode that matches it: the timestamp pyc header holds the source mtime.
+STUB_RUN_FRESH = '''
+import importlib.util, json, pathlib, struct
+source = pathlib.Path("src/mod.py")
+pyc = pathlib.Path(importlib.util.cache_from_source(str(source)))
+fresh = pyc.exists() and struct.unpack("<I", pyc.read_bytes()[8:12])[0] == int(source.stat().st_mtime)
+result = {results!r}["1"]
+result["correct"] = fresh
+print(json.dumps(result))
+'''
+
+
+def test_bench_pairs_compiles_each_checkout_before_the_first_pair(tmp_path: Path) -> None:
+    # Copied checkouts can carry __pycache__ files older than their sources.
+    roots = []
+    for side in ("parent", "change"):
+        root = stub_checkout(tmp_path / side, {"1": stub_result(700.0, 1.2)})
+        (root / "perfbench" / "run.py").write_text(
+            STUB_RUN_FRESH.format(results={"1": stub_result(700.0, 1.2)})
+        )
+        source = root / "src" / "mod.py"
+        source.parent.mkdir()
+        source.write_text("VALUE = 1\n")
+        py_compile.compile(str(source))
+        mtime = source.stat().st_mtime + 100
+        os.utime(source, (mtime, mtime))
+        pyc = Path(importlib.util.cache_from_source(str(source)))
+        assert int.from_bytes(pyc.read_bytes()[8:12], "little") != int(mtime)
+        roots.append(str(root))
+    report = bench_pairs(*roots, "--workload", "cli-mix", "--seeds", "1", "--seconds", "1")
+    assert report["invalid"] == []
+    assert report["metrics"]["ops_per_s"]["pairs"] == 1

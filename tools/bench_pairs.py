@@ -5,7 +5,12 @@ Usage (standard library only):
     python3 tools/bench_pairs.py PARENT CHANGE --workload cli-mix --seeds 1-10 --seconds 30
     python3 tools/bench_pairs.py . . --workload cli-mix --seeds 1 --seconds 0.1 --smoke
 
-PARENT and CHANGE are the roots of two checkouts.  For each seed the script
+PARENT and CHANGE are the roots of two checkouts.  Before the first pair,
+each checkout's ``src`` is byte-compiled with ``compileall``, by this
+script's interpreter, which also runs the harness: a copied checkout whose
+``__pycache__`` no longer matches its sources would otherwise recompile the
+package in every run (under ``PYTHONDONTWRITEBYTECODE``), and its
+``setup_s`` would read the compiler, not the code.  For each seed the script
 runs ``python3 perfbench/run.py --workload W --seed S --seconds T --trace 0``
 (plus ``--smoke`` if given) once in each checkout, one run at a time, each
 with its own checkout's harness; odd pairs run the parent first and even
@@ -47,6 +52,13 @@ def seed_list(text: str) -> list[int]:
         low, _, high = part.partition("-")
         seeds += range(int(low), int(high or low) + 1)
     return seeds
+
+
+def compile_sources(root: Path) -> None:
+    """Byte-compile ``root/src``, if there is one, as the harness's imports would."""
+    if (root / "src").is_dir():
+        subprocess.run([sys.executable, "-m", "compileall", "-q", str(root / "src")],
+                       check=True, capture_output=True)
 
 
 def run_once(root: Path, workload: str, seed: int, seconds: float, smoke: bool) -> dict:
@@ -113,6 +125,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     spec = json.loads((args.change / "BENCHMARK.json").read_text(encoding="utf-8"))
     roots = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    for root in roots.values():
+        compile_sources(root)
     pairs = []
     for i, seed in enumerate(args.seeds):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
