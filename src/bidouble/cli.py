@@ -19,28 +19,25 @@ and holds no command function: each call looks ``cmd_<command>`` up by name
 when it runs.
 
 JSON output is ``json.dumps(payload, indent=2)``, except for ``search``,
-which streams.  It runs the kernel pass
-(:func:`bidouble.search.scan`), which fills every count of the JSON head
-and stores the multi-index buckets in flat arrays, each with a pattern id
-into a table of the run's distinct index tuples; then the emit pass renders
-the tuples straight from them as it writes, through
+which streams.  It runs the kernel pass (:func:`bidouble.search.scan`),
+which fills every count of the JSON head and stores the multi-index
+buckets in flat arrays; then the emit pass renders the tuples straight
+from them as it writes, in one text stream for the ``--format``:
 :func:`bidouble.serialize.search_to_json_chunks` (byte-identical to
-``json.dumps`` of the view, whose head and text pieces come from one
-``json.dumps`` call; each cell's member text is rendered once, and each
-bucket's text is one join of its pieces by a plan built once per index
-shape) or the CSV rows (:meth:`bidouble.search.SearchScan.rows`).
-With ``--out`` it runs once more before that, through
-:func:`bidouble.serialize.search_to_catalog_lines` (byte-identical to
-:func:`bidouble.catalog.record_to_line`), and the catalog is appended in
-chunks under one lock.  No cover type or tuple object is built and the
-whole output is never held in memory.  Every ``search``
-then writes one JSON line on stderr, after any ``appended`` note: the run's
-counts and the wall time of the kernel pass and of the stdout emit pass.
+``json.dumps`` of the view) or :func:`bidouble.serialize.search_to_csv_chunks`
+(byte-identical to :mod:`csv` rows).  With ``--out`` it runs once more
+before that, through :func:`bidouble.serialize.search_to_catalog_lines`
+(byte-identical to :func:`bidouble.catalog.record_to_line`), and the
+catalog is appended in chunks under one lock.  No cover type or tuple
+object is built and the whole output is never held in memory.  Every
+``search`` then writes one JSON line on stderr, after any ``appended``
+note: the run's counts and the wall time of the kernel pass and of the
+stdout emit pass.
 
 CSV rows are read off the same views, so each field is declared once:
 nested objects flatten into columns and each view in a list is a row.
-``search`` fills the columns it shares with ``certify`` straight from the
-rows of its emit pass, with no dict per row.
+``search`` and ``certify`` share the columns of a tuple
+(:func:`bidouble.serialize.tuple_row_to_cells`).
 """
 
 from __future__ import annotations
@@ -54,6 +51,7 @@ import time
 from dataclasses import fields
 from datetime import datetime, timezone
 from functools import cache
+from itertools import chain
 from pathlib import Path
 from typing import Any, Iterable, Iterator, Sequence
 
@@ -138,18 +136,6 @@ def _numbered(views: Iterable[dict[str, Any]]) -> dict[str, Any]:
     }
 
 
-# The leading CSV columns of a tuple of types, which _tuple_cells fills.
-_TUPLE_COLUMNS = ["kk", "chi", "members", "indices"]
-
-
-def _tuple_cells(
-    kk: int, chi: int, members: Iterable[Iterable[int]], indices: Iterable[int]
-) -> list[Any]:
-    """kk, chi, then members ``a,b,m2,n2`` and indices, each joined by ``;``."""
-    members_cell = ";".join(",".join(map(str, fields)) for fields in members)
-    return [kk, chi, members_cell, ";".join(map(str, indices))]
-
-
 def cmd_invariants(args: argparse.Namespace) -> tuple[dict[str, Any], CsvRows, int]:
     t = _validated(args.types[0])
     payload = serialize.invariants_to_json(t, derive_params(t), surface_invariants(t))
@@ -206,21 +192,21 @@ def cmd_discriminant(args: argparse.Namespace) -> tuple[dict[str, Any], CsvRows,
     return payload, _table(payload["profiles"]), 0
 
 
-def cmd_search(args: argparse.Namespace) -> tuple[Iterator[str], CsvRows, int]:
+def cmd_search(args: argparse.Namespace) -> tuple[Iterator[str], None, int]:
     begun = time.perf_counter()
     run = scan(args.config)
     kernel_s = time.perf_counter() - begun
     if args.out is not None:
         lines = serialize.search_to_catalog_lines(run, _timestamp(args))
         _appended(args, "tuple", catalog.write_lines(lines, args.out))
-    # Two generators over the emit pass: JSON output runs only the chunks,
-    # CSV output only the rows, so the report is written once.
-    chunks = _then_report(serialize.search_to_json_chunks(run), run, kernel_s)
-    rows = _then_report((_tuple_cells(*row) for row in run.rows()), run, kernel_s)
-    return chunks, (_TUPLE_COLUMNS, rows), 0
+    if args.format == "csv":
+        text = serialize.search_to_csv_chunks(run)
+    else:
+        text = chain(serialize.search_to_json_chunks(run), ["\n"])
+    return _then_report(text, run, kernel_s), None, 0
 
 
-def _then_report(items: Iterator[Any], run: SearchScan, kernel_s: float) -> Iterator[Any]:
+def _then_report(items: Iterator[str], run: SearchScan, kernel_s: float) -> Iterator[str]:
     """``items``, then the run's report on stderr: one JSON line of its
     :class:`~bidouble.search.SearchStats` fields, ``kernel_s`` and ``emit_s``.
 
@@ -234,14 +220,14 @@ def _then_report(items: Iterator[Any], run: SearchScan, kernel_s: float) -> Iter
     print(json.dumps(report), file=sys.stderr)
 
 
-# The profile fields of each certify CSV row, after _TUPLE_COLUMNS.
+# The profile fields of each certify CSV row, after the tuple columns.
 _CERTIFY_PROFILE_COLUMNS = ["mult", "deg_b", "genus", "cusps", "nodes"]
 
 
 def cmd_certify(args: argparse.Namespace) -> tuple[dict[str, Any], CsvRows, int]:
     types = [_validated(t) for t in args.types]
     payload = serialize.certificate_to_json(zariski_certificate(types, args.mults))
-    base = _tuple_cells(
+    base = serialize.tuple_row_to_cells(
         *payload["shared"].values(),
         (member.values() for member in payload["members"]),
         payload["indices"],
@@ -251,7 +237,7 @@ def cmd_certify(args: argparse.Namespace) -> tuple[dict[str, Any], CsvRows, int]
         for profile in payload["profiles"]
     ] or [[*base, *[""] * len(_CERTIFY_PROFILE_COLUMNS)]]
     _append_records(args, "certificate", [payload])
-    return payload, ([*_TUPLE_COLUMNS, *_CERTIFY_PROFILE_COLUMNS], rows), 0
+    return payload, ([*serialize.TUPLE_COLUMNS, *_CERTIFY_PROFILE_COLUMNS], rows), 0
 
 
 def cmd_verify_paper_example(
@@ -425,18 +411,18 @@ def _check_usage(args: argparse.Namespace, extras: list[str]) -> None:
 
 def _emit(payload: dict[str, Any] | Iterable[str], rows: CsvRows | None, fmt: str) -> None:
     """The one writer of stdout: CSV ``rows`` under ``--format csv``, else the
-    JSON ``payload`` (a view or its chunks); an error view has no rows."""
+    JSON ``payload`` and a newline; an error view has no rows, and the text
+    stream of ``search`` comes as it is written, newline included."""
     if fmt == "csv" and rows is not None:
         writer = csv.writer(sys.stdout, lineterminator="\n")
         header, body = rows
         writer.writerow(header)
         writer.writerows(body)
         return
-    chunks = [json.dumps(payload, indent=2)] if isinstance(payload, dict) else payload
+    chunks = [json.dumps(payload, indent=2), "\n"] if isinstance(payload, dict) else payload
     write = sys.stdout.write
     for chunk in chunks:
         write(chunk)
-    write("\n")
 
 
 def _error_view(exc: BidoubleError | OSError) -> dict[str, Any]:

@@ -44,16 +44,13 @@ of that walk, as ``max_results`` keeps the first tuples of the run.  The
 walk depends only on the bucket's *shape*, its index tuple relabelled by
 first occurrence ((18, 18, 36) becomes (0, 0, 1); 284 shapes at bound 80),
 so :func:`walk` is run once per shape and gives the member positions of
-every tuple.  :meth:`SearchScan.buckets` takes each bucket's cells off one
-cursor per array, in key order; :meth:`SearchScan.rows` is the emit pass
-that yields each tuple as a row, members picked from the bucket's cells
-by its shape's positions, so no global sort is needed and nothing holds
-the whole result.  A row's members are the cells' field tuples, or what a
-caller's ``member`` function makes of each cell, once per cell and shared
-by the bucket's rows.  :func:`search` collects the rows into
-:class:`CataneseTuple` objects; the command line's JSON skips rows and
-joins each bucket's text at once from a plan of its shape
-(:func:`bidouble.serialize.search_to_json_chunks`).
+every tuple.  :meth:`SearchScan.buckets` is the emit pass: it takes each
+bucket's cells off one cursor per array, in key order, with what its
+caller prepares once per shape, so no global sort is needed and nothing
+holds the whole result.  :func:`search` picks each tuple's members from
+its bucket by its shape's positions into :class:`CataneseTuple` objects;
+every output of the command line joins each bucket's text at once from a
+plan of its shape (:mod:`bidouble.serialize`).
 
 The kernel is the package's only path to the buckets.  The readable path,
 which lists P(bound), pairs its members into canonical cover types and
@@ -87,11 +84,6 @@ DEFAULT_TUPLES_PER_BUCKET = 10_000
 #: lower it.  Bound 253 (29,556,516 types) is the largest admitted; bound 250
 #: (28,151,256 types) took 22 s and 110 MB on a 2-core x86-64 VM.
 MAX_SEARCH_TYPES = 30_000_000
-
-#: One tuple as the emit pass yields it: kk, chi, the members (field tuples
-#: (a, b, m2, n2), or what :meth:`SearchScan.rows`'s ``member`` makes of
-#: them) and their indices.
-Row = tuple[int, int, tuple[Any, ...], tuple[int, ...]]
 
 #: What a caller of :meth:`SearchScan.buckets` prepares once per shape.
 Prepared = TypeVar("Prepared")
@@ -231,39 +223,6 @@ class SearchScan:
                 by_pattern[pattern] = prepared
             yield kk, chi, pattern, tuple(itertools.islice(members, len(indices))), prepared
 
-    def rows(
-        self, member: Callable[[tuple[int, int, int, int]], Any] | None = None
-    ) -> Iterator[Row]:
-        """The emit pass: every tuple of the run as a :data:`Row`, in output order.
-
-        Tuples come sorted by key and then by members, and ``max_results``
-        clips the stream.  Each member is its field tuple (a, b, m2, n2), or
-        ``member`` of that tuple, called once per stored cell as the walk
-        reaches its bucket and shared by the rows of that bucket; it is
-        never called per tuple.  A bucket yields its k-subsets of members
-        with pairwise distinct indices, by definition, in member order; a
-        truncated bucket yields the first :data:`DEFAULT_TUPLES_PER_BUCKET`
-        of them.
-        """
-        rows = self._bucket_rows(member)
-        limit = self.config.max_results
-        return rows if limit is None else itertools.islice(rows, limit)
-
-    def _bucket_rows(
-        self, member: Callable[[tuple[int, int, int, int]], Any] | None
-    ) -> Iterator[Row]:
-        k, index_tuples = self.config.k, self.index_tuples
-        # A getter of the positions of a bucket's tuples, one per shape.
-        buckets = self.buckets(lambda positions, cells: itemgetter(*positions), member)
-        for kk, chi, pattern, members, select in buckets:
-            # The getter hands back k entries per tuple, end to end.
-            yield from zip(
-                itertools.repeat(kk),
-                itertools.repeat(chi),
-                zip(*[iter(select(members))] * k),
-                zip(*[iter(select(index_tuples[pattern]))] * k),
-            )
-
 
 def shape(indices: tuple[int, ...]) -> bytes:
     """``indices`` relabelled by first occurrence: (18, 18, 36) is bytes (0, 0, 1).
@@ -339,7 +298,7 @@ def scan(config: SearchConfig) -> SearchScan:
 
     Each product's keys are counted on byte lanes, one per 2*chi, as the
     module docstring describes.  Every count of the run is known when it
-    returns; no tuple is built until :meth:`SearchScan.rows` is walked.
+    returns; no tuple is built until :meth:`SearchScan.buckets` is walked.
     Raises :class:`BoundTooLarge`, before any work, above the global field
     cap or when the run would visit more than :data:`MAX_SEARCH_TYPES`
     types; :class:`SearchConfig` has already checked the other ranges.
@@ -460,26 +419,38 @@ def scan(config: SearchConfig) -> SearchScan:
 
 
 def search(config: SearchConfig) -> SearchResult:
-    """Run :func:`scan` and collect its rows; the order is deterministic.
+    """Run :func:`scan` and collect its tuples; the order is deterministic.
 
     Tuples are sorted by key and then by members, and ``max_results`` is
-    applied after sorting.  Raises :class:`BoundTooLarge` as :func:`scan`
-    does; :class:`SearchConfig` has already checked the other ranges.
+    applied after sorting; a truncated bucket keeps the first
+    :data:`DEFAULT_TUPLES_PER_BUCKET` tuples of its :func:`walk`.
+    Raises :class:`BoundTooLarge` as :func:`scan` does;
+    :class:`SearchConfig` has already checked the other ranges.
 
     The collection, like the kernel pass, runs under
     :func:`_collector_paused`.  Members are cover types shared by the tuples
     of a bucket, and so are the keys.
     """
     run = scan(config)
+    # A getter of the positions of a bucket's tuples, one per shape.
+    buckets = run.buckets(
+        lambda positions, cells: itemgetter(*positions), lambda fields: CoverType(*fields)
+    )
     with _collector_paused():
-        collected: list[CataneseTuple] = []
-        key = None
-        for kk, chi, members, member_indices in run.rows(lambda fields: CoverType(*fields)):
-            if key != (kk, chi):
-                key = HomeoClassKey(kk, chi)
-            collected.append(CataneseTuple(key, members, member_indices))
+        tuples = itertools.chain.from_iterable(
+            # The getter hands back k entries per tuple, end to end.
+            zip(
+                itertools.repeat(HomeoClassKey(kk, chi)),
+                zip(*[iter(select(members))] * config.k),
+                zip(*[iter(select(run.index_tuples[pattern]))] * config.k),
+            )
+            for kk, chi, pattern, members, select in buckets
+        )
+        collected = tuple(
+            itertools.starmap(CataneseTuple, itertools.islice(tuples, run.stats.tuples))
+        )
     return SearchResult(
-        tuples=tuple(collected),
+        tuples=collected,
         type_count=run.stats.types,
         bucket_count=run.stats.buckets,
         truncated_buckets=run.truncated_buckets,

@@ -6,21 +6,20 @@ decimal strings; consumers limited to double-width floats would otherwise
 silently round them.  All other fields are plain JSON integers.  Parsers are
 strict and raise :class:`SchemaMismatch` on any shape or type drift.
 
-A search run's views are streamed from its kernel pass
-(:class:`~bidouble.search.SearchScan`) without a dict per tuple.  The
-JSON view joins each bucket's text at once, by a plan of byte positions
-built once per index shape (:func:`search_to_json_chunks`); the catalog
-lines fill one template per row of :meth:`~bidouble.search.SearchScan.rows`
-(:func:`search_to_catalog_lines`).
+A search run's outputs (JSON, CSV and catalog lines) are streamed from its
+kernel pass (:class:`~bidouble.search.SearchScan`) without an object per
+tuple.  Each output is its text of one tuple, cut once into pieces at its
+slots (:func:`_cut`), and each bucket's text is one join of those pieces,
+by a plan built once per index shape (:func:`_search_chunks`).
 """
 
 from __future__ import annotations
 
+import csv
 import dataclasses
+import io
 import json
-import re
 from functools import cache
-from itertools import chain
 from operator import itemgetter
 from typing import Any, Callable, Iterable, Iterator, Mapping
 
@@ -78,7 +77,7 @@ def tuple_to_json(t: CataneseTuple) -> dict[str, Any]:
 def tuple_row_to_json(
     kk: int, chi: int, members: Iterable[Iterable[int]], indices: Iterable[int]
 ) -> dict[str, Any]:
-    """:func:`tuple_to_json` of a tuple given as a search row: members as field tuples."""
+    """:func:`tuple_to_json` of a tuple given by its key, member field tuples and indices."""
     return {
         "key": key_to_json(HomeoClassKey(kk, chi)),
         "members": [dict(zip(_TYPE_FIELDS, fields)) for fields in members],
@@ -86,9 +85,20 @@ def tuple_row_to_json(
     }
 
 
-#: The most tuples per chunk of the search view, unless one bucket holds
-#: more: with k = 2 at bound 60, 1024 tuples are about 350 KB of text.
+#: The most tuples per chunk of a search output, unless one bucket holds
+#: more: with k = 2 at bound 60, 1024 tuples are about 350 KB of JSON.
 TUPLES_PER_CHUNK = 1024
+
+#: The CSV columns of a tuple of types, which :func:`tuple_row_to_cells` fills.
+TUPLE_COLUMNS = ["kk", "chi", "members", "indices"]
+
+
+def tuple_row_to_cells(
+    kk: int, chi: int, members: Iterable[Iterable[int]], indices: Iterable[int]
+) -> list[Any]:
+    """kk, chi, then members ``a,b,m2,n2`` and indices, each joined by ``;``."""
+    members_cell = ";".join(",".join(map(str, fields)) for fields in members)
+    return [kk, chi, members_cell, ";".join(map(str, indices))]
 
 
 def search_to_json_chunks(run: SearchScan) -> Iterator[str]:
@@ -96,36 +106,16 @@ def search_to_json_chunks(run: SearchScan) -> Iterator[str]:
 
     The view is the run's config and counts followed by ``"tuples"``, a list
     of :func:`tuple_to_json` objects.  :mod:`json` renders the view with no
-    tuple once, and its text up to ``"tuples": [`` is the first chunk.  A
-    tuple's text comes in ASCII ``bytes`` pieces (:func:`_tuple_pieces`): a
-    key template, a member template and the constant pieces between the
-    member and index slots.  Each stored cell's member text is rendered
-    once (:meth:`SearchScan.buckets`), and each index once, from a table of
-    the run's indices.
-
-    A bucket's text is then one join: its tuples, comma-separated, are
-    pieces of ``(constants, key text, members, index texts)``, and the
-    positions of those pieces depend only on the bucket's
-    :func:`~bidouble.search.shape`, so they are built once per shape from
-    its :func:`~bidouble.search.walk`, into a plan (:func:`_bucket_planner`).
-    A bucket costs one ``%`` for its key, one ``itemgetter`` of its plan's
-    positions and one ``b"".join``; no per-tuple object is built and no
-    member is formatted twice.  When ``max_results`` cuts a bucket, it gets
-    a plan of just the tuples kept.  A chunk holds whole buckets, at most
-    :data:`TUPLES_PER_CHUNK` tuples unless one bucket holds more, and is
-    joined as bytes and decoded once; the last chunk closes the list and
-    the object.  At most one chunk's text is alive at a time when the
-    caller writes each chunk before asking for the next.  A run with no
-    tuple is rendered whole, as one chunk, with no tuple pieces: their size
-    grows with k, and a huge k leaves no bucket with k distinct indices.
+    tuple once, and its text up to ``"tuples": [`` is the first chunk; the
+    tuples follow from :func:`_search_chunks`, and the last chunk closes the
+    list and the object.  A run with no tuple is one chunk.
     """
     config, stats = run.config, run.stats
-    k = config.k
     text = json.dumps(
         {
             "config": {
                 "bound": config.bound,
-                "k": k,
+                "k": config.k,
                 "max_results": config.max_results,
                 # Fixed, as the search runs as one shard; the field stays so
                 # that the view's bytes and the digests pinned on them hold.
@@ -143,16 +133,166 @@ def search_to_json_chunks(run: SearchScan) -> Iterator[str]:
     if not stats.tuples:
         yield text
         return
-    key_template, member_template, constants = _tuple_pieces(k)
-    # Each index's text, at its own position.
-    digits = [b"%d" % r for r in range(max(map(max, run.index_tuples)) + 1)]
     # The text up to "tuples": [, without the list's "]\n}".
     yield text[:-3]
+    yield from _search_chunks(run, _cut(_json_tuple, config.k), b",")
+    yield "\n  ]\n}"
+
+
+def _json_tuple(*row: Any) -> str:
+    """A tuple's text in the search view, at its depth there, leading newline included."""
+    text = json.dumps({"tuples": [tuple_row_to_json(*row)]}, indent=2)
+    return text[len('{\n  "tuples": [') : -len("\n  ]\n}")]
+
+
+def search_to_csv_chunks(run: SearchScan) -> Iterator[str]:
+    """The CSV of one search run in pieces: the :data:`TUPLE_COLUMNS` line,
+    then each tuple's :func:`tuple_row_to_cells` line, as :mod:`csv` writes
+    them with ``lineterminator="\\n"``."""
+    yield ",".join(TUPLE_COLUMNS) + "\n"
+    if run.stats.tuples:
+        yield from _search_chunks(run, _cut(_csv_tuple, run.config.k))
+
+
+def _csv_tuple(*row: Any) -> str:
+    line = io.StringIO()
+    csv.writer(line, lineterminator="\n").writerow(tuple_row_to_cells(*row))
+    return line.getvalue()
+
+
+def search_to_catalog_lines(run: SearchScan, created_at: str) -> Iterator[str]:
+    """Each tuple of the run as its catalog line, stamped ``created_at``.
+
+    A line equals :func:`~bidouble.catalog.record_to_line` of the ``"tuple"``
+    record of the tuple's :func:`tuple_row_to_json` payload.  The lines
+    come from :func:`_search_chunks`, newline-terminated; the record escapes
+    every control character, so a chunk splits into lines at its newlines.
+    """
+    if not run.stats.tuples:
+        return
+    *head, constants, planner = _cut(_catalog_line, run.config.k)
+    # The cut renders an empty stamp, which sort_keys puts first.  The stamp
+    # goes in after the cut, so that no stamp text can be taken for a slot.
+    stamp = b'"created_at":%b' % json.dumps(created_at).encode("ascii")
+    first = constants[0].replace(b'"created_at":""', stamp, 1)
+    for chunk in _search_chunks(run, (*head, (first, *constants[1:]), planner)):
+        yield from chunk.split("\n")[:-1]
+
+
+def _catalog_line(*row: Any) -> str:
+    return record_to_line(CatalogRecord("tuple", tuple_row_to_json(*row))) + "\n"
+
+
+#: What :func:`_cut` makes of an output's render function.
+_Cut = tuple[bytes, slice, bytes, tuple[bytes, ...], Callable[[bytes, int], bytearray]]
+
+#: Slot i of the tuple :func:`_cut` renders holds ``_SENTINEL + i``: 16
+#: digits, which no other text of a rendered tuple holds.
+_SENTINEL = 10**15
+
+
+# Kept for each output and k a process asks for; a k above the most distinct
+# indices of a bucket (9 up to bound 253) has no tuple to render.
+@cache
+def _cut(render: Callable[..., str], k: int) -> _Cut:
+    """One tuple as ``render`` makes it, cut at its slots into ASCII bytes pieces.
+
+    ``render(kk, chi, members, indices)`` is an output's text of a tuple
+    with members as field tuples (a, b, m2, n2).  It is called once, with a
+    distinct sentinel in every slot.  The slots of the key, of each member
+    and of each index lie together, and each of those 2k + 1 groups is cut
+    out as a template, its slots ``%d`` in text order: the key's as
+    ``order`` takes them from (kk, chi), a member's in field order, every
+    member alike.  The key template takes in the text on both sides of the
+    key, and the rest of the text around the groups makes 2k constants.
+
+    The planner turns a bucket's member ``positions``, k per tuple, as
+    :func:`~bidouble.search.walk` gives them for a bucket of ``cells``
+    members, into its plan: the index of each piece of the bucket's text in
+    ``(constants, last, key text, members, index texts)``, as
+    :func:`_search_chunks` lays them out.  Constants are 0 to 2k - 1;
+    ``last``, the last constant and the separator, is 2k and ends every
+    tuple but the bucket's last; the key text is 2k + 1, member i is
+    2k + 2 + i and its index text 2k + 2 + cells + i.
+    """
+    slots = range(_SENTINEL, _SENTINEL + 2 + 5 * k)
+    members = [slots[2 + 4 * j : 6 + 4 * j] for j in range(k)]
+    text = render(slots[0], slots[1], members, slots[2 + 4 * k :]).encode("ascii")
+    # Each slot's group: 0 the key, 1 to k the members, k + 1 to 2k the indices.
+    group = [0, 0, *(1 + j for j in range(k) for _ in range(4)), *range(k + 1, 2 * k + 1)]
+    ids = sorted(range(len(slots)), key=lambda i: text.index(b"%d" % slots[i]))
+    # The text in order: a constant, a group, a constant, ..., a group, a constant.
+    parts: list[bytes | int] = []
+    templates: dict[int, bytes] = {}
+    for position, i in enumerate(ids):
+        before, text = text.split(b"%d" % slots[i], 1)
+        if position and group[i] == parts[-1]:
+            templates[group[i]] += before + b"%d"
+        else:
+            parts += (before, group[i])
+            templates[group[i]] = b"%d"
+    parts.append(text)
+    order = slice(None, None, 1 if ids.index(0) < ids.index(1) else -1)
+    # The key takes in the text on both sides: two pieces fewer per tuple of a plan.
+    at = parts.index(0)
+    key_template = parts[at - 1] + templates[0] + parts[at + 1]
+    parts[at - 1 : at + 2] = [0]
+    # One tuple's pieces, its member and index slots still to fill.
+    constants: list[bytes] = []
+    one_tuple = bytearray()
+    offset: dict[int, int] = {}
+    for part in parts:
+        if isinstance(part, bytes):
+            one_tuple.append(len(constants))
+            constants.append(part)
+        else:
+            offset[part] = len(one_tuple)
+            one_tuple.append(2 * k + 1)
+    one_tuple[-1] = 2 * k
+    width, first_member = len(one_tuple), 2 * k + 2
+    # Position i to its member's piece.
+    to_member = bytes(range(first_member, 256)).ljust(256, b"\0")
+
+    def build(positions: bytes, cells: int) -> bytearray:
+        # Position i to its index's piece.  bytes() refuses a piece past 255,
+        # which takes a bucket of over 110 members; up to bound 253 a bucket
+        # has 23 at most.
+        to_index = bytes(range(first_member + cells, first_member + 2 * cells)).ljust(256, b"\0")
+        plan = one_tuple * (len(positions) // k)
+        for j in range(k):
+            column = positions[j::k]
+            plan[offset[1 + j] :: width] = column.translate(to_member)
+            plan[offset[1 + k + j] :: width] = column.translate(to_index)
+        plan[-1] = 2 * k - 1
+        return plan
+
+    return key_template, order, templates[1], tuple(constants), build
+
+
+def _search_chunks(run: SearchScan, cut: _Cut, separator: bytes = b"") -> Iterator[str]:
+    """The run's tuples as text, in chunks, by the pieces ``cut`` from an output.
+
+    Tuples come sorted by key and then by members, and ``max_results``
+    clips them.  Each stored cell's member text is rendered once
+    (:meth:`SearchScan.buckets`), and each index once.  A bucket's text,
+    its tuples separated by ``separator``, is one join of those pieces by
+    the plan of its :func:`~bidouble.search.shape`, built once per shape:
+    one ``%`` for its key, one ``itemgetter`` and one ``b"".join``, and no
+    per-tuple object.  When ``max_results`` cuts a bucket, it gets a plan
+    of just the tuples kept.  A chunk holds whole buckets, at most
+    :data:`TUPLES_PER_CHUNK` tuples unless one bucket holds more, and is
+    joined as bytes and decoded once.  The separator leads every chunk after
+    the first, so no chunk waits for the next, and at most one chunk's text
+    is alive at a time when the caller takes each before asking for another.
+    """
+    k = run.config.k
+    key_template, order, member_template, constants, planner = cut
+    pieces = (*constants, constants[-1] + separator)
+    # Each index's text, at its own position.
+    digits = [b"%d" % r for r in range(max(map(max, run.index_tuples)) + 1)]
     chunk: list[bytes] = []
-    in_chunk, left = 0, stats.tuples
-    planner = _bucket_planner(k)
-    buckets = run.buckets(planner, member_template.__mod__)
-    for kk, chi, pattern, members, plan in buckets:
+    in_chunk, left = 0, run.stats.tuples
+    for kk, chi, pattern, members, plan in run.buckets(planner, member_template.__mod__):
         indices = run.index_tuples[pattern]
         count = run.tuple_counts[pattern]
         if count >= left:
@@ -161,117 +301,20 @@ def search_to_json_chunks(run: SearchScan) -> Iterator[str]:
                 plan = planner(walk(indices, k, left), len(indices))
             count = left
         if in_chunk + count > TUPLES_PER_CHUNK and in_chunk:
-            yield from _joined(chunk)
-            in_chunk = 0
-        parts = (*constants, key_template % (kk, chi), *members, *map(digits.__getitem__, indices))
+            text = separator.join(chunk)
+            chunk, in_chunk = [b""], 0
+            yield text.decode("ascii")
+            # Its bytes go before the next chunk is built.
+            del text
+        parts = (*pieces, key_template % (kk, chi)[order], *members, *map(digits.__getitem__, indices))
         chunk.append(b"".join(itemgetter(*plan)(parts)))
         in_chunk += count
         left -= count
         if not left:
             break
-    yield from _joined(chunk)
-    yield "\n  ]\n}"
-
-
-# Both per-k helpers are kept for each k a process asks for; a k above the
-# most distinct indices of a bucket (9 up to bound 253) has no tuple to render.
-@cache
-def _tuple_pieces(k: int) -> tuple[bytes, bytes, tuple[bytes, ...]]:
-    """One tuple of the search view, cut at its slots, as ASCII bytes.
-
-    :mod:`json` renders the tuple, at its depth in the view, as a
-    :func:`tuple_row_to_json` object with a ``%d`` slot in each integer
-    field; its leading newline and indentation are part of it.  It is cut
-    into the key template, with the two key slots, up to the first member;
-    the member template, with its four ``%d`` slots; and the constant
-    pieces after each member and then each index, and once more the last
-    with the comma that separates a bucket's tuples.
-    """
-    slot = "%d"
-    slotted = tuple_row_to_json(slot, slot, [(slot,) * 4] * k, (slot,) * k)  # type: ignore[arg-type]
-    text = json.dumps({"tuples": [slotted]}, indent=2).replace(f'"{slot}"', slot)
-    template = re.fullmatch(r'\{\n  "tuples": \[(.*)\n  \]\n\}', text, re.S).group(1)
-    # Every member object of the tuple has the same text; the key object
-    # has no "a" field.
-    member = re.search(r'\{[^{}]*"a": %d[^{}]*\}', template).group().encode("ascii")
-    key_template, rest = template.encode("ascii").split(member, 1)
-    constants = rest.replace(member, b"%d").split(b"%d")
-    return key_template, member, (*constants, constants[-1] + b",")
-
-
-def _joined(chunk: list[bytes]) -> Iterator[str]:
-    """The texts in ``chunk`` as one comma-separated chunk; ``chunk`` is emptied
-    before the chunk is decoded, and holds the comma that starts the next one."""
-    text = b",".join(chunk)
-    chunk[:] = [b""]
+    text = separator.join(chunk)
+    del chunk
     yield text.decode("ascii")
-
-
-@cache
-def _bucket_planner(k: int) -> Callable[[bytes, int], bytearray]:
-    """The plan of a bucket's text, for tuples of k members.
-
-    A plan says where each piece of the bucket's text comes from, for the
-    tuples whose member positions, k per tuple, are ``positions``, as
-    :func:`~bidouble.search.walk` gives them, in a bucket of ``cells``
-    members.  It indexes the pieces ``(constants, key text, members, index
-    texts)`` of :func:`search_to_json_chunks`: constants 0 to k - 1 follow
-    the members of a tuple, k to 2k - 1 its indices, and 2k is the last
-    with a comma; the key text is piece 2k + 1, member i piece 2k + 2 + i
-    and its index text piece 2k + 2 + cells + i.  A tuple's text is the
-    key, each member and its constant, then each index and its constant;
-    every tuple but the bucket's last ends with the comma.
-    """
-    width, first_member = 4 * k + 1, 2 * k + 2
-    # One tuple's pieces, its member and index slots still to fill.
-    pieces = [2 * k + 1]
-    for j in range(k):
-        pieces += (0, j)
-    for j in range(k):
-        pieces += (0, k + j)
-    pieces[-1] = 2 * k
-    one_tuple = bytearray(pieces)
-    # Position i to its member's piece.
-    to_member = bytes(range(first_member, 256)).ljust(256, b"\0")
-
-    def build(positions: bytes, cells: int) -> bytearray:
-        # Position i to its index's piece.  bytes() refuses a piece past 255,
-        # which takes a bucket of over 120 members; up to bound 253 a bucket
-        # has 23 at most.
-        to_index = bytes(range(first_member + cells, first_member + 2 * cells)).ljust(256, b"\0")
-        plan = one_tuple * (len(positions) // k)
-        for j in range(k):
-            column = positions[j::k]
-            plan[1 + 2 * j :: width] = column.translate(to_member)
-            plan[2 * k + 1 + 2 * j :: width] = column.translate(to_index)
-        plan[-1] = 2 * k - 1
-        return plan
-
-    return build
-
-
-def search_to_catalog_lines(run: SearchScan, created_at: str) -> Iterator[str]:
-    """Each tuple of the emit pass as its catalog line, stamped ``created_at``.
-
-    A line equals :func:`~bidouble.catalog.record_to_line` of the ``"tuple"``
-    record of the tuple's :func:`tuple_row_to_json` payload.  That line is
-    rendered once with a positional slot in every integer field and in the
-    stamp, and each row fills the slots, so no per-tuple object is built.
-    A run with no tuple yields no line and renders no template.
-    """
-    if not run.stats.tuples:
-        return
-    k = run.config.k
-    slots = [f"{{{i}}}" for i in range(2 + 5 * k + 1)]
-    members = [slots[2 + 4 * j : 6 + 4 * j] for j in range(k)]
-    shape = tuple_row_to_json(slots[0], slots[1], members, slots[2 + 4 * k : -1])  # type: ignore[arg-type]
-    line = record_to_line(CatalogRecord("tuple", shape, slots[-1]))
-    # Escape every brace, then turn each quoted slot back into a bare one.
-    escaped = line.replace("{", "{{").replace("}", "}}")
-    template = re.sub(r'"\{\{(\d+)\}\}"', r"{\1}", escaped)
-    stamp = json.dumps(created_at)
-    for kk, chi, fields, indices in run.rows():
-        yield template.format(kk, chi, *chain.from_iterable(fields), *indices, stamp)
 
 
 def verdict_to_json(verdict: TupleVerdict) -> dict[str, Any]:

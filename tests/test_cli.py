@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import csv
 import dataclasses
 import hashlib
 import importlib
@@ -38,8 +39,9 @@ from bidouble.serialize import (
     key_to_json,
     profile_from_json,
     search_to_catalog_lines,
+    search_to_csv_chunks,
     search_to_json_chunks,
-    tuple_row_to_json,
+    tuple_row_to_cells,
     tuple_to_json,
 )
 
@@ -601,6 +603,17 @@ def test_search_pins_the_bound_100_output(
     )
 
 
+def test_search_pins_the_bound_100_csv(monkeypatch: pytest.MonkeyPatch) -> None:
+    # The digest of the 3,771,490 bytes in 93,544 lines of CSV, as csv.writer
+    # wrote each tuple's row.
+    sink = Digest()
+    monkeypatch.setattr(sys, "stdout", sink)
+    assert main(["search", "--bound", "100", "--format", "csv"]) == 0
+    assert sink.sha.hexdigest() == (
+        "d9c759b75a44bbe35dc6aa9e7d98859cf3d3bfff70abbbc0e67d11bdae383b12"
+    )
+
+
 @pytest.mark.parametrize("to_catalog", [False, True], ids=["json", "out"])
 def test_search_with_a_huge_k_renders_no_template(
     capsys: pytest.CaptureFixture[str], tmp_path: Path, to_catalog: bool
@@ -681,17 +694,49 @@ def test_search_catalog_bytes_are_unchanged(
 
 @pytest.mark.parametrize("k", [2, 3])
 @pytest.mark.parametrize(
-    "stamp", ["", "2026-10-18T12:00:00+00:00", 'x"{0}%d\\{{1}}', "\u00e9\u2028"]
+    "stamp",
+    [
+        "", "2026-10-18T12:00:00+00:00", 'x"{0}%d\\{{1}}', "\u00e9\u2028",
+        # Shaped like a slot of the cut tuple, and a bytes format slot.
+        "1000000000000002", "%d",
+    ],
 )
 def test_search_catalog_lines_equal_record_to_line(k: int, stamp: str) -> None:
-    # Each line fills a template rendered once; it must be what
-    # record_to_line makes of the row's payload, whatever the stamp holds.
-    run = scan(SearchConfig(bound=40, k=k))
+    # Each line is joined from pieces cut once; it must be what
+    # record_to_line makes of the tuple's payload, whatever the stamp holds.
+    config = SearchConfig(bound=40, k=k)
     wanted = [
-        record_to_line(CatalogRecord("tuple", tuple_row_to_json(*row), stamp))
-        for row in run.rows()
+        record_to_line(CatalogRecord("tuple", tuple_to_json(t), stamp))
+        for t in search(config).tuples
     ]
-    assert list(search_to_catalog_lines(run, stamp)) == wanted
+    assert list(search_to_catalog_lines(scan(config), stamp)) == wanted
+
+
+@pytest.mark.parametrize("cap", [1, 2, DEFAULT_TUPLES_PER_BUCKET])
+@pytest.mark.parametrize("k", [2, 3])
+def test_search_csv_and_catalog_lines_equal_their_writers_at_every_max_results(
+    k: int, cap: int, monkeypatch: pytest.MonkeyPatch
+) -> None:
+    # Every output cuts a bucket by the same plan when max_results ends the
+    # run inside it; each must keep the tuples search() keeps.
+    search_module = importlib.import_module("bidouble.search")
+    monkeypatch.setattr(search_module, "DEFAULT_TUPLES_PER_BUCKET", cap)
+    run = scan(SearchConfig(bound=30, k=k))
+    if cap > 1:
+        assert max(run.tuple_counts) > 1
+    for limit in range(run.stats.tuples + 1):
+        config = SearchConfig(bound=30, k=k, max_results=limit)
+        tuples = search(config).tuples
+        wanted = io.StringIO()
+        writer = csv.writer(wanted, lineterminator="\n")
+        writer.writerow(["kk", "chi", "members", "indices"])
+        writer.writerows(
+            tuple_row_to_cells(*t.key, map(CoverType.as_tuple, t.members), t.indices)
+            for t in tuples
+        )
+        assert "".join(search_to_csv_chunks(scan(config))) == wanted.getvalue(), limit
+        lines = [record_to_line(CatalogRecord("tuple", tuple_to_json(t))) for t in tuples]
+        assert list(search_to_catalog_lines(scan(config), "")) == lines, limit
 
 
 def test_certify_round_trips_through_catalog(

@@ -24,7 +24,6 @@ from bidouble.search import (
     DEFAULT_TUPLES_PER_BUCKET,
     MAX_SEARCH_TYPES,
     CataneseTuple,
-    Row,
     SearchScan,
     SearchStats,
     _elementary_symmetric,
@@ -492,25 +491,25 @@ def test_search_kernel_oracle_cases_reach_the_bucket_cap(
 def test_a_capped_bucket_keeps_the_first_cap_tuples_of_its_walk(
     k: int, cap: int, monkeypatch: pytest.MonkeyPatch
 ) -> None:
-    def rows_by_key() -> dict[tuple[int, int], list[Row]]:
-        by_key: dict[tuple[int, int], list[Row]] = {}
-        for row in scan(SearchConfig(bound=40, k=k)).rows():
-            by_key.setdefault(row[:2], []).append(row)
+    def tuples_by_key() -> dict[HomeoClassKey, list[CataneseTuple]]:
+        by_key: dict[HomeoClassKey, list[CataneseTuple]] = {}
+        for t in search(SearchConfig(bound=40, k=k)).tuples:
+            by_key.setdefault(t.key, []).append(t)
         return by_key
 
-    uncapped = rows_by_key()
-    assert any(len(rows) > cap for rows in uncapped.values())
+    uncapped = tuples_by_key()
+    assert any(len(tuples) > cap for tuples in uncapped.values())
     cap_buckets_at(monkeypatch, cap)
-    capped = rows_by_key()
+    capped = tuples_by_key()
     assert capped.keys() == uncapped.keys()
-    for key, rows in uncapped.items():
-        assert capped[key] == rows[:cap]
+    for key, tuples in uncapped.items():
+        assert capped[key] == tuples[:cap]
 
 
 @pytest.mark.parametrize("k", [2, 3])
-def test_rows_call_member_once_per_stored_cell(k: int) -> None:
+def test_buckets_call_member_once_per_stored_cell(k: int) -> None:
     # member renders a cell once, however many tuples share it; its results
-    # stand where the field tuples stand in the plain walk.
+    # stand where the field tuples stand without it.
     run = scan(SearchConfig(bound=60, k=k))
     calls = Counter[tuple[int, int, int, int]]()
 
@@ -518,16 +517,19 @@ def test_rows_call_member_once_per_stored_cell(k: int) -> None:
         calls[fields] += 1
         return ("member", fields)
 
-    rendered = list(run.rows(member))
+    def prepare(positions: bytes, cells: int) -> bytes:
+        return positions
+
+    rendered = list(run.buckets(prepare, member))
     assert sum(calls.values()) == run.stats.cells
     assert len(calls) == run.stats.cells
     assert rendered == [
-        (kk, chi, tuple(("member", fields) for fields in members), indices)
-        for kk, chi, members, indices in run.rows()
+        (kk, chi, pattern, tuple(("member", fields) for fields in members), positions)
+        for kk, chi, pattern, members, positions in run.buckets(prepare)
     ]
     # The tuples hold more member places than there are cells, so a call
     # per member of a tuple would not match the count above.
-    assert k * len(rendered) == k * run.stats.tuples > run.stats.cells
+    assert k * run.stats.tuples > run.stats.cells
 
 
 def test_search_kernel_class_facts_hold_up_to_bound_200() -> None:

@@ -43,6 +43,17 @@ def test_bench_search_passes_k_on_to_search() -> None:
     assert (run["stats"]["multi_index_buckets"], run["stats"]["cells"]) == (18, 65)
 
 
+def test_bench_search_passes_format_on_to_search() -> None:
+    (run,) = bench_search("--format", "csv", "20")["runs"]
+    assert (run["bound"], run["format"], run["exit_code"]) == (20, "csv", 0)
+    assert (run["types"], run["buckets"], run["tuples"]) == (406, 356, 6)
+    # The header and six rows of `search --bound 20 --format csv`.
+    assert run["stdout_bytes"] == 231
+    assert run["stdout_sha256"] == (
+        "09f1663cd7e404d02717608ae13db6710a6001db40daf2901b2dc3d86634ed65"
+    )
+
+
 def test_bench_search_digests_the_catalog_it_writes() -> None:
     (run,) = bench_search("--catalog", "20")["runs"]
     assert (run["exit_code"], run["tuples"]) == (0, 6)
@@ -56,7 +67,7 @@ def main(argv):
     sys.stdout.write(
         '{\\n  "type_count": 406,\\n  "bucket_count": 356,\\n  "tuple_count": 6,\\n  "tuples": []\\n}\\n'
     )
-    return 0 if argv == ["search", "--bound", "20", "--k", "2"] else 2
+    return 0 if argv == ["search", "--bound", "20", "--k", "2", "--format", "json"] else 2
 '''
 
 

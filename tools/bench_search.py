@@ -5,12 +5,14 @@ Usage (from the root of a checkout; standard library only):
     python3 tools/bench_search.py 40 60 100 140 200
     python3 tools/bench_search.py --src OTHER_CHECKOUT/src 40 60
     python3 tools/bench_search.py --k 3 140
+    python3 tools/bench_search.py --format csv 100 140
     python3 tools/bench_search.py --catalog 100 140
 
 For each bound a child interpreter imports ``bidouble`` from ``--src``
 (default: this checkout's ``src``), runs ``cli.main(["search", "--bound",
-B, "--k", K])`` once, with K from ``--k`` (default 2) and stdout going to
-a sink that keeps only a digest, and reports:
+B, "--k", K, "--format", F])`` once, with K from ``--k`` (default 2) and F
+from ``--format`` (default json), stdout going to a sink that keeps only a
+digest, and reports:
 
 - ``stats``: the report line ``search`` writes on stderr, less its times
 - ``types``, ``buckets``, ``tuples``: the counts from that line, so that
@@ -58,8 +60,8 @@ class Sink(io.TextIOBase):
         self.size += len(data)
         return len(text)
 
-bound, k, out = sys.argv[2], sys.argv[3], sys.argv[4:]
-argv = ["search", "--bound", bound, "--k", k]
+bound, k, fmt, out = sys.argv[2], sys.argv[3], sys.argv[4], sys.argv[5:]
+argv = ["search", "--bound", bound, "--k", k, "--format", fmt]
 argv += ["--out", out[0], "--no-timestamp"] if out else []
 sink, err, real = Sink(), io.StringIO(), (sys.stdout, sys.stderr)
 sys.stdout, sys.stderr = sink, err
@@ -77,6 +79,7 @@ times = {name: round(stats.pop(name), 3) for name in ("kernel_s", "emit_s")}
 print(json.dumps({
     "bound": int(bound),
     "k": int(k),
+    "format": fmt,
     "exit_code": code,
     "types": stats["types"],
     "buckets": stats["buckets"],
@@ -91,11 +94,11 @@ print(json.dumps({
 """
 
 
-def run_bound(src: Path, bound: int, k: int, catalog: bool) -> dict:
-    """One fresh interpreter searching at ``bound`` for k-tuples; its report as a dict."""
+def run_bound(src: Path, bound: int, k: int, fmt: str, catalog: bool) -> dict:
+    """One fresh interpreter searching at ``bound`` for k-tuples in ``fmt``; its report as a dict."""
     with tempfile.TemporaryDirectory() as scratch:
         out = Path(scratch) / "catalog.jsonl"
-        argv = [sys.executable, "-c", CHILD, str(src), str(bound), str(k)]
+        argv = [sys.executable, "-c", CHILD, str(src), str(bound), str(k), fmt]
         done = subprocess.run(
             argv + ([str(out)] if catalog else []),
             capture_output=True,
@@ -122,6 +125,12 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument("--k", type=int, default=2, help="tuple size, passed on as search --k")
     parser.add_argument(
+        "--format",
+        choices=("json", "csv"),
+        default="json",
+        help="stdout format, passed on as search --format",
+    )
+    parser.add_argument(
         "--catalog",
         action="store_true",
         help="also append the tuples to a new catalog with --out and report its digest",
@@ -132,7 +141,9 @@ def main(argv: list[str] | None = None) -> int:
         "python": platform.python_version(),
         "machine": platform.machine(),
         "catalog": args.catalog,
-        "runs": [run_bound(args.src, bound, args.k, args.catalog) for bound in args.bounds],
+        "runs": [
+            run_bound(args.src, bound, args.k, args.format, args.catalog) for bound in args.bounds
+        ],
     }
     print(json.dumps(report, indent=2))
     return 0
