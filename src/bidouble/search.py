@@ -19,18 +19,22 @@ product P = sa*sb, the index gcd(sa, sb) and
 2*chi values as an arithmetic progression of step 2*da.  As s and d are
 even, every 2*chi is 0 mod 4.  For each P in ascending order the kernel
 gives each value from the product's lowest 2*chi upward, in steps of 4, a
-byte lane, and each row sets its values with one extended slice of lanes.
-The product's keys are its lanes that are set.  When its class pairs carry
-at least k distinct indices, each index group fills its own lane array, and
-the arrays added as integers count the groups of each lane; the lanes that
-at least k groups share are the multi-index keys, and one pass over the
-product's class pairs recovers their cells, each row picking its cells
-with its slice of those lanes.
+byte lane, and each row sets its values with one extended slice of lanes
+(:func:`_rows` states the slice).  The product's keys are its lanes that
+are set.  When its class pairs carry at least k distinct indices, each
+index group fills its own lane array, and the arrays added as integers
+count the groups of each lane; the lanes that at least k groups share are
+the multi-index keys.  One pass over the product's class pairs recovers
+their cells (:func:`_shared_buckets`): the members (x, y, d) of each
+s-class are built once per run, d descending, and each row picks its cells
+from them with its slice of those lanes.
 
 :func:`scan` is that kernel pass.  It stores each bucket with at least k
 distinct indices as plain integers in flat arrays (its key, its cells'
 fields in member order, and one pattern id) and fills every count of the
-run without building a tuple.  The pattern id names the bucket's tuple of
+run without building a tuple.  Each product's cells are flattened into one
+list once, from which the fields array takes them in one call and each
+bucket its index tuple by a slice.  The pattern id names the bucket's tuple of
 member indices in a table of the run's distinct ones: many buckets share
 one (1,759 tuples for the 11,168 buckets at bound 80).  A bucket whose
 index groups have sizes n_1, ..., n_g holds e_k(n_1, ..., n_g) tuples,
@@ -297,7 +301,11 @@ def scan(config: SearchConfig) -> SearchScan:
     """The kernel pass: bucket s-class pairs by product and store multi-index buckets.
 
     Each product's keys are counted on byte lanes, one per 2*chi, as the
-    module docstring describes.  Every count of the run is known when it
+    module docstring describes, each row setting the slice :func:`_rows`
+    states.  The cells of a product's shared keys come from
+    :func:`_shared_buckets` in key and member order and are flattened once:
+    the fields go into their array in one call, and each bucket's index tuple
+    is a slice of the indices.  Every count of the run is known when it
     returns; no tuple is built until :meth:`SearchScan.buckets` is walked.
     Raises :class:`BoundTooLarge`, before any work, above the global field
     cap or when the run would visit more than :data:`MAX_SEARCH_TYPES`
@@ -324,6 +332,13 @@ def scan(config: SearchConfig) -> SearchScan:
     for position, sa in enumerate(s_values):
         for sb in s_values[position:]:
             by_product.setdefault(sa * sb, []).append((sa, sb))
+    # Each s-class's member ends (x, y, d), built once per run, d descending
+    # as the lanes of a row ascend: pair (s, d) is (x, y) = ((s + 2 + d)/2,
+    # (s + 2 - d)/2).
+    ends = {
+        s: [((s + 2 + d) // 2, (s + 2 - d) // 2, d) for d in ds[::-1]]
+        for s, ds in classes.items()
+    }
     k, cap = config.k, DEFAULT_TUPLES_PER_BUCKET
     # Maps a lane's count of index groups to 1 when it is at least k.
     at_least_k = bytes(min(k, 256)).ljust(256, b"\x01")
@@ -357,9 +372,12 @@ def scan(config: SearchConfig) -> SearchScan:
             for group in by_index.values() if len(by_index) >= k else (class_pairs,):
                 lanes = bytearray(size)
                 for sa, sb in group:
-                    ones = b"\x01" * len(classes[sb])
-                    for row in _rows(sa, sb, base, classes):
-                        lanes[row] = ones
+                    shift, last, span = _rows(sa, sb, base, classes)
+                    ones = b"\x01" * (span + 1)
+                    for da in classes[sa]:
+                        step = da // 2
+                        start = (shift - da * last) // 4
+                        lanes[start : start + step * span + 1 : step] = ones
                 filled.append(lanes)
             if len(by_index) < k:
                 bucket_count += size - lanes.count(0)
@@ -371,12 +389,27 @@ def scan(config: SearchConfig) -> SearchScan:
             groups_of = total.to_bytes(size, "little")
             bucket_count += size - groups_of.count(0)
             shared = groups_of.translate(at_least_k)
-            # The product's buckets go into the arrays in one call each.
-            product_keys: list[int] = []
-            product_fields: list[int] = []
+            twice_chis, buckets = _shared_buckets(shared, base, class_pairs, classes, ends)
+            sizes = list(map(len, buckets))
+            # All the product's cells, flattened once: every fifth entry is
+            # an index, the rest go into the fields array in one call.  Each
+            # structure is dropped once the next is built, so that the
+            # product's cells are held at most twice.
+            flat = list(itertools.chain.from_iterable(itertools.chain.from_iterable(buckets)))
+            del buckets
+            indices = flat[4::5]
+            del flat[4::5]
+            fields.fromlist(flat)
+            del flat
+            kk = 8 * product
+            product_keys = [kk, 0] * len(sizes)
+            product_keys[1::2] = [twice_chi // 2 for twice_chi in twice_chis]
+            keys.fromlist(product_keys)
             product_patterns: list[int] = []
-            for twice_chi, cells in _shared_buckets(shared, base, class_pairs, classes):
-                cell_fields, cell_indices = zip(*cells)
+            position = 0
+            for twice_chi, cell_count in zip(twice_chis, sizes):
+                cell_indices = tuple(indices[position : position + cell_count])
+                position += cell_count
                 pattern = pattern_ids.get(cell_indices)
                 if pattern is None:
                     pattern = pattern_ids[cell_indices] = len(e_ks)
@@ -385,14 +418,10 @@ def scan(config: SearchConfig) -> SearchScan:
                     )
                 count = e_ks[pattern]
                 if count > cap:
-                    truncated.append(HomeoClassKey(8 * product, twice_chi // 2))
+                    truncated.append(HomeoClassKey(kk, twice_chi // 2))
                     count = cap
                 tuple_count += count
-                product_keys += (8 * product, twice_chi // 2)
-                product_fields.extend(itertools.chain.from_iterable(cell_fields))
                 product_patterns.append(pattern)
-            keys.fromlist(product_keys)
-            fields.fromlist(product_fields)
             patterns.fromlist(product_patterns)
     limit = config.max_results
     clipped = limit is not None and tuple_count > limit
@@ -458,21 +487,19 @@ def search(config: SearchConfig) -> SearchResult:
     )
 
 
-def _rows(sa: int, sb: int, base: int, classes: dict[int, range]) -> Iterator[slice]:
-    """The lanes of the class pair (sa, sb), one slice per row da, in order.
+def _rows(sa: int, sb: int, base: int, classes: dict[int, range]) -> tuple[int, int, int]:
+    """The row formula of the class pair (sa, sb): ``(shift, last, span)``.
 
     Cell (da, db) has 2*chi = 3P + 2(sa + sb + 2) - da*db, P = sa*sb, in
     lane (2*chi - base)/4: every 2*chi of the product is 0 mod 4, as sa, sb,
-    da and db are even.  So row da, with db running down the class of sb,
-    holds the lanes from that of db = ``classes[sb][-1]`` upward in steps of
-    da/2.
+    da and db are even.  With ``shift`` = 3P + 2(sa + sb + 2) - base, and db
+    running down the class of sb from its ``last`` d in ``span`` steps of 2,
+    row da holds the lanes ``[start : start + da//2*span + 1 : da//2]``,
+    where ``start = (shift - da*last) // 4``.  :func:`scan` and
+    :func:`_shared_buckets` take that slice of their lanes in their row loops.
     """
     ds_b = classes[sb]
-    last, span = ds_b[-1], len(ds_b) - 1
-    shift = 3 * sa * sb + 2 * (sa + sb + 2) - base
-    for da in classes[sa]:
-        start = (shift - da * last) // 4
-        yield slice(start, start + da // 2 * span + 1, da // 2)
+    return 3 * sa * sb + 2 * (sa + sb + 2) - base, ds_b[-1], len(ds_b) - 1
 
 
 def _shared_buckets(
@@ -480,36 +507,47 @@ def _shared_buckets(
     base: int,
     class_pairs: list[tuple[int, int]],
     classes: dict[int, range],
-) -> Iterator[tuple[int, list[tuple[tuple[int, int, int, int], int]]]]:
-    """The cells of the keys (8*sa*sb, chi) whose lane is 1 in ``shared``.
+    ends: dict[int, list[tuple[int, int, int]]],
+) -> tuple[list[int], list[list[tuple[int, int, int, int, int]]]]:
+    """The 2*chi values whose lane is 1 in ``shared``, ascending, and each one's cells.
 
     Lane i of ``shared`` stands for 2*chi = base + 4*i, as :func:`_rows`
-    lays them out.  Yields ``(2*chi, cells)`` in ascending order of chi,
-    where the cells are the ``(fields, r)`` of the key's canonical types in
-    member order.  Each class pair is scanned once: each of its rows picks
-    its cells with the row's slice of ``shared``.  A diagonal class pair
-    (sa == sb) keeps db >= da, since its cells are unordered.  All class
-    pairs have the same product sa*sb.
+    lays them out.  A cell is ``(a, b, m2, n2, r)``, its canonical type and
+    its index, and each 2*chi's cells are sorted, which is member order.
+    Each class pair is scanned once: each of its rows picks its cells from
+    the member ``ends`` (x, y, d) of the class of sb, d descending, with the
+    row's slice of ``shared``.  A diagonal class pair (sa == sb) keeps
+    db >= da, since its cells are unordered, so its row da is cut to its
+    first (last - da)/2 + 1 lanes.  All class pairs have the same product
+    sa*sb.
     """
-    cells: dict[int, list[tuple[tuple[int, int, int, int], int]]] = {}
+    cells: dict[int, list[tuple[int, int, int, int, int]]] = {}
     for sa, sb in class_pairs:
-        ds_a, ds_b = classes[sa], classes[sb]
-        shift = 3 * sa * sb + 2 * (sa + sb + 2)
-        r = gcd(sa, sb)
-        # A row's lanes ascend as db descends.
-        ds_down = ds_b[::-1]
-        for da, row in zip(ds_a, _rows(sa, sb, base, classes)):
-            # Pair (s, d) is (x, y) = ((s + 2 + d)/2, (s + 2 - d)/2).
-            x1, y1 = (sa + 2 + da) // 2, (sa + 2 - da) // 2
-            for db in itertools.compress(ds_down, shared[row]):
-                if sa == sb and db < da:
-                    continue
-                x2, y2 = (sb + 2 + db) // 2, (sb + 2 - db) // 2
-                # The canonical type is the lex-min of the two orderings, as
-                # covers.canonicalize takes it; the first two fields decide,
-                # since equal ones make the orderings equal.
-                fields = (x1, y2, x2, y1) if (x1, y2) <= (x2, y1) else (x2, y1, x1, y2)
-                cells.setdefault(shift - da * db, []).append((fields, r))
-    for twice_chi in sorted(cells):
-        # Field tuples order as CoverType does, and no two cells share one.
-        yield twice_chi, sorted(cells[twice_chi])
+        shift, last, span = _rows(sa, sb, base, classes)
+        diagonal, ends_b, r = sa == sb, ends[sb], gcd(sa, sb)
+        # Cell (da, db) has 2*chi = top - da*db.
+        top = shift + base
+        for x1, y1, da in ends[sa]:
+            step = da // 2
+            start = (shift - da * last) // 4
+            stop = start + step * ((last - da) // 2 if diagonal else span) + 1
+            for x2, y2, db in itertools.compress(ends_b, shared[start:stop:step]):
+                # The canonical type is the lex-min of (x1, y2, x2, y1) and
+                # (x2, y1, x1, y2), as covers.canonicalize takes it; the
+                # first two fields decide, since equal ones make them equal.
+                if x1 < x2 or (x1 == x2 and y2 <= y1):
+                    cell = (x1, y2, x2, y1, r)
+                else:
+                    cell = (x2, y1, x1, y2, r)
+                twice_chi = top - da * db
+                bucket = cells.get(twice_chi)
+                if bucket is None:
+                    cells[twice_chi] = [cell]
+                else:
+                    bucket.append(cell)
+    twice_chis = sorted(cells)
+    buckets = list(map(cells.__getitem__, twice_chis))
+    for bucket in buckets:
+        # Cells order as CoverType does, and no two cells share their fields.
+        bucket.sort()
+    return twice_chis, buckets

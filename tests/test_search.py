@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import gc
+import hashlib
 import importlib
 import itertools
 from collections import Counter
@@ -599,6 +600,39 @@ def test_search_pins_the_bound_80_counts() -> None:
         truncated=0,
         clipped=False,
     )
+
+
+@pytest.mark.parametrize(
+    ("bound", "k", "cap", "digests"),
+    [
+        (100, 2, DEFAULT_TUPLES_PER_BUCKET, (
+            "2aa877a4f08882234b0ade8973705acf81409c55eb22e4a560d1144ce7b491f4",
+            "2676d89ac311ea351a748d0d2f2b2c96b7a5d0add06979954750ecc2ab9a2383",
+            "4e3e7083f7aee6f73f729b101f3b8fa6f1dbf1b1cb234eff7d100b91f8494838",
+            "a322fe848f76a862ae85c6612eb6d646199902340bc6fb677cd4723063b0ceea",
+        )),
+        # Cap 2 truncates 469 of the 962 stored buckets.
+        (80, 3, 2, (
+            "81e61aa1272d321a286dd0e6f62148cedadfd16d16db9cdcfb729df410691e7b",
+            "441e7e60f2829069e396fee924b0dc61114475b7d5df2700212e83214c96a0e0",
+            "c5b9896969fa5527c13d122b79ab74cb6eba7e34d2f39777dfe5a4d8e5441e81",
+            "c6e7d0e75da53b5a212ca015ad8e939456acc11720fc12852a9e8fdb565894f5",
+        )),
+    ],
+)
+def test_search_kernel_arrays_are_pinned(
+    bound: int, k: int, cap: int, digests: tuple[str, ...], monkeypatch: pytest.MonkeyPatch
+) -> None:
+    # SHA-256 of the kernel's flat arrays as machine bytes (little-endian,
+    # 8-byte keys and patterns, 2-byte fields) and of its pattern table's repr.
+    cap_buckets_at(monkeypatch, cap)
+    run = scan(SearchConfig(bound=bound, k=k))
+    arrays = (run.keys, run.fields, run.patterns)
+    assert tuple(a.itemsize for a in arrays) == (8, 2, 8)
+    got = [hashlib.sha256(a.tobytes()).hexdigest() for a in arrays]
+    got.append(hashlib.sha256(repr((run.index_tuples, run.tuple_counts)).encode()).hexdigest())
+    assert tuple(got) == digests
+    assert run.stats.truncated == (469 if cap == 2 else 0)
 
 
 def test_no_product_up_to_the_largest_bound_has_256_index_groups(

@@ -202,3 +202,28 @@ def test_bench_pairs_compiles_each_checkout_before_the_first_pair(tmp_path: Path
     report = bench_pairs(*roots, "--workload", "cli-mix", "--seeds", "1", "--seconds", "1")
     assert report["invalid"] == []
     assert report["metrics"]["ops_per_s"]["pairs"] == 1
+
+
+# The same stand-in, which also moves the mtime of src/mod.py after seed 1,
+# as an edit while the pairs run would.
+STUB_RUN_TOUCH = STUB_RUN_FRESH + '''
+import os, sys
+if sys.argv[sys.argv.index("--seed") + 1] == "1":
+    mtime = source.stat().st_mtime + 100
+    os.utime(source, (mtime, mtime))
+'''
+
+
+def test_bench_pairs_compiles_each_checkout_before_every_run(tmp_path: Path) -> None:
+    roots = []
+    for side in ("parent", "change"):
+        root = stub_checkout(tmp_path / side, {"1": stub_result(700.0, 1.2)})
+        (root / "perfbench" / "run.py").write_text(
+            STUB_RUN_TOUCH.format(results={"1": stub_result(700.0, 1.2)})
+        )
+        (root / "src").mkdir()
+        (root / "src" / "mod.py").write_text("VALUE = 1\n")
+        roots.append(str(root))
+    report = bench_pairs(*roots, "--workload", "cli-mix", "--seeds", "1-2", "--seconds", "1")
+    assert report["invalid"] == []
+    assert report["metrics"]["ops_per_s"]["pairs"] == 2

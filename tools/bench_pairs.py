@@ -5,12 +5,14 @@ Usage (standard library only):
     python3 tools/bench_pairs.py PARENT CHANGE --workload cli-mix --seeds 1-10 --seconds 30
     python3 tools/bench_pairs.py . . --workload cli-mix --seeds 1 --seconds 0.1 --smoke
 
-PARENT and CHANGE are the roots of two checkouts.  Before the first pair,
-each checkout's ``src`` is byte-compiled with ``compileall``, by this
-script's interpreter, which also runs the harness: a copied checkout whose
-``__pycache__`` no longer matches its sources would otherwise recompile the
-package in every run (under ``PYTHONDONTWRITEBYTECODE``), and its
-``setup_s`` would read the compiler, not the code.  For each seed the script
+PARENT and CHANGE are the roots of two checkouts.  Before every run, the
+checkout's ``src`` is byte-compiled with ``compileall``, by this script's
+interpreter, which also runs the harness: a checkout whose ``__pycache__``
+no longer matches its sources, because it was copied or because a source
+changed while the pairs ran, would otherwise recompile the package in
+every run (under ``PYTHONDONTWRITEBYTECODE``), and its ``setup_s`` would
+read the compiler, not the code.  ``compileall`` skips the files whose
+bytecode is current, so this costs little.  For each seed the script
 runs ``python3 perfbench/run.py --workload W --seed S --seconds T --trace 0``
 (plus ``--smoke`` if given) once in each checkout, one run at a time, each
 with its own checkout's harness; odd pairs run the parent first and even
@@ -125,13 +127,12 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     spec = json.loads((args.change / "BENCHMARK.json").read_text(encoding="utf-8"))
     roots = {"parent": args.parent.resolve(), "change": args.change.resolve()}
-    for root in roots.values():
-        compile_sources(root)
     pairs = []
     for i, seed in enumerate(args.seeds):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         pair: dict = {"seed": seed, "first": order[0]}
         for side in order:
+            compile_sources(roots[side])
             pair[side] = run_once(roots[side], args.workload, seed, args.seconds, args.smoke)
             print(f"# seed {seed} {side}: {pair[side].get('invalid') or pair[side]['metrics']}",
                   file=sys.stderr)
