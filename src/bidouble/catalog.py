@@ -16,7 +16,7 @@ import os
 from dataclasses import dataclass
 from itertools import chain, islice
 from os import PathLike
-from typing import Any, Iterable, Iterator, NoReturn
+from typing import Any, Iterable, NoReturn
 
 from .errors import SchemaMismatch
 
@@ -54,27 +54,28 @@ def record_to_line(record: CatalogRecord) -> str:
     )
 
 
-#: Records rendered and written at a time while :func:`write_lines` holds
-#: the lock.
+#: Records :func:`write_catalog` renders into one chunk, and so writes at a
+#: time while :func:`write_chunks` holds the lock.
 RECORDS_PER_CHUNK = 1024
 
 
 def write_catalog(records: Iterable[CatalogRecord], path: str | PathLike[str]) -> int:
     """Append records to the JSONL file at ``path``; returns the count written.
 
-    Each record is rendered by :func:`record_to_line` and appended by
-    :func:`write_lines`, so the records may come from a generator.
+    Records are rendered by :func:`record_to_line` into chunks of
+    :data:`RECORDS_PER_CHUNK` lines that :func:`write_chunks` appends, so
+    they may come from a generator.
     """
-    return write_lines(map(record_to_line, records), path)
+    lines = (record_to_line(record) + "\n" for record in records)
+    return write_chunks(iter(lambda: "".join(islice(lines, RECORDS_PER_CHUNK)), ""), path)
 
 
-def write_lines(lines: Iterable[str], path: str | PathLike[str]) -> int:
-    """Append catalog lines to the JSONL file at ``path``; returns the count written.
+def write_chunks(chunks: Iterable[str], path: str | PathLike[str]) -> int:
+    """Append newline-terminated chunks of catalog lines to ``path``; returns the records written.
 
-    Each line is one record as :func:`record_to_line` renders it, without
-    the newline.  Lines are taken and written :data:`RECORDS_PER_CHUNK` at
-    a time under one exclusive lock, so only one chunk's text is held at a
-    time.  The first chunk is taken before the file is opened, and if
+    A record escapes every control character, so each newline ends one.
+    The chunks are taken and written one at a time under one exclusive
+    lock.  The first chunk is taken before the file is opened, and if
     anything fails after that, the file is truncated back to its length
     when the lock was taken before the error propagates: a schema error
     cannot leave a half-written file behind.  A file that did not exist is
@@ -82,7 +83,7 @@ def write_lines(lines: Iterable[str], path: str | PathLike[str]) -> int:
     it empty, which reads as a catalog of no records.  It is not removed:
     another writer may already hold it open, waiting for the lock.
     """
-    chunks = _chunks(lines)
+    chunks = iter(chunks)
     first = list(islice(chunks, 1))
     written = 0
     # Unbuffered, so that nothing written can linger in a buffer past the
@@ -92,24 +93,18 @@ def write_lines(lines: Iterable[str], path: str | PathLike[str]) -> int:
         try:
             start = os.fstat(handle.fileno()).st_size
             try:
-                for count, data in chain(first, chunks):
+                for chunk in chain(first, chunks):
+                    data = chunk.encode()
                     view = memoryview(data)
                     while view:
                         view = view[handle.write(view) :]
-                    written += count
+                    written += data.count(b"\n")
             except BaseException:
                 os.ftruncate(handle.fileno(), start)
                 raise
         finally:
             fcntl.flock(handle, fcntl.LOCK_UN)
     return written
-
-
-def _chunks(lines: Iterable[str]) -> Iterator[tuple[int, bytes]]:
-    """Up to :data:`RECORDS_PER_CHUNK` lines at a time: their count and their bytes."""
-    lines = iter(lines)
-    while batch := list(islice(lines, RECORDS_PER_CHUNK)):
-        yield len(batch), "".join(line + "\n" for line in batch).encode()
 
 
 def _reject_constant(name: str) -> NoReturn:

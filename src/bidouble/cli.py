@@ -26,10 +26,11 @@ from them as it writes, in one text stream for the ``--format``:
 :func:`bidouble.serialize.search_to_json_chunks` (byte-identical to
 ``json.dumps`` of the view) or :func:`bidouble.serialize.search_to_csv_chunks`
 (byte-identical to :mod:`csv` rows).  With ``--out`` it runs once more
-before that, through :func:`bidouble.serialize.search_to_catalog_lines`
-(byte-identical to :func:`bidouble.catalog.record_to_line`), and the
-catalog is appended in chunks under one lock.  No cover type or tuple
-object is built and the whole output is never held in memory.  Every
+before that, through :func:`bidouble.serialize.search_to_catalog_chunks`
+(byte-identical to :func:`bidouble.catalog.record_to_line` lines), and
+:func:`bidouble.catalog.write_chunks` appends those chunks as they come,
+under one lock.  No cover type or tuple object is built and the whole
+output is never held in memory.  Every
 ``search`` then writes one JSON line on stderr, after any ``appended``
 note: the run's counts and the wall time of the kernel pass and of the
 stdout emit pass.
@@ -197,8 +198,8 @@ def cmd_search(args: argparse.Namespace) -> tuple[Iterator[str], None, int]:
     run = scan(args.config)
     kernel_s = time.perf_counter() - begun
     if args.out is not None:
-        lines = serialize.search_to_catalog_lines(run, _timestamp(args))
-        _appended(args, "tuple", catalog.write_lines(lines, args.out))
+        chunks = serialize.search_to_catalog_chunks(run, _timestamp(args))
+        _appended(args, "tuple", catalog.write_chunks(chunks, args.out))
     if args.format == "csv":
         text = serialize.search_to_csv_chunks(run)
     else:

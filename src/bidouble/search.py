@@ -48,8 +48,9 @@ of that walk, as ``max_results`` keeps the first tuples of the run.  The
 walk depends only on the bucket's *shape*, its index tuple relabelled by
 first occurrence ((18, 18, 36) becomes (0, 0, 1); 284 shapes at bound 80),
 so :func:`walk` is run once per shape and gives the member positions of
-every tuple.  :meth:`SearchScan.buckets` is the emit pass: it takes each
-bucket's cells off one cursor per array, in key order, with what its
+every tuple.  :meth:`SearchScan.buckets` is the emit pass, and alone
+decides which tuples a run emits: it takes each bucket's cells off one
+cursor per array, in key order, up to the run's last tuple, with what its
 caller prepares once per shape, so no global sort is needed and nothing
 holds the whole result.  :func:`search` picks each tuple's members from
 its bucket by its shape's positions into :class:`CataneseTuple` objects;
@@ -197,35 +198,44 @@ class SearchScan:
     def buckets(
         self,
         prepare: Callable[[bytes, int], Prepared],
-        member: Callable[[tuple[int, int, int, int]], Any] | None = None,
-    ) -> Iterator[tuple[int, int, int, tuple[Any, ...], Prepared]]:
-        """Each stored bucket as ``(kk, chi, pattern, members, prepared)``, in key order.
+        member: Callable[[tuple[int, int, int, int]], Any],
+    ) -> Iterator[tuple[int, int, tuple[int, ...], tuple[Any, ...], Prepared, int]]:
+        """The buckets of the run's tuples as ``(kk, chi, indices, members, prepared, count)``.
 
-        ``members`` are the bucket's cells in member order: field tuples
-        (a, b, m2, n2), or ``member`` of each, called once per cell.
-        ``prepared`` is ``prepare(positions, cells)``, called once per
-        :func:`shape`, when it first comes up: ``positions`` are the member
-        positions of the bucket's tuples, k per tuple, as :func:`walk` gives
-        them, and ``cells`` the bucket's number of members.
+        Buckets come in key order, up to the run's last tuple, and the run
+        keeps ``count`` tuples of each.  ``members`` are ``member`` of each
+        cell's fields (a, b, m2, n2) in member order, called once per cell
+        yielded.  ``prepared`` is ``prepare(positions, cells)``: the member
+        positions of the first ``count`` tuples of the bucket's :func:`walk`,
+        k per tuple, and its number of members.  It is called once per
+        :func:`shape`, and once more for a bucket that ``max_results`` cuts.
         """
         k, index_tuples, tuple_counts = self.config.k, self.index_tuples, self.tuple_counts
         # One cursor per array: each bucket takes its cells off the front.
         keys = zip(*[iter(self.keys)] * 2)
-        cells = zip(*[iter(self.fields)] * 4)
-        members = cells if member is None else map(member, cells)
+        members = map(member, zip(*[iter(self.fields)] * 4))
         by_shape: dict[bytes, Prepared] = {}
         by_pattern: list[Prepared | None] = [None] * len(index_tuples)
+        left = self.stats.tuples
         for (kk, chi), pattern in zip(keys, self.patterns):
+            if not left:
+                return
             indices = index_tuples[pattern]
-            prepared = by_pattern[pattern]
-            if prepared is None:
-                labels = shape(indices)
-                prepared = by_shape.get(labels)
+            count = tuple_counts[pattern]
+            if count > left:
+                # max_results ends the run inside this bucket.
+                count, prepared = left, prepare(walk(indices, k, left), len(indices))
+            else:
+                prepared = by_pattern[pattern]
                 if prepared is None:
-                    positions = walk(labels, k, tuple_counts[pattern])
-                    prepared = by_shape[labels] = prepare(positions, len(labels))
-                by_pattern[pattern] = prepared
-            yield kk, chi, pattern, tuple(itertools.islice(members, len(indices))), prepared
+                    labels = shape(indices)
+                    prepared = by_shape.get(labels)
+                    if prepared is None:
+                        positions = walk(labels, k, count)
+                        prepared = by_shape[labels] = prepare(positions, len(labels))
+                    by_pattern[pattern] = prepared
+            left -= count
+            yield kk, chi, indices, tuple(itertools.islice(members, len(indices))), prepared, count
 
 
 def shape(indices: tuple[int, ...]) -> bytes:
@@ -307,26 +317,24 @@ def scan(config: SearchConfig) -> SearchScan:
     the fields go into their array in one call, and each bucket's index tuple
     is a slice of the indices.  Every count of the run is known when it
     returns; no tuple is built until :meth:`SearchScan.buckets` is walked.
-    Raises :class:`BoundTooLarge`, before any work, above the global field
-    cap or when the run would visit more than :data:`MAX_SEARCH_TYPES`
-    types; :class:`SearchConfig` has already checked the other ranges.
+    Raises :class:`BoundTooLarge` above the global field cap, before any
+    work, or when the run would visit more than :data:`MAX_SEARCH_TYPES`
+    types, counted from :func:`_s_classes` before any lane work;
+    :class:`SearchConfig` has already checked the other ranges.
     The pass runs under :func:`_collector_paused`.
     """
     if config.bound > DEFAULT_FIELD_CAP:
         raise BoundTooLarge(
             f"bound {int_text(config.bound)} exceeds the field cap {DEFAULT_FIELD_CAP}"
         )
-    # |P(bound)|: each y from 3 has the x of its parity from 2*y + 1 to the bound.
-    pair_count = sum(
-        len(range(2 * y + 2 - y % 2, config.bound + 1, 2)) for y in range(3, config.bound // 2 + 1)
-    )
+    classes = _s_classes(config.bound)
+    pair_count = sum(map(len, classes.values()))
     type_count = pair_count * (pair_count + 1) // 2
     if type_count > MAX_SEARCH_TYPES:
         raise BoundTooLarge(
             f"bound {config.bound} gives {type_count} types, "
             f"above the limit of {MAX_SEARCH_TYPES}"
         )
-    classes = _s_classes(config.bound)
     s_values = sorted(classes)
     by_product: dict[int, list[tuple[int, int]]] = {}
     for position, sa in enumerate(s_values):
@@ -471,13 +479,11 @@ def search(config: SearchConfig) -> SearchResult:
             zip(
                 itertools.repeat(HomeoClassKey(kk, chi)),
                 zip(*[iter(select(members))] * config.k),
-                zip(*[iter(select(run.index_tuples[pattern]))] * config.k),
+                zip(*[iter(select(indices))] * config.k),
             )
-            for kk, chi, pattern, members, select in buckets
+            for kk, chi, indices, members, select, _ in buckets
         )
-        collected = tuple(
-            itertools.starmap(CataneseTuple, itertools.islice(tuples, run.stats.tuples))
-        )
+        collected = tuple(itertools.starmap(CataneseTuple, tuples))
     return SearchResult(
         tuples=collected,
         type_count=run.stats.types,

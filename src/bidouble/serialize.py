@@ -8,9 +8,13 @@ strict and raise :class:`SchemaMismatch` on any shape or type drift.
 
 A search run's outputs (JSON, CSV and catalog lines) are streamed from its
 kernel pass (:class:`~bidouble.search.SearchScan`) without an object per
-tuple.  Each output is its text of one tuple, cut once into pieces at its
-slots (:func:`_cut`), and each bucket's text is one join of those pieces,
-by a plan built once per index shape (:func:`_search_chunks`).
+tuple.  Which tuples a run emits is decided by
+:meth:`~bidouble.search.SearchScan.buckets` alone, which hands over each
+bucket with its count of kept tuples.  Each output is its text of one
+tuple, cut once into pieces at its slots (:func:`_cut`), and each bucket's
+text is one join of those pieces, by a plan built once per index shape
+(:func:`_search_chunks`).  Every output is written in the chunks that
+function yields, the catalog's included.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ from .covers import CoverType, DerivedParams, SurfaceInvariants
 from .discriminant import ArgumentStep, DiscriminantProfile, ZariskiCertificate
 from .errors import SchemaMismatch
 from .paper_check import PaperExampleReport
-from .search import CataneseTuple, SearchScan, walk
+from .search import CataneseTuple, SearchScan
 from .topology import HomeoClassKey, TupleVerdict
 
 _PROFILE_BIG_FIELDS = ("deg_f", "deg_b", "half_deg", "genus", "cusps", "nodes")
@@ -160,13 +164,13 @@ def _csv_tuple(*row: Any) -> str:
     return line.getvalue()
 
 
-def search_to_catalog_lines(run: SearchScan, created_at: str) -> Iterator[str]:
-    """Each tuple of the run as its catalog line, stamped ``created_at``.
+def search_to_catalog_chunks(run: SearchScan, created_at: str) -> Iterator[str]:
+    """The run's tuples as catalog lines, stamped ``created_at``, in chunks.
 
     A line equals :func:`~bidouble.catalog.record_to_line` of the ``"tuple"``
-    record of the tuple's :func:`tuple_row_to_json` payload.  The lines
-    come from :func:`_search_chunks`, newline-terminated; the record escapes
-    every control character, so a chunk splits into lines at its newlines.
+    record of the tuple's :func:`tuple_row_to_json` payload, and ends with a
+    newline.  The chunks are :func:`_search_chunks` output as it comes, for
+    :func:`~bidouble.catalog.write_chunks`.  A run with no tuple has no chunk.
     """
     if not run.stats.tuples:
         return
@@ -175,8 +179,7 @@ def search_to_catalog_lines(run: SearchScan, created_at: str) -> Iterator[str]:
     # goes in after the cut, so that no stamp text can be taken for a slot.
     stamp = b'"created_at":%b' % json.dumps(created_at).encode("ascii")
     first = constants[0].replace(b'"created_at":""', stamp, 1)
-    for chunk in _search_chunks(run, (*head, (first, *constants[1:]), planner)):
-        yield from chunk.split("\n")[:-1]
+    yield from _search_chunks(run, (*head, (first, *constants[1:]), planner))
 
 
 def _catalog_line(*row: Any) -> str:
@@ -272,34 +275,25 @@ def _cut(render: Callable[..., str], k: int) -> _Cut:
 def _search_chunks(run: SearchScan, cut: _Cut, separator: bytes = b"") -> Iterator[str]:
     """The run's tuples as text, in chunks, by the pieces ``cut`` from an output.
 
-    Tuples come sorted by key and then by members, and ``max_results``
-    clips them.  Each stored cell's member text is rendered once
-    (:meth:`SearchScan.buckets`), and each index once.  A bucket's text,
-    its tuples separated by ``separator``, is one join of those pieces by
-    the plan of its :func:`~bidouble.search.shape`, built once per shape:
-    one ``%`` for its key, one ``itemgetter`` and one ``b"".join``, and no
-    per-tuple object.  When ``max_results`` cuts a bucket, it gets a plan
-    of just the tuples kept.  A chunk holds whole buckets, at most
-    :data:`TUPLES_PER_CHUNK` tuples unless one bucket holds more, and is
-    joined as bytes and decoded once.  The separator leads every chunk after
+    Tuples come sorted by key and then by members, as
+    :meth:`SearchScan.buckets` hands them over, ``max_results`` applied.
+    Each member text of a bucket handed over is rendered once, and each
+    index once.  A bucket's text, its tuples separated by ``separator``, is
+    one join of those pieces by the plan ``buckets`` prepares with the
+    planner of ``cut``: one ``%`` for its key, one ``itemgetter`` and one
+    ``b"".join``, and no per-tuple object.  A chunk holds whole buckets, at
+    most :data:`TUPLES_PER_CHUNK` tuples unless one bucket holds more, and
+    is joined as bytes and decoded once.  The separator leads every chunk after
     the first, so no chunk waits for the next, and at most one chunk's text
     is alive at a time when the caller takes each before asking for another.
     """
-    k = run.config.k
     key_template, order, member_template, constants, planner = cut
     pieces = (*constants, constants[-1] + separator)
     # Each index's text, at its own position.
     digits = [b"%d" % r for r in range(max(map(max, run.index_tuples)) + 1)]
     chunk: list[bytes] = []
-    in_chunk, left = 0, run.stats.tuples
-    for kk, chi, pattern, members, plan in run.buckets(planner, member_template.__mod__):
-        indices = run.index_tuples[pattern]
-        count = run.tuple_counts[pattern]
-        if count >= left:
-            # The run's last tuples: max_results may cut this bucket.
-            if count > left:
-                plan = planner(walk(indices, k, left), len(indices))
-            count = left
+    in_chunk = 0
+    for kk, chi, indices, members, plan, count in run.buckets(planner, member_template.__mod__):
         if in_chunk + count > TUPLES_PER_CHUNK and in_chunk:
             text = separator.join(chunk)
             chunk, in_chunk = [b""], 0
@@ -309,9 +303,6 @@ def _search_chunks(run: SearchScan, cut: _Cut, separator: bytes = b"") -> Iterat
         parts = (*pieces, key_template % (kk, chi)[order], *members, *map(digits.__getitem__, indices))
         chunk.append(b"".join(itemgetter(*plan)(parts)))
         in_chunk += count
-        left -= count
-        if not left:
-            break
     text = separator.join(chunk)
     del chunk
     yield text.decode("ascii")

@@ -21,7 +21,7 @@ from bidouble import (
     write_catalog,
     zariski_certificate,
 )
-from bidouble.catalog import RECORDS_PER_CHUNK, record_to_line
+from bidouble.catalog import RECORDS_PER_CHUNK, record_to_line, write_chunks
 from bidouble.search import CataneseTuple
 from bidouble.serialize import (
     certificate_from_json,
@@ -294,12 +294,28 @@ def test_catalog_write_failing_midway_on_a_new_file(tmp_path: Path, position: in
         assert read_catalog(path) == []
 
 
-def test_catalog_write_streams_many_chunks(tmp_path: Path) -> None:
+@pytest.mark.parametrize(
+    "count", [RECORDS_PER_CHUNK, RECORDS_PER_CHUNK + 1, 2 * RECORDS_PER_CHUNK + 1]
+)
+def test_catalog_write_streams_many_chunks(tmp_path: Path, count: int) -> None:
     path = tmp_path / "catalog.jsonl"
-    count = 2 * RECORDS_PER_CHUNK + 1
     records = (CatalogRecord(kind="tuple", payload={"n": n}) for n in range(count))
     assert write_catalog(records, path) == count
     assert [r.payload["n"] for r in read_catalog(path)] == list(range(count))
+
+
+def test_write_chunks_counts_the_records_of_each_chunk(tmp_path: Path) -> None:
+    # Chunks of any size are written as they come, and every record counts,
+    # its escaped newlines and separators included.
+    path = tmp_path / "catalog.jsonl"
+    lines = [
+        record_to_line(CatalogRecord("tuple", {"n": n, "text": "a\nb\u2028"})) + "\n"
+        for n in range(7)
+    ]
+    chunks = ["".join(lines[:1]), "", "".join(lines[1:6]), lines[6]]
+    assert write_chunks(iter(chunks), path) == 7
+    assert path.read_text() == "".join(lines)
+    assert [r.payload["n"] for r in read_catalog(path)] == list(range(7))
 
 
 def test_reread_certificate_still_verifies(tmp_path: Path) -> None:

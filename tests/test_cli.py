@@ -38,7 +38,7 @@ from bidouble.serialize import (
     certificate_from_json,
     key_to_json,
     profile_from_json,
-    search_to_catalog_lines,
+    search_to_catalog_chunks,
     search_to_csv_chunks,
     search_to_json_chunks,
     tuple_row_to_cells,
@@ -692,6 +692,27 @@ def test_search_catalog_bytes_are_unchanged(
     assert digest == "b5fe49ebbe4a691c1ff9eeaa057bb0c5db05d561ca3d3cbb9a3ff749bbd3ca08"
 
 
+@pytest.mark.parametrize("limit", [1023, 1024, 1025, 2048, None])
+def test_search_catalog_is_whole_across_chunk_boundaries(
+    capsys: pytest.CaptureFixture[str], tmp_path: Path, limit: int | None
+) -> None:
+    # search --out writes the emit's chunks as they come, 1024 tuples at
+    # most unless one bucket holds more; a max_results cut near a chunk's
+    # end must neither drop nor repeat a line, and the count must hold.
+    out_path = tmp_path / "catalog.jsonl"
+    argv = ["search", "--bound", "60", "--out", str(out_path), "--no-timestamp"]
+    argv += [] if limit is None else ["--max-results", str(limit)]
+    code, _, err = run(capsys, *argv)
+    assert code == 0
+    tuples = search(SearchConfig(bound=60, max_results=limit)).tuples
+    assert out_path.read_text() == "".join(
+        record_to_line(CatalogRecord("tuple", tuple_to_json(t))) + "\n" for t in tuples
+    )
+    assert err.splitlines()[0] == f"appended {len(tuples)} tuple record(s) to {out_path}"
+    chunks = list(search_to_catalog_chunks(scan(SearchConfig(bound=60, max_results=limit)), ""))
+    assert len(chunks) == (1 if len(tuples) <= 1024 else 2 if len(tuples) <= 2048 else 7)
+
+
 @pytest.mark.parametrize("k", [2, 3])
 @pytest.mark.parametrize(
     "stamp",
@@ -705,11 +726,11 @@ def test_search_catalog_lines_equal_record_to_line(k: int, stamp: str) -> None:
     # Each line is joined from pieces cut once; it must be what
     # record_to_line makes of the tuple's payload, whatever the stamp holds.
     config = SearchConfig(bound=40, k=k)
-    wanted = [
-        record_to_line(CatalogRecord("tuple", tuple_to_json(t), stamp))
+    wanted = "".join(
+        record_to_line(CatalogRecord("tuple", tuple_to_json(t), stamp)) + "\n"
         for t in search(config).tuples
-    ]
-    assert list(search_to_catalog_lines(scan(config), stamp)) == wanted
+    )
+    assert "".join(search_to_catalog_chunks(scan(config), stamp)) == wanted
 
 
 @pytest.mark.parametrize("cap", [1, 2, DEFAULT_TUPLES_PER_BUCKET])
@@ -735,8 +756,10 @@ def test_search_csv_and_catalog_lines_equal_their_writers_at_every_max_results(
             for t in tuples
         )
         assert "".join(search_to_csv_chunks(scan(config))) == wanted.getvalue(), limit
-        lines = [record_to_line(CatalogRecord("tuple", tuple_to_json(t))) for t in tuples]
-        assert list(search_to_catalog_lines(scan(config), "")) == lines, limit
+        lines = "".join(
+            record_to_line(CatalogRecord("tuple", tuple_to_json(t))) + "\n" for t in tuples
+        )
+        assert "".join(search_to_catalog_chunks(scan(config), "")) == lines, limit
 
 
 def test_certify_round_trips_through_catalog(

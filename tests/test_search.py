@@ -181,8 +181,13 @@ def test_search_max_results_truncates_after_sorting() -> None:
     assert unclipped.tuples == full.tuples
 
 
-def test_search_rejects_bound_above_cap() -> None:
-    with pytest.raises(BoundTooLarge):
+def test_search_rejects_bound_above_cap(monkeypatch: pytest.MonkeyPatch) -> None:
+    # The field cap is checked first, before the s-classes give the type count.
+    def no_classes(bound: int) -> dict[int, range]:
+        raise AssertionError(f"the s-classes of bound {bound} were built")
+
+    monkeypatch.setattr(importlib.import_module("bidouble.search"), "_s_classes", no_classes)
+    with pytest.raises(BoundTooLarge, match="^bound 10001 exceeds the field cap 10000$"):
         search(SearchConfig(bound=10_001))
 
 
@@ -199,14 +204,16 @@ def test_search_refuses_more_types_than_the_limit(monkeypatch: pytest.MonkeyPatc
         scan(SearchConfig(bound=21))
 
 
-def test_search_refuses_bound_10000_before_listing_a_pair(
+def test_search_refuses_bound_10000_before_any_lane_work(
     monkeypatch: pytest.MonkeyPatch,
 ) -> None:
-    def no_pairs(bound: int) -> list[tuple[int, int]]:
-        raise AssertionError(f"the pairs of bound {bound} were listed")
+    # The type count is read off the s-classes, and the refusal comes before
+    # the first row formula of the lanes.
+    def no_rows(*args: object) -> tuple[int, int, int]:
+        raise AssertionError("a row of the lanes was laid out")
 
     search_module = importlib.import_module("bidouble.search")
-    monkeypatch.setattr(search_module, "_s_classes", no_pairs)
+    monkeypatch.setattr(search_module, "_rows", no_rows)
     with pytest.raises(BoundTooLarge, match="77968871831256 types, above the limit of 30000000"):
         scan(SearchConfig(bound=10_000))
 
@@ -510,7 +517,7 @@ def test_a_capped_bucket_keeps_the_first_cap_tuples_of_its_walk(
 @pytest.mark.parametrize("k", [2, 3])
 def test_buckets_call_member_once_per_stored_cell(k: int) -> None:
     # member renders a cell once, however many tuples share it; its results
-    # stand where the field tuples stand without it.
+    # stand where the stored cells stand, in member order.
     run = scan(SearchConfig(bound=60, k=k))
     calls = Counter[tuple[int, int, int, int]]()
 
@@ -524,13 +531,57 @@ def test_buckets_call_member_once_per_stored_cell(k: int) -> None:
     rendered = list(run.buckets(prepare, member))
     assert sum(calls.values()) == run.stats.cells
     assert len(calls) == run.stats.cells
+    counts = [run.tuple_counts[pattern] for pattern in run.patterns]
     assert rendered == [
-        (kk, chi, pattern, tuple(("member", fields) for fields in members), positions)
-        for kk, chi, pattern, members, positions in run.buckets(prepare)
+        (
+            *key,
+            indices,
+            tuple(("member", t.as_tuple()) for t in types),
+            walk(shape(indices), k, count),
+            count,
+        )
+        for (key, types, indices), count in zip(stored_buckets(run), counts)
     ]
     # The tuples hold more member places than there are cells, so a call
     # per member of a tuple would not match the count above.
     assert k * run.stats.tuples > run.stats.cells
+
+
+@pytest.mark.parametrize("cap", [1, 2, DEFAULT_TUPLES_PER_BUCKET])
+@pytest.mark.parametrize("k", [2, 3])
+def test_buckets_yield_only_the_kept_tuples_at_every_max_results(
+    k: int, cap: int, monkeypatch: pytest.MonkeyPatch
+) -> None:
+    # buckets alone decides which tuples a run emits: it stops at the run's
+    # last tuple, renders no cell past it, and a bucket that max_results
+    # cuts is prepared from the first tuples of its walk.
+    cap_buckets_at(monkeypatch, cap)
+    full = scan(SearchConfig(bound=30, k=k))
+    stored = stored_buckets(full)
+    counts = [full.tuple_counts[pattern] for pattern in full.patterns]
+    if cap > 1:
+        assert max(counts) > 1
+    for limit in range(full.stats.tuples + 1):
+        run = scan(SearchConfig(bound=30, k=k, max_results=limit))
+        called: list[tuple[int, int, int, int]] = []
+
+        def member(fields: tuple[int, int, int, int]) -> tuple[int, int, int, int]:
+            called.append(fields)
+            return fields
+
+        yielded = list(run.buckets(lambda positions, cells: (positions, cells), member))
+        assert sum(count for *_, count in yielded) == run.stats.tuples == limit
+        assert all(count > 0 for *_, count in yielded)
+        assert called == [t.as_tuple() for _, types, _ in stored[: len(yielded)] for t in types]
+        for position, bucket in enumerate(yielded):
+            kk, chi, indices, members, (positions, cells), count = bucket
+            key, types, stored_indices = stored[position]
+            assert (kk, chi, indices, cells) == (*key, stored_indices, len(types))
+            assert members == tuple(t.as_tuple() for t in types)
+            # Only the run's last bucket may be cut.
+            if position < len(yielded) - 1:
+                assert count == counts[position]
+            assert positions == walk(indices, k, counts[position])[: k * count]
 
 
 def test_search_kernel_class_facts_hold_up_to_bound_200() -> None:

@@ -88,6 +88,40 @@ def test_bench_search_refuses_a_version_without_a_report(tmp_path: Path) -> None
     assert "Traceback" not in done.stderr
 
 
+STUB_REPORTING_CLI = '''
+import json, os, sys
+
+def main(argv):
+    report = {"types": 406, "buckets": 356, "tuples": 6, "kernel_s": 0.0, "emit_s": 0.0}
+    report.update(cwd=os.getcwd(), entry=sys.path[0], file=__file__)
+    print(json.dumps(report), file=sys.stderr)
+    return 0
+'''
+
+
+def test_bench_search_runs_the_child_inside_the_tree_however_src_is_spelled(
+    tmp_path: Path,
+) -> None:
+    # The paths a child holds move its heap layout, and so its peak RSS:
+    # they must be the tree's real path, whatever spelling --src is given.
+    tree = tmp_path / "tree"
+    package = tree / "bidouble"
+    package.mkdir(parents=True)
+    (package / "__init__.py").write_text("")
+    (package / "cli.py").write_text(STUB_REPORTING_CLI)
+    (tmp_path / "a").symlink_to(tree)
+    (tmp_path / "a-much-longer-spelling").symlink_to(tree)
+    real = os.path.realpath(tree)
+    seen = []
+    for src in (tree, tmp_path / "a", tmp_path / "a-much-longer-spelling"):
+        (run,) = bench_search("--src", str(src), "20")["runs"]
+        seen.append(run["stats"])
+    assert seen[0] == seen[1] == seen[2]
+    assert seen[0]["entry"] == "."
+    assert seen[0]["cwd"] == real
+    assert seen[0]["file"] == os.path.join(real, "bidouble", "cli.py")
+
+
 def bench_pairs(*args: str) -> dict:
     done = subprocess.run(
         [sys.executable, str(ROOT / "tools" / "bench_pairs.py"), *args],

@@ -8,10 +8,11 @@ Usage (from the root of a checkout; standard library only):
     python3 tools/bench_search.py --format csv 100 140
     python3 tools/bench_search.py --catalog 100 140
 
-For each bound a child interpreter imports ``bidouble`` from ``--src``
-(default: this checkout's ``src``), runs ``cli.main(["search", "--bound",
-B, "--k", K, "--format", F])`` once, with K from ``--k`` (default 2) and F
-from ``--format`` (default json), stdout going to a sink that keeps only a
+For each bound a child interpreter, started inside ``--src`` (default:
+this checkout's ``src``), imports ``bidouble`` through the relative path
+entry ``.``, runs ``cli.main(["search", "--bound", B, "--k", K,
+"--format", F])`` once, with K from ``--k`` (default 2) and F from
+``--format`` (default json), stdout going to a sink that keeps only a
 digest, and reports:
 
 - ``stats``: the report line ``search`` writes on stderr, less its times
@@ -31,6 +32,16 @@ directory, as ``search --out CATALOG --no-timestamp``, and reports
 
 The result is one JSON object on stdout.  Times depend on the machine and
 its load; counts and digests do not.
+
+Peak RSS is set by heap layout, which the lengths of incidental strings
+move, and its noise floor is one 1 MiB pymalloc arena.  The child runs
+inside the source tree so that the paths it holds are the tree's real
+path, however ``--src`` is spelled: over twelve spellings of one tree
+(symlinks of six lengths, each relative and absolute), ``--k 5 200`` read
+26.1-27.5 MB when the child put ``--src`` as given on its path, and
+26.2-26.5 MB from inside the tree, and copies of the tree at real paths
+of 25 to 104 characters read 26.3-26.4 MB (Python 3.11, 2-core x86-64
+VM).  A peak RSS difference below one arena is still no finding.
 """
 
 from __future__ import annotations
@@ -48,7 +59,7 @@ ROOT = Path(__file__).resolve().parent.parent
 
 CHILD = r"""
 import hashlib, io, json, resource, sys, time
-sys.path.insert(0, sys.argv[1])
+sys.path.insert(0, ".")
 from bidouble import cli
 
 class Sink(io.TextIOBase):
@@ -60,7 +71,7 @@ class Sink(io.TextIOBase):
         self.size += len(data)
         return len(text)
 
-bound, k, fmt, out = sys.argv[2], sys.argv[3], sys.argv[4], sys.argv[5:]
+bound, k, fmt, out = sys.argv[1], sys.argv[2], sys.argv[3], sys.argv[4:]
 argv = ["search", "--bound", bound, "--k", k, "--format", fmt]
 argv += ["--out", out[0], "--no-timestamp"] if out else []
 sink, err, real = Sink(), io.StringIO(), (sys.stdout, sys.stderr)
@@ -98,9 +109,10 @@ def run_bound(src: Path, bound: int, k: int, fmt: str, catalog: bool) -> dict:
     """One fresh interpreter searching at ``bound`` for k-tuples in ``fmt``; its report as a dict."""
     with tempfile.TemporaryDirectory() as scratch:
         out = Path(scratch) / "catalog.jsonl"
-        argv = [sys.executable, "-c", CHILD, str(src), str(bound), str(k), fmt]
+        argv = [sys.executable, "-c", CHILD, str(bound), str(k), fmt]
         done = subprocess.run(
             argv + ([str(out)] if catalog else []),
+            cwd=src,
             capture_output=True,
             text=True,
         )
