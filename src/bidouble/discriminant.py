@@ -116,10 +116,13 @@ def node_count(deg_b: int, genus: int, cusps: int) -> int:
 def discriminant_profile(inv: SurfaceInvariants, mult: int) -> DiscriminantProfile:
     """Profile of the discriminant curve of the ``mult``-canonical projection.
 
-    Requires 5 <= ``mult`` < :data:`MAX_MULT` (:class:`MultTooSmall` below,
-    :class:`OutOfRange` above); every output field is determined by (K^2,
-    chi) and ``mult`` alone.
+    Requires an ``int`` ``mult`` (:class:`TypeError` otherwise, a ``bool``
+    included, before any arithmetic) with 5 <= ``mult`` < :data:`MAX_MULT`
+    (:class:`MultTooSmall` below, :class:`OutOfRange` above); every output
+    field is determined by (K^2, chi) and ``mult`` alone.
     """
+    if isinstance(mult, bool) or not isinstance(mult, int):
+        raise TypeError(f"canonical multiple must be an integer, got {mult!r}")
     if mult < MIN_MULT:
         raise MultTooSmall(f"canonical multiple must be >= {MIN_MULT}, got {int_text(mult)}")
     if mult >= MAX_MULT:
@@ -152,9 +155,10 @@ def zariski_certificate(
 
     Raises :class:`NotCatanese` (with the per-pair failures) when the members
     do not form a Catanese tuple and, from :func:`discriminant_profile`,
-    :class:`MultTooSmall` or :class:`OutOfRange` at the first multiple out of
-    range.  Profiles are computed once from the shared (K^2, chi): by
-    construction they apply verbatim to every member.
+    :class:`TypeError`, :class:`MultTooSmall` or :class:`OutOfRange` at the
+    first multiple that is not an ``int`` or is out of range.  Profiles are
+    computed once from the shared (K^2, chi): by construction they apply
+    verbatim to every member.
     """
     verdict = is_catanese_tuple(types)
     if not verdict.is_catanese:

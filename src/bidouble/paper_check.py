@@ -99,8 +99,9 @@ def verify_paper_example(mults: Sequence[int] = ()) -> PaperExampleReport:
     """Recompute the published example and compare entry by entry.
 
     Always emits the kk, chi, r_1, r_2 entries, then deg_b, genus, cusps for
-    each requested multiple (:class:`MultTooSmall` below 5).  An empty
-    ``mults`` yields the invariants-only report.
+    each requested multiple (:class:`MultTooSmall` below 5, :class:`TypeError`
+    for one that is not an ``int``).  An empty ``mults`` yields the
+    invariants-only report.
     """
     inv1 = surface_invariants(EXAMPLE_TYPE_1)
     inv2 = surface_invariants(EXAMPLE_TYPE_2)

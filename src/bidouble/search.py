@@ -14,20 +14,22 @@ u, v, w, z = s_i, s_j, d_i, d_j, hence the key (K^2, chi) =
 r = gcd(s_i, s_j).  Within one value of s, d names the pair, so the kernel
 works on s-classes, and each s-class is every even d in an interval, held as
 a range.  For an unordered pair of s values sa <= sb, every cell has the
-product P = sa*sb, the index gcd(sa, sb) and
-2*chi = 3P + 2(sa + sb + 2) - da*db, so each row da of the pair holds its
-2*chi values as an arithmetic progression of step 2*da.  As s and d are
-even, every 2*chi is 0 mod 4.  For each P in ascending order the kernel
-gives each value from the product's lowest 2*chi upward, in steps of 4, a
-byte lane, and each row sets its values with one extended slice of lanes
-(:func:`_rows` states the slice).  The product's keys are its lanes that
-are set.  When its class pairs carry at least k distinct indices, each
-index group fills its own lane array, and the arrays added as integers
-count the groups of each lane; the lanes that at least k groups share are
-the multi-index keys.  One pass over the product's class pairs recovers
-their cells (:func:`_shared_buckets`): the members (x, y, d) of each
-s-class are built once per run, d descending, and each row picks its cells
-from them with its slice of those lanes.
+product P = sa*sb, the same index r and 2*chi = top - da*db, with
+top = 3P + 2(sa + sb + 2), so each row da of the pair holds its 2*chi
+values as an arithmetic progression of step 2*da.  As s and d are even,
+every 2*chi is 0 mod 4.  For each P in ascending order the kernel lays out
+each of the product's class pairs once, as one tuple that holds its index,
+its top and its rows, and gives each value from the product's lowest 2*chi
+upward, in steps of 4, a byte lane; each row sets its values with one
+extended slice of lanes.  The product's keys are its lanes that are set.
+When its class pairs carry at least k distinct indices, each index group
+fills its own lane array, and the arrays added as integers count the groups
+of each lane; the lanes that at least k groups share are the multi-index
+keys.  One pass over the same class pair tuples recovers their cells
+(:func:`_shared_buckets`): the members (x, y, d) of each s-class are built
+once per run, d descending, and each row picks its cells from them with its
+slice of those lanes.  A diagonal class pair (sa == sb) keeps only the cells
+with db >= da, as its cells are unordered.
 
 :func:`scan` is that kernel pass.  It stores each bucket with at least k
 distinct indices as plain integers in flat arrays (its key, its cells'
@@ -311,12 +313,13 @@ def scan(config: SearchConfig) -> SearchScan:
     """The kernel pass: bucket s-class pairs by product and store multi-index buckets.
 
     Each product's keys are counted on byte lanes, one per 2*chi, as the
-    module docstring describes, each row setting the slice :func:`_rows`
-    states.  The cells of a product's shared keys come from
-    :func:`_shared_buckets` in key and member order and are flattened once:
-    the fields go into their array in one call, and each bucket's index tuple
-    is a slice of the indices.  Every count of the run is known when it
-    returns; no tuple is built until :meth:`SearchScan.buckets` is walked.
+    module docstring describes, from one row layout per class pair, built
+    once per product and read again by :func:`_shared_buckets`.  The cells
+    of a product's shared keys come from it in key and member order and are
+    flattened once: the fields go into their array in one call, and each
+    bucket's index tuple is a slice of the indices.  Every count of the run
+    is known when it returns; no tuple is built until
+    :meth:`SearchScan.buckets` is walked.
     Raises :class:`BoundTooLarge` above the global field cap, before any
     work, or when the run would visit more than :data:`MAX_SEARCH_TYPES`
     types, counted from :func:`_s_classes` before any lane work;
@@ -360,29 +363,39 @@ def scan(config: SearchConfig) -> SearchScan:
     e_ks: list[int] = []
     with _collector_paused():
         for product in sorted(by_product):
-            class_pairs = by_product[product]
-            by_index: dict[int, list[tuple[int, int]]] = {}
+            # One row layout per class pair, which the lane fill and
+            # _shared_buckets both read: (r, top, ds_a, last, span, diagonal,
+            # ends_a, ends_b).  Cell (da, db) has the index r and 2*chi =
+            # top - da*db, and db runs down the class of sb from its ``last``
+            # d in ``span`` steps of 2.
+            rows: list[tuple] = []
+            by_index: dict[int, list[tuple]] = {}
             lowest: list[int] = []
             highest: list[int] = []
-            for sa, sb in class_pairs:
-                by_index.setdefault(gcd(sa, sb), []).append((sa, sb))
+            for sa, sb in by_product[product]:
+                r = gcd(sa, sb)
                 ds_a, ds_b = classes[sa], classes[sb]
-                shift = 3 * product + 2 * (sa + sb + 2)
-                lowest.append(shift - ds_a[-1] * ds_b[-1])
-                highest.append(shift - ds_a[0] * ds_b[0])
+                top = 3 * product + 2 * (sa + sb + 2)
+                last = ds_b[-1]
+                row = (r, top, ds_a, last, len(ds_b) - 1, sa == sb, ends[sa], ends[sb])
+                rows.append(row)
+                by_index.setdefault(r, []).append(row)
+                lowest.append(top - ds_a[-1] * last)
+                highest.append(top - ds_a[0] * ds_b[0])
             # Lane 0 is the product's lowest 2*chi; the last lane its highest.
             base = min(lowest)
             size = (max(highest) - base) // 4 + 1
             # A byte lane per 2*chi, set to 1 where a cell has it: one lane
             # array per index group when there are at least k groups, else
-            # one for the whole product, as fewer groups share no key.
+            # one for the whole product, as fewer groups share no key.  Row
+            # da sets its lanes (top - da*db - base)/4 with one extended slice.
             filled: list[bytearray] = []
-            for group in by_index.values() if len(by_index) >= k else (class_pairs,):
+            for group in by_index.values() if len(by_index) >= k else (rows,):
                 lanes = bytearray(size)
-                for sa, sb in group:
-                    shift, last, span = _rows(sa, sb, base, classes)
+                for _, top, ds_a, last, span, _, _, _ in group:
+                    shift = top - base
                     ones = b"\x01" * (span + 1)
-                    for da in classes[sa]:
+                    for da in ds_a:
                         step = da // 2
                         start = (shift - da * last) // 4
                         lanes[start : start + step * span + 1 : step] = ones
@@ -397,7 +410,7 @@ def scan(config: SearchConfig) -> SearchScan:
             groups_of = total.to_bytes(size, "little")
             bucket_count += size - groups_of.count(0)
             shared = groups_of.translate(at_least_k)
-            twice_chis, buckets = _shared_buckets(shared, base, class_pairs, classes, ends)
+            twice_chis, buckets = _shared_buckets(shared, base, rows)
             sizes = list(map(len, buckets))
             # All the product's cells, flattened once: every fifth entry is
             # an index, the rest go into the fields array in one call.  Each
@@ -493,47 +506,24 @@ def search(config: SearchConfig) -> SearchResult:
     )
 
 
-def _rows(sa: int, sb: int, base: int, classes: dict[int, range]) -> tuple[int, int, int]:
-    """The row formula of the class pair (sa, sb): ``(shift, last, span)``.
-
-    Cell (da, db) has 2*chi = 3P + 2(sa + sb + 2) - da*db, P = sa*sb, in
-    lane (2*chi - base)/4: every 2*chi of the product is 0 mod 4, as sa, sb,
-    da and db are even.  With ``shift`` = 3P + 2(sa + sb + 2) - base, and db
-    running down the class of sb from its ``last`` d in ``span`` steps of 2,
-    row da holds the lanes ``[start : start + da//2*span + 1 : da//2]``,
-    where ``start = (shift - da*last) // 4``.  :func:`scan` and
-    :func:`_shared_buckets` take that slice of their lanes in their row loops.
-    """
-    ds_b = classes[sb]
-    return 3 * sa * sb + 2 * (sa + sb + 2) - base, ds_b[-1], len(ds_b) - 1
-
-
 def _shared_buckets(
-    shared: bytes,
-    base: int,
-    class_pairs: list[tuple[int, int]],
-    classes: dict[int, range],
-    ends: dict[int, list[tuple[int, int, int]]],
+    shared: bytes, base: int, rows: list[tuple]
 ) -> tuple[list[int], list[list[tuple[int, int, int, int, int]]]]:
     """The 2*chi values whose lane is 1 in ``shared``, ascending, and each one's cells.
 
-    Lane i of ``shared`` stands for 2*chi = base + 4*i, as :func:`_rows`
-    lays them out.  A cell is ``(a, b, m2, n2, r)``, its canonical type and
-    its index, and each 2*chi's cells are sorted, which is member order.
-    Each class pair is scanned once: each of its rows picks its cells from
-    the member ``ends`` (x, y, d) of the class of sb, d descending, with the
-    row's slice of ``shared``.  A diagonal class pair (sa == sb) keeps
-    db >= da, since its cells are unordered, so its row da is cut to its
-    first (last - da)/2 + 1 lanes.  All class pairs have the same product
-    sa*sb.
+    Lane i of ``shared`` stands for 2*chi = base + 4*i, and ``rows`` are the
+    product's class pairs as :func:`scan` lays them out.  A cell is
+    ``(a, b, m2, n2, r)``, its canonical type and its index, and each 2*chi's
+    cells are sorted, which is member order.  Each class pair is scanned
+    once: each of its rows picks its cells from the member ends (x, y, d) of
+    the class of sb, d descending, with the row's slice of ``shared``.  A
+    diagonal class pair (sa == sb) keeps db >= da, since its cells are
+    unordered, so its row da is cut to its first (last - da)/2 + 1 lanes.
     """
     cells: dict[int, list[tuple[int, int, int, int, int]]] = {}
-    for sa, sb in class_pairs:
-        shift, last, span = _rows(sa, sb, base, classes)
-        diagonal, ends_b, r = sa == sb, ends[sb], gcd(sa, sb)
-        # Cell (da, db) has 2*chi = top - da*db.
-        top = shift + base
-        for x1, y1, da in ends[sa]:
+    for r, top, _, last, span, diagonal, ends_a, ends_b in rows:
+        shift = top - base
+        for x1, y1, da in ends_a:
             step = da // 2
             start = (shift - da * last) // 4
             stop = start + step * ((last - da) // 2 if diagonal else span) + 1

@@ -614,6 +614,31 @@ def test_search_pins_the_bound_100_csv(monkeypatch: pytest.MonkeyPatch) -> None:
     )
 
 
+def test_search_pins_the_bound_140_k_5_output(
+    capsys: pytest.CaptureFixture[str], monkeypatch: pytest.MonkeyPatch
+) -> None:
+    # At k = 5 only a product with at least 5 index groups fills a lane
+    # array per group; 28 products do here, up to 7 groups each.  The digest
+    # of the 2,162,553 bytes of JSON is the one every recorded k = 5,
+    # bound-140 benchmark run has printed.
+    sink = Digest()
+    monkeypatch.setattr(sys, "stdout", sink)
+    assert main(["search", "--bound", "140", "--k", "5"]) == 0
+    monkeypatch.undo()
+    report = search_report(capsys.readouterr().err)
+    counts = ("types", "buckets", "multi_index_buckets", "cells", "tuples")
+    assert {count: report[count] for count in counts} == {
+        "types": 2_595_781,
+        "buckets": 1_411_282,
+        "multi_index_buckets": 179,
+        "cells": 1_461,
+        "tuples": 3_194,
+    }
+    assert sink.sha.hexdigest() == (
+        "6d15695ae3dbceb2b8483010c151d8cb081707f3c625d56f15d94d25a685c288"
+    )
+
+
 @pytest.mark.parametrize("to_catalog", [False, True], ids=["json", "out"])
 def test_search_with_a_huge_k_renders_no_template(
     capsys: pytest.CaptureFixture[str], tmp_path: Path, to_catalog: bool

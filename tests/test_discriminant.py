@@ -21,6 +21,7 @@ from bidouble import (
     surface_invariants,
     swap,
     validate_type,
+    verify_paper_example,
     zariski_certificate,
 )
 from bidouble.discriminant import MAX_MULT
@@ -89,6 +90,21 @@ def test_profile_names_a_small_multiple_past_the_digit_limit() -> None:
     with pytest.raises(MultTooSmall) as excinfo:
         discriminant_profile(INV, -(10**5000))
     assert str(excinfo.value) == "canonical multiple must be >= 5, got -<16610-bit integer>"
+
+
+@pytest.mark.parametrize("mult", [5.0, 5.5, True], ids=repr)
+def test_a_multiple_that_is_not_an_int_is_refused(mult: object) -> None:
+    # m is a natural number.  A float multiple gave float profile fields; at
+    # 5.5 the certificate wrote "deg_f": "313632.0", which
+    # certificate_from_json refused, and at 5.0 the paper report matched
+    # the printed closed forms.  True would be read as 1.
+    message = f"canonical multiple must be an integer, got {mult!r}$"
+    with pytest.raises(TypeError, match=message):
+        discriminant_profile(INV, mult)  # type: ignore[arg-type]
+    with pytest.raises(TypeError, match=message):
+        zariski_certificate([TYPE_1, TYPE_2], [5, mult])  # type: ignore[list-item]
+    with pytest.raises(TypeError, match=message):
+        verify_paper_example([mult])  # type: ignore[list-item]
 
 
 def test_profile_refuses_multiples_from_max_mult_on() -> None:

@@ -208,12 +208,12 @@ def test_search_refuses_bound_10000_before_any_lane_work(
     monkeypatch: pytest.MonkeyPatch,
 ) -> None:
     # The type count is read off the s-classes, and the refusal comes before
-    # the first row formula of the lanes.
-    def no_rows(*args: object) -> tuple[int, int, int]:
+    # the product loop lays out its first row, which starts with the index.
+    def no_rows(*args: object) -> int:
         raise AssertionError("a row of the lanes was laid out")
 
     search_module = importlib.import_module("bidouble.search")
-    monkeypatch.setattr(search_module, "_rows", no_rows)
+    monkeypatch.setattr(search_module, "gcd", no_rows)
     with pytest.raises(BoundTooLarge, match="77968871831256 types, above the limit of 30000000"):
         scan(SearchConfig(bound=10_000))
 

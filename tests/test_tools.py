@@ -122,6 +122,29 @@ def test_bench_search_runs_the_child_inside_the_tree_however_src_is_spelled(
     assert seen[0]["file"] == os.path.join(real, "bidouble", "cli.py")
 
 
+STUB_TIMED_CLI = '''
+import json, sys
+
+def main(argv):
+    report = {"types": 406, "buckets": 356, "tuples": 6, "kernel_s": 0.000537, "emit_s": 0.001204}
+    print(json.dumps(report), file=sys.stderr)
+    return 0
+'''
+
+
+def test_bench_search_keeps_the_report_line_times_to_the_microsecond(tmp_path: Path) -> None:
+    # At bounds 20-30 the kernel pass takes about a millisecond, so times
+    # cut to 3 decimals would hide a 10% change.
+    package = tmp_path / "bidouble"
+    package.mkdir()
+    (package / "__init__.py").write_text("")
+    (package / "cli.py").write_text(STUB_TIMED_CLI)
+    (run,) = bench_search("--src", str(tmp_path), "20")["runs"]
+    assert (run["kernel_s"], run["emit_s"]) == (0.000537, 0.001204)
+    assert run["total_s"] == round(run["total_s"], 6)
+    assert "kernel_s" not in run["stats"] and "emit_s" not in run["stats"]
+
+
 def bench_pairs(*args: str) -> dict:
     done = subprocess.run(
         [sys.executable, str(ROOT / "tools" / "bench_pairs.py"), *args],

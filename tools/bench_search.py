@@ -20,8 +20,9 @@ digest, and reports:
   runs of two versions can be checked to have done the same work
 - ``stdout_bytes`` and ``stdout_sha256``
 - ``kernel_s`` and ``emit_s``: the wall times of the kernel pass and of the
-  stdout emit pass, from the same line
-- ``total_s`` and ``peak_rss_mb`` (the child's own ``ru_maxrss``)
+  stdout emit pass, as that line gives them, to the microsecond
+- ``total_s``, to the microsecond, and ``peak_rss_mb`` (the child's own
+  ``ru_maxrss``)
 
 A version whose search writes no report line is refused: the script exits
 non-zero with a message that says so.  With ``--catalog`` each run
@@ -86,7 +87,7 @@ stats = next(
 )
 if stats is None:
     sys.exit(f"search --bound {bound} wrote no report line on stderr")
-times = {name: round(stats.pop(name), 3) for name in ("kernel_s", "emit_s")}
+times = {name: stats.pop(name) for name in ("kernel_s", "emit_s")}
 print(json.dumps({
     "bound": int(bound),
     "k": int(k),
@@ -98,7 +99,7 @@ print(json.dumps({
     "stdout_bytes": sink.size,
     "stdout_sha256": sink.sha.hexdigest(),
     **times,
-    "total_s": round(total, 3),
+    "total_s": round(total, 6),
     "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
     "stats": stats,
 }))
