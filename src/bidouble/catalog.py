@@ -18,7 +18,7 @@ from itertools import chain, islice
 from os import PathLike
 from typing import Any, Iterable, NoReturn
 
-from .errors import SchemaMismatch
+from .errors import SchemaMismatch, is_int
 
 SCHEMA_VERSION = 1
 KINDS = ("invariants", "tuple", "certificate")
@@ -54,8 +54,8 @@ def record_to_line(record: CatalogRecord) -> str:
     )
 
 
-#: Records :func:`write_catalog` renders into one chunk, and so writes at a
-#: time while :func:`write_chunks` holds the lock.
+#: Records :func:`write_catalog` renders and writes per chunk under the lock, or
+#: tuples per chunk of a search output, unless one bucket holds more.
 RECORDS_PER_CHUNK = 1024
 
 
@@ -150,12 +150,7 @@ def read_catalog(path: str | PathLike[str]) -> list[CatalogRecord]:
                     f"got {sorted(obj)}"
                 )
             version = obj["schema_version"]
-            # true and 1.0 compare equal to 1, but only an int is a version.
-            if (
-                isinstance(version, bool)
-                or not isinstance(version, int)
-                or version != SCHEMA_VERSION
-            ):
+            if not is_int(version) or version != SCHEMA_VERSION:
                 raise SchemaMismatch(
                     f"line {lineno}: unsupported schema_version {version!r} "
                     f"(expected {SCHEMA_VERSION})"

@@ -8,8 +8,9 @@ appends records to a JSONL catalog, stamped unless ``--no-timestamp`` is
 given; no other command accepts either flag.  Exit codes: 0 success; 1 a
 domain or I/O error (an ``error:`` line on stderr and a JSON error object on
 stdout, whatever the ``--format``) or a reader of stdout gone early; 2 a
-usage error: an unknown option, a flag argparse rejects, a ``--type`` count
-off the command's arity, or a ``search`` range that
+usage error: an unknown option, a flag argparse rejects, an integer not
+spelt as ``str()`` writes it (:func:`~bidouble.errors.int_from_text`), a
+``--type`` count off the command's arity, or a ``search`` range that
 :class:`~bidouble.search.SearchConfig` refuses, each reported under the
 subcommand's usage line.  Only ``_emit`` writes stdout, under one guard,
 so a closed stdout never ends in a traceback.
@@ -59,7 +60,7 @@ from typing import Any, Iterable, Iterator, Sequence
 from . import catalog, serialize
 from .covers import CoverType, derive_params, surface_invariants, validate_type
 from .discriminant import discriminant_profile, zariski_certificate
-from .errors import BidoubleError, ConstraintViolation, NotCatanese
+from .errors import BidoubleError, ConstraintViolation, NotCatanese, int_from_text
 from .paper_check import verify_paper_example
 from .search import SearchConfig, SearchScan, scan
 from .topology import (
@@ -77,8 +78,8 @@ CsvRows = tuple[list[str], Iterable[list[Any]]]
 
 def cover_type_argument(text: str) -> CoverType:
     try:
-        a, b, m2, n2 = map(int, text.split(","))
-    except ValueError:  # a non-integer field, or not four of them
+        a, b, m2, n2 = map(int_from_text, text.split(","))
+    except ValueError:  # a field int_from_text refuses, or not four of them
         raise argparse.ArgumentTypeError(
             f"expected four comma-separated integers a,b,m2,n2, got {text!r}"
         ) from None
@@ -273,7 +274,7 @@ def _add_mult_flag(parser: argparse.ArgumentParser, help_text: str, **count: Any
         "--m",
         dest="mults",
         action="append",
-        type=int,
+        type=int_from_text,
         metavar="MULT",
         help=help_text,
         **count,
@@ -360,10 +361,10 @@ def build_parser() -> argparse.ArgumentParser:
         sub, "search",
         "enumerate types up to a bound and extract Catanese k-tuples",
     )
-    p.add_argument("--bound", type=int, required=True, help="field bound, >= 3")
-    p.add_argument("--k", type=int, default=2, help="tuple size (default 2)")
+    p.add_argument("--bound", type=int_from_text, required=True, help="field bound, >= 3")
+    p.add_argument("--k", type=int_from_text, default=2, help="tuple size (default 2)")
     p.add_argument(
-        "--max-results", type=int, default=None, help="truncate the sorted output"
+        "--max-results", type=int_from_text, default=None, help="truncate the sorted output"
     )
     _add_common_flags(p, out=True)
 

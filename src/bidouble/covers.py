@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from .errors import ConstraintViolation, OutOfRange, int_text
+from .errors import ConstraintViolation, OutOfRange, int_text, is_int
 
 #: Inclusive cap applied to every branch-data field.  It also keeps the
 #: search kernel's 16-bit array of fields in range.  It does
@@ -93,7 +93,7 @@ def validate_type(a: int, b: int, m2: int, n2: int) -> CoverType:
     """
     fields = (("a", a), ("b", b), ("m2", m2), ("n2", n2))
     for name, value in fields:
-        if isinstance(value, bool) or not isinstance(value, int):
+        if not is_int(value):
             raise TypeError(f"{name} must be an integer, got {value!r}")
     for name, value in fields:
         if value > DEFAULT_FIELD_CAP:

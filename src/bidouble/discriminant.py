@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .covers import CoverType, SurfaceInvariants, canonicalize, surface_invariants
-from .errors import MultTooSmall, NegativeNodes, NotCatanese, OutOfRange, int_text
+from .errors import MultTooSmall, NegativeNodes, NotCatanese, OutOfRange, int_text, is_int
 from .topology import HomeoClassKey, homeo_class_key, is_catanese_tuple
 
 #: Smallest canonical multiple for which the projection is generic enough
@@ -121,7 +121,7 @@ def discriminant_profile(inv: SurfaceInvariants, mult: int) -> DiscriminantProfi
     (:class:`MultTooSmall` below, :class:`OutOfRange` above); every output
     field is determined by (K^2, chi) and ``mult`` alone.
     """
-    if isinstance(mult, bool) or not isinstance(mult, int):
+    if not is_int(mult):
         raise TypeError(f"canonical multiple must be an integer, got {mult!r}")
     if mult < MIN_MULT:
         raise MultTooSmall(f"canonical multiple must be >= {MIN_MULT}, got {int_text(mult)}")

@@ -1,7 +1,10 @@
 """Exception hierarchy shared across the package.
 
 Everything raised on purpose derives from :class:`BidoubleError`, so the CLI
-can map domain failures to exit code 1 in one place.
+can map domain failures to exit code 1 in one place.  The module also owns
+the integer rules: :func:`is_int`, what an integer input is;
+:func:`int_from_text`, the integer that command-line text or a catalog's
+decimal string spells; and :func:`int_text`, an integer as message text.
 """
 
 from __future__ import annotations
@@ -84,3 +87,17 @@ def int_text(value: int) -> str:
         return str(value)
     except ValueError:
         return f"{'-' if value < 0 else ''}<{value.bit_length()}-bit integer>"
+
+
+def is_int(value: object) -> bool:
+    """Whether ``value`` is an integer input: an ``int``, so not ``True`` or ``1.0``."""
+    return type(value) is int
+
+
+def int_from_text(text: str) -> int:
+    """The int ``text`` spells as ``str()`` writes it, else :class:`ValueError`, also for
+    the ``+``, spaces, ``_``, leading zeros, ``-0`` and non-ASCII digits ``int()`` reads."""
+    number = int(text)
+    if str(number) != text:
+        raise ValueError(f"not an integer as str() writes it: {text!r}")
+    return number

@@ -81,7 +81,7 @@ from operator import itemgetter
 from typing import Any, Callable, Iterable, Iterator, Sequence, TypeVar
 
 from .covers import DEFAULT_FIELD_CAP, CoverType
-from .errors import BoundTooLarge, int_text
+from .errors import BoundTooLarge, int_text, is_int
 from .topology import HomeoClassKey
 
 #: The per-bucket emission cap, read at run time so that tests can lower it.
@@ -115,10 +115,8 @@ class SearchConfig:
     def __post_init__(self) -> None:
         for name in ("bound", "k", "max_results"):
             value = getattr(self, name)
-            if name == "max_results" and value is None:
-                continue
             # A float k or max_results would fail only after the kernel pass.
-            if isinstance(value, bool) or not isinstance(value, int):
+            if not is_int(value) and not (name == "max_results" and value is None):
                 raise ValueError(f"{name} must be an int, not {type(value).__name__}")
         if self.bound < 3:
             raise ValueError("bound must be >= 3")

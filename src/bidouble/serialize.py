@@ -27,10 +27,10 @@ from functools import cache
 from operator import itemgetter
 from typing import Any, Callable, Iterable, Iterator, Mapping
 
-from .catalog import CatalogRecord, record_to_line
+from .catalog import RECORDS_PER_CHUNK, CatalogRecord, record_to_line
 from .covers import CoverType, DerivedParams, SurfaceInvariants
 from .discriminant import ArgumentStep, DiscriminantProfile, ZariskiCertificate
-from .errors import SchemaMismatch
+from .errors import SchemaMismatch, int_from_text, is_int
 from .paper_check import PaperExampleReport
 from .search import CataneseTuple, SearchScan
 from .topology import HomeoClassKey, TupleVerdict
@@ -88,10 +88,6 @@ def tuple_row_to_json(
         "indices": list(indices),
     }
 
-
-#: The most tuples per chunk of a search output, unless one bucket holds
-#: more: with k = 2 at bound 60, 1024 tuples are about 350 KB of JSON.
-TUPLES_PER_CHUNK = 1024
 
 #: The CSV columns of a tuple of types, which :func:`tuple_row_to_cells` fills.
 TUPLE_COLUMNS = ["kk", "chi", "members", "indices"]
@@ -282,9 +278,9 @@ def _search_chunks(run: SearchScan, cut: _Cut, separator: bytes = b"") -> Iterat
     one join of those pieces by the plan ``buckets`` prepares with the
     planner of ``cut``: one ``%`` for its key, one ``itemgetter`` and one
     ``b"".join``, and no per-tuple object.  A chunk holds whole buckets, at
-    most :data:`TUPLES_PER_CHUNK` tuples unless one bucket holds more, and
-    is joined as bytes and decoded once.  The separator leads every chunk after
-    the first, so no chunk waits for the next, and at most one chunk's text
+    most :data:`~bidouble.catalog.RECORDS_PER_CHUNK` tuples unless one bucket holds
+    more, and is joined as bytes and decoded once.  The separator leads every chunk
+    after the first, so no chunk waits for the next, and at most one chunk's text
     is alive at a time when the caller takes each before asking for another.
     """
     key_template, order, member_template, constants, planner = cut
@@ -294,7 +290,7 @@ def _search_chunks(run: SearchScan, cut: _Cut, separator: bytes = b"") -> Iterat
     chunk: list[bytes] = []
     in_chunk = 0
     for kk, chi, indices, members, plan, count in run.buckets(planner, member_template.__mod__):
-        if in_chunk + count > TUPLES_PER_CHUNK and in_chunk:
+        if in_chunk + count > RECORDS_PER_CHUNK and in_chunk:
             text = separator.join(chunk)
             chunk, in_chunk = [b""], 0
             yield text.decode("ascii")
@@ -354,8 +350,14 @@ def _require_mapping(value: Any, where: str) -> Mapping[str, Any]:
 
 def _int_field(obj: Mapping[str, Any], field: str, where: str) -> int:
     value = obj.get(field)
-    if isinstance(value, bool) or not isinstance(value, int):
+    if not is_int(value):
         raise SchemaMismatch(f"{where}: field {field!r} must be an integer, got {value!r}")
+    return value
+
+
+def _int_item(value: Any, where: str) -> int:
+    if not is_int(value):
+        raise SchemaMismatch(f"{where} must be an integer, got {value!r}")
     return value
 
 
@@ -364,14 +366,10 @@ def _big_field(obj: Mapping[str, Any], field: str, where: str) -> int:
     if not isinstance(value, str):
         raise SchemaMismatch(f"{where}: field {field!r} must be a decimal string, got {value!r}")
     try:
-        number = int(value, 10)
+        return int_from_text(value)
     except ValueError:
-        number = None
-    # int() also reads spaces, "_", "+", leading zeros and non-ASCII digits;
-    # only the spelling that str() writes is a decimal string here.
-    if number is None or str(number) != value:
-        raise SchemaMismatch(f"{where}: field {field!r} is not a decimal string: {value!r}")
-    return number
+        pass
+    raise SchemaMismatch(f"{where}: field {field!r} is not a decimal string: {value!r}")
 
 
 def _str_field(obj: Mapping[str, Any], field: str, where: str) -> str:
@@ -416,15 +414,6 @@ def profile_from_json(payload: Any, where: str = "profile") -> DiscriminantProfi
     )
 
 
-def _indices_from_json(obj: Mapping[str, Any], where: str) -> tuple[int, ...]:
-    indices = []
-    for i, value in enumerate(_list_field(obj, "indices", where)):
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise SchemaMismatch(f"{where}: indices[{i}] must be an integer, got {value!r}")
-        indices.append(value)
-    return tuple(indices)
-
-
 def _step_from_json(payload: Any, where: str) -> ArgumentStep:
     step = _require_mapping(payload, where)
     return ArgumentStep(
@@ -440,7 +429,7 @@ def tuple_from_json(payload: Any, where: str = "tuple") -> CataneseTuple:
     return CataneseTuple(
         key=key_from_json(obj.get("key"), f"{where}.key"),
         members=members,
-        indices=_indices_from_json(obj, where),
+        indices=_items(obj, "indices", where, _int_item),
     )
 
 
@@ -452,7 +441,7 @@ def certificate_from_json(payload: Any, where: str = "certificate") -> ZariskiCe
     return ZariskiCertificate(
         members=members,
         shared=key_from_json(obj.get("shared"), f"{where}.shared"),
-        indices=_indices_from_json(obj, where),
+        indices=_items(obj, "indices", where, _int_item),
         profiles=profiles,
         argument=argument,
     )

@@ -5,7 +5,7 @@ from __future__ import annotations
 import json
 import math
 from pathlib import Path
-from typing import Iterator
+from typing import Any, Callable, Iterator
 
 import pytest
 
@@ -29,6 +29,7 @@ from bidouble.serialize import (
     cover_type_from_json,
     cover_type_to_json,
     invariants_to_json,
+    key_from_json,
     profile_from_json,
     profile_to_json,
     tuple_from_json,
@@ -74,7 +75,11 @@ def test_profile_parser_rejects_numeric_big_fields() -> None:
 
 
 @pytest.mark.parametrize(
-    "spelling", [" 829440", "829_440", "+829440", "0829440", "\uff18\uff12\uff19\uff14\uff14\uff10"]
+    "spelling",
+    [
+        " 829440", "829_440", "+829440", "0829440", "\uff18\uff12\uff19\uff14\uff14\uff10",
+        "-0", "829440 ", "", "\u0668\u0662\u0669\u0664\u0664\u0660",
+    ],
 )
 def test_profile_parser_rejects_non_canonical_decimal_strings(spelling: str) -> None:
     payload = profile_to_json(discriminant_profile(surface_invariants(TYPE_1), 5))
@@ -82,6 +87,33 @@ def test_profile_parser_rejects_non_canonical_decimal_strings(spelling: str) -> 
     payload["deg_b"] = spelling
     with pytest.raises(SchemaMismatch, match="is not a decimal string"):
         profile_from_json(payload)
+
+
+@pytest.mark.parametrize("value", [True, 1.0], ids=["true", "1.0"])
+@pytest.mark.parametrize(
+    "parse, payload",
+    [
+        (cover_type_from_json, {"a": 16, "b": 22, "m2": 52, "n2": 4}),
+        (key_from_json, {"kk": 10368, "chi": 1856}),
+    ],
+    ids=["cover_type", "key"],
+)
+def test_json_parsers_refuse_a_bool_or_float_field(
+    parse: Callable[[Any], Any], payload: dict[str, int], value: object
+) -> None:
+    # Both equal 1, but only an int is an integer field.
+    for field in payload:
+        with pytest.raises(SchemaMismatch, match=f"field '{field}' must be an integer"):
+            parse({**payload, field: value})
+
+
+def test_tuple_parser_refuses_a_bool_index() -> None:
+    payload = tuple_to_json(
+        CataneseTuple(key=HomeoClassKey(10368, 1856), members=(TYPE_1, TYPE_2), indices=(18, 36))
+    )
+    payload["indices"] = [18, True]
+    with pytest.raises(SchemaMismatch, match=r"tuple\.indices\[1\] must be an integer, got True"):
+        tuple_from_json(payload)
 
 
 def test_tuple_json_round_trip() -> None:

@@ -94,14 +94,25 @@ def test_out_of_range_exits_one(capsys: pytest.CaptureFixture[str]) -> None:
     assert json.loads(out)["error"] == "OutOfRange"
 
 
-@pytest.mark.parametrize("text", ["16,22,52", "16,22,52,4,5", "a,b,c,d", ""])
+@pytest.mark.parametrize(
+    "text",
+    [
+        "16,22,52", "16,22,52,4,5", "a,b,c,d", "",
+        # Spellings int() reads but str() never writes: spaces, _, a non-ASCII
+        # digit, a + sign, a leading zero.
+        "16, 2_2,52,\u0664", "16,+22,52,4", "16,22,52,04",
+    ],
+)
 def test_malformed_type_is_a_usage_error(
     capsys: pytest.CaptureFixture[str], text: str
 ) -> None:
     with pytest.raises(SystemExit) as excinfo:
         main(["invariants", "--type", text])
     assert excinfo.value.code == 2
-    assert "expected four comma-separated integers" in capsys.readouterr().err
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("usage: bidouble invariants ")
+    assert "expected four comma-separated integers" in err
 
 
 def test_wrong_type_arity_is_a_usage_error(capsys: pytest.CaptureFixture[str]) -> None:
@@ -513,6 +524,11 @@ def test_search_degenerate_flags_are_usage_errors() -> None:
          "--no-timestamp"],
         # argparse's own error, for comparison.
         ["discriminant", "--type", "16,22,52,4"],
+        # An integer flag is read as a catalog reads a decimal string.
+        ["discriminant", "--type", "16,22,52,4", "--m", "1_0"],
+        ["search", "--bound", "\uff180"],
+        ["search", "--bound", "30", "--k", "+2"],
+        ["search", "--bound", "30", "--max-results", "0_1"],
     ],
     ids=" ".join,
 )
@@ -522,7 +538,8 @@ def test_usage_errors_print_the_subcommand_usage(
     with pytest.raises(SystemExit) as excinfo:
         main(argv)
     assert excinfo.value.code == 2
-    _, err = capsys.readouterr()
+    out, err = capsys.readouterr()
+    assert out == ""
     assert err.startswith(f"usage: bidouble {argv[0]} ")
 
 
@@ -675,12 +692,16 @@ OPTIONS = {
 }
 
 
-def test_each_subcommand_has_exactly_its_options() -> None:
+def subcommands() -> dict[str, argparse.ArgumentParser]:
     (commands,) = (
         action.choices
         for action in build_parser()._actions
         if isinstance(action, argparse._SubParsersAction)
     )
+    return commands
+
+
+def test_each_subcommand_has_exactly_its_options() -> None:
     got = {
         command: sorted(
             option
@@ -688,9 +709,17 @@ def test_each_subcommand_has_exactly_its_options() -> None:
             if not isinstance(action, argparse._HelpAction)
             for option in action.option_strings
         )
-        for command, subparser in commands.items()
+        for command, subparser in subcommands().items()
     }
     assert got == OPTIONS
+
+
+def test_no_flag_reads_integers_with_int() -> None:
+    # int() also reads "1_0", "+2" and non-ASCII digits; every integer flag
+    # goes through the one reader that refuses them, as the catalog does.
+    for command, subparser in subcommands().items():
+        for action in subparser._actions:
+            assert action.type is not int, (command, action.option_strings)
 
 
 def test_search_config_has_exactly_its_fields() -> None:
