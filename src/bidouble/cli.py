@@ -86,6 +86,13 @@ def cover_type_argument(text: str) -> CoverType:
     return CoverType(a, b, m2, n2)
 
 
+def integer_argument(text: str) -> int:
+    try:
+        return int_from_text(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid integer: {text!r}") from None
+
+
 def _timestamp(args: argparse.Namespace) -> str:
     if args.no_timestamp:
         return ""
@@ -169,13 +176,18 @@ def cmd_check_pair(args: argparse.Namespace) -> tuple[dict[str, Any], CsvRows, i
 
 def cmd_check_tuple(args: argparse.Namespace) -> tuple[dict[str, Any], CsvRows, int]:
     types = [_validated(t) for t in args.types]
-    payload = serialize.verdict_to_json(is_catanese_tuple(types))
+    verdict = is_catanese_tuple(types)
+    payload = serialize.verdict_to_json(verdict)
     payload["members"] = [serialize.cover_type_to_json(t) for t in types]
-    failures = " | ".join(payload["failures"])
-    is_catanese = payload["is_catanese"]
+    # Each row carries only the failures that name its member.
+    named: list[list[str]] = [[] for _ in types]
+    for pair, failure in zip(verdict.pairs, verdict.failures):
+        for member in pair:
+            named[member].append(failure)
     rows = [
-        {"member": i, **member, "r": r, "is_catanese": is_catanese, "failures": failures}
-        for i, (member, r) in enumerate(zip(payload["members"], payload["indices"]))
+        {"member": i, **member, "r": r, "is_catanese": verdict.is_catanese,
+         "failures": " | ".join(named[i])}
+        for i, (member, r) in enumerate(zip(payload["members"], verdict.indices))
     ]
     return payload, _table(rows), 0
 
@@ -274,7 +286,7 @@ def _add_mult_flag(parser: argparse.ArgumentParser, help_text: str, **count: Any
         "--m",
         dest="mults",
         action="append",
-        type=int_from_text,
+        type=integer_argument,
         metavar="MULT",
         help=help_text,
         **count,
@@ -361,10 +373,10 @@ def build_parser() -> argparse.ArgumentParser:
         sub, "search",
         "enumerate types up to a bound and extract Catanese k-tuples",
     )
-    p.add_argument("--bound", type=int_from_text, required=True, help="field bound, >= 3")
-    p.add_argument("--k", type=int_from_text, default=2, help="tuple size (default 2)")
+    p.add_argument("--bound", type=integer_argument, required=True, help="field bound, >= 3")
+    p.add_argument("--k", type=integer_argument, default=2, help="tuple size (default 2)")
     p.add_argument(
-        "--max-results", type=int_from_text, default=None, help="truncate the sorted output"
+        "--max-results", type=integer_argument, default=None, help="truncate the sorted output"
     )
     _add_common_flags(p, out=True)
 

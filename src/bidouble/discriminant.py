@@ -153,7 +153,7 @@ def zariski_certificate(
 ) -> ZariskiCertificate:
     """Assemble the certificate for a Catanese tuple at the given multiples.
 
-    Raises :class:`NotCatanese` (with the per-pair failures) when the members
+    Raises :class:`NotCatanese` (with the verdict's failures) when the members
     do not form a Catanese tuple and, from :func:`discriminant_profile`,
     :class:`TypeError`, :class:`MultTooSmall` or :class:`OutOfRange` at the
     first multiple that is not an ``int`` or is out of range.  Profiles are

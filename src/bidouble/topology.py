@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from itertools import combinations
 from typing import NamedTuple, Sequence
 
 from .covers import CoverType, SurfaceInvariants, surface_invariants, validate_type
@@ -69,13 +68,17 @@ class TupleVerdict:
 
     ``shared_key`` is the common homeomorphism key when all members agree on
     one, else None; ``indices`` lists the divisibility index of each member in
-    input order; ``failures`` holds one string per violated pair condition.
+    input order.  ``failures`` states each fault once, against one witness:
+    member j whose key differs from member 0's is paired with member 0, and
+    member j whose index an earlier member holds with the first such member
+    i.  ``pairs`` holds each failure's ``(i, j)``, aligned by position.
     """
 
     is_catanese: bool
     shared_key: HomeoClassKey | None
     indices: tuple[int, ...]
     failures: tuple[str, ...]
+    pairs: tuple[tuple[int, int], ...]
 
 
 def is_catanese_tuple(types: Sequence[CoverType]) -> TupleVerdict:
@@ -97,20 +100,28 @@ def is_catanese_tuple(types: Sequence[CoverType]) -> TupleVerdict:
             raise InvalidMember(f"member {position} ({fields}): {exc}") from exc
         invariants.append(surface_invariants(t))
     keys = [homeo_class_key(inv) for inv in invariants]
+    # All keys equal member 0's exactly when they are pairwise equal, and no
+    # index has an earlier holder exactly when the indices are pairwise
+    # distinct, so these witnesses decide the pairwise definition.
+    first_holder: dict[int, int] = {}
+    pairs: list[tuple[int, int]] = []
     failures: list[str] = []
-    for (i, ki), (j, kj) in combinations(enumerate(keys), 2):
-        if ki != kj:
+    for j, (key, inv) in enumerate(zip(keys, invariants)):
+        if key != keys[0]:
+            pairs.append((0, j))
             failures.append(
-                f"members {i} and {j}: homeomorphism keys differ "
-                f"({tuple(ki)} vs {tuple(kj)})"
+                f"members 0 and {j}: homeomorphism keys differ "
+                f"({tuple(keys[0])} vs {tuple(key)})"
             )
-    for (i, vi), (j, vj) in combinations(enumerate(invariants), 2):
-        if vi.r == vj.r:
-            failures.append(f"members {i} and {j}: equal divisibility index {vi.r}")
+        i = first_holder.setdefault(inv.r, j)
+        if i != j:
+            pairs.append((i, j))
+            failures.append(f"members {i} and {j}: equal divisibility index {inv.r}")
     shared = keys[0] if all(k == keys[0] for k in keys) else None
     return TupleVerdict(
         is_catanese=not failures,
         shared_key=shared,
         indices=tuple(inv.r for inv in invariants),
         failures=tuple(failures),
+        pairs=tuple(pairs),
     )

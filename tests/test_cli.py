@@ -273,7 +273,10 @@ def test_search_csv_lists_members(capsys: pytest.CaptureFixture[str]) -> None:
 # `search --bound 60` pair dates from the enumerate-bucket-extract
 # implementation, before the pair-indexed kernel, and the `search --bound 80
 # --k 4` pair from the index-group walk, before in-cap buckets were emitted
-# by the definition.  Domain errors print the same JSON error object in
+# by the definition.  The three-member `check-tuple` pair dates from the
+# verdict that checks each member against one witness: its JSON has no
+# `members 1 and 2` failure, and each CSV row holds only the failures that
+# name its member.  Domain errors print the same JSON error object in
 # either format.
 GOLDEN_STDOUT: dict[str, dict[str, tuple[int, str]]] = {
     "invariants --type 16,22,52,4": {
@@ -301,8 +304,8 @@ GOLDEN_STDOUT: dict[str, dict[str, tuple[int, str]]] = {
         "csv": (0, "fbe43b9b32be1756b08a320a6e9677c5293b0b0c320e1e5c50e6de211fcf6816"),
     },
     "check-tuple --type 7,3,7,3 --type 9,3,9,3 --type 16,22,52,4": {
-        "json": (0, "dd14f5f5a063bd9a2e16de0e337dcce2229dae74d3665215eb0491a56eee7ce0"),
-        "csv": (0, "246083556fa01d0097c102f1d6cd4ce32f9f4caf81542b3de29a68ec2aa4de79"),
+        "json": (0, "b723e703b89239f649dbddfe4d73e9a02aa1d3ecfbfc62bb4e2863fe101acb6b"),
+        "csv": (0, "066dec1a8c880a943c8f7055cc97a25bce169d3705e9b120cebb4ceee1b6c71f"),
     },
     "discriminant --type 16,22,52,4 --m 5 --m 6": {
         "json": (0, "57e04d03b3c157a1fcadc014c7c9fcbb22c06a275d99ee0eb8633239e0de0e0c"),
@@ -509,31 +512,38 @@ def test_search_degenerate_flags_are_usage_errors() -> None:
         assert excinfo.value.code == 2
 
 
+# Each usage error, with the message argparse prints after the usage line.
+USAGE_ERRORS: list[tuple[list[str], str]] = [
+    (["check-pair", "--type", "16,22,52,4"],
+     "check-pair takes exactly 2 --type flag(s), got 1"),
+    (["search", "--bound", "2"], "bound must be >= 3"),
+    (["search", "--bound", "30", "--k", "1"], "k must be >= 2"),
+    # Every search reports its run, so there is no --stats flag.
+    (["search", "--bound", "40", "--stats"], "unrecognized arguments: --stats"),
+    # search has no --shards flag, so any value is a usage error.
+    (["search", "--bound", "40", "--shards", "1"], "unrecognized arguments: --shards 1"),
+    # --no-timestamp exists only beside --out.
+    (["check-pair", "--type", "16,22,52,4", "--type", "28,10,28,10", "--no-timestamp"],
+     "unrecognized arguments: --no-timestamp"),
+    # argparse's own error, for comparison.
+    (["discriminant", "--type", "16,22,52,4"], "the following arguments are required: --m"),
+    # An integer flag is read as a catalog reads a decimal string, and a
+    # refused one is reported under the flag's name.
+    (["discriminant", "--type", "16,22,52,4", "--m", "1_0"],
+     "argument --m: invalid integer: '1_0'"),
+    (["search", "--bound", "\uff180"], "argument --bound: invalid integer: '\uff180'"),
+    (["search", "--bound", "30", "--k", "+2"], "argument --k: invalid integer: '+2'"),
+    (["search", "--bound", "30", "--max-results", "0_1"],
+     "argument --max-results: invalid integer: '0_1'"),
+]
+
+
 @pytest.mark.parametrize(
-    "argv",
-    [
-        ["check-pair", "--type", "16,22,52,4"],
-        ["search", "--bound", "2"],
-        ["search", "--bound", "30", "--k", "1"],
-        # Every search reports its run, so there is no --stats flag.
-        ["search", "--bound", "40", "--stats"],
-        # search has no --shards flag, so any value is a usage error.
-        ["search", "--bound", "40", "--shards", "1"],
-        # --no-timestamp exists only beside --out.
-        ["check-pair", "--type", "16,22,52,4", "--type", "28,10,28,10",
-         "--no-timestamp"],
-        # argparse's own error, for comparison.
-        ["discriminant", "--type", "16,22,52,4"],
-        # An integer flag is read as a catalog reads a decimal string.
-        ["discriminant", "--type", "16,22,52,4", "--m", "1_0"],
-        ["search", "--bound", "\uff180"],
-        ["search", "--bound", "30", "--k", "+2"],
-        ["search", "--bound", "30", "--max-results", "0_1"],
-    ],
-    ids=" ".join,
+    ("argv", "error"),
+    [pytest.param(argv, error, id=" ".join(argv)) for argv, error in USAGE_ERRORS],
 )
 def test_usage_errors_print_the_subcommand_usage(
-    capsys: pytest.CaptureFixture[str], argv: list[str]
+    capsys: pytest.CaptureFixture[str], argv: list[str], error: str
 ) -> None:
     with pytest.raises(SystemExit) as excinfo:
         main(argv)
@@ -541,6 +551,8 @@ def test_usage_errors_print_the_subcommand_usage(
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith(f"usage: bidouble {argv[0]} ")
+    assert err.endswith(f"\nbidouble {argv[0]}: error: {error}\n")
+    assert "int_from_text" not in err
 
 
 def search_report(err: str) -> dict[str, Any]:
@@ -845,6 +857,26 @@ def test_certify_rejects_non_catanese_tuple(
     payload = json.loads(out)
     assert payload["error"] == "NotCatanese"
     assert payload["failures"]
+
+
+def test_verdict_output_is_linear_in_the_members(
+    capsys: pytest.CaptureFixture[str],
+) -> None:
+    # Members (7 + 2i, 3, 7, 3): no two share a key and many share an index,
+    # so most of the 79,800 pairs fail the definition.  Each fault is stated
+    # once, so the output stays within a fixed size per member.
+    n = 400
+    types = [arg for i in range(n) for arg in ("--type", f"{7 + 2 * i},3,7,3")]
+    for fmt in ("json", "csv"):
+        code, out, _ = run(capsys, "check-tuple", *types, "--format", fmt)
+        assert code == 0
+        assert len(out.encode()) <= 400 * n
+    assert len(list(csv.reader(io.StringIO(out)))) == 1 + n
+    code, out, err = run(capsys, "certify", *types)
+    assert code == 1
+    assert json.loads(out)["error"] == "NotCatanese"
+    assert len(out.encode()) <= 400 * n
+    assert len(err.encode()) <= 400 * n
 
 
 def test_certify_timestamps_by_default(

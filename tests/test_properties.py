@@ -148,6 +148,22 @@ def test_exhaustive_invariants_up_to_bound_40() -> None:
     assert seen == 11781
 
 
+def test_surface_inequalities_up_to_bound_40() -> None:
+    # Checks that owe nothing to the formulas for the invariants.  The covers
+    # are spin (r is even), so Rokhlin makes the signature K^2 - 8 chi a
+    # multiple of 16; Bogomolov-Miyaoka-Yau and Noether bound K^2 by chi.
+    # The largest K^2 / chi over these types is about 6.98.
+    seen = 0
+    for t in enumerate_admissible(40):
+        inv = surface_invariants(t)
+        assert inv.sigma == inv.kk - 8 * inv.chi
+        assert inv.sigma % 16 == 0
+        assert inv.kk <= 9 * inv.chi
+        assert inv.kk >= 2 * inv.chi - 6
+        seen += 1
+    assert seen == 11781
+
+
 def test_bucket_members_are_mutually_homeomorphic() -> None:
     buckets = group_by_homeo_class(enumerate_admissible(30))
     for key, bucket in buckets.items():

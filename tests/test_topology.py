@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+from itertools import combinations
+
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from bidouble import (
     CoverType,
@@ -82,10 +86,66 @@ def test_distinct_keys_fail_the_tuple_check() -> None:
     assert any("homeomorphism keys differ" in f for f in verdict.failures)
 
 
-def test_verdict_reports_all_failing_pairs() -> None:
+def test_verdict_names_each_fault_against_one_witness() -> None:
     verdict = is_catanese_tuple([TYPE_1, TYPE_1, TYPE_2])
     # Pair (0, 1) shares the index; pairs (0, 2) and (1, 2) are fine.
     assert len(verdict.failures) == 1
+    assert verdict.pairs == ((0, 1),)
+    # Members 1 and 2 are each checked against member 0, the first holder of
+    # index 18, so the pair (1, 2) is not named as well.
+    verdict = is_catanese_tuple([TYPE_1, TYPE_1, TYPE_1])
+    assert verdict.failures == (
+        "members 0 and 1: equal divisibility index 18",
+        "members 0 and 2: equal divisibility index 18",
+    )
+    assert verdict.pairs == ((0, 1), (0, 2))
+
+
+# Four members of key (2560, 458) with indices 8, 2, 4 and 4, a member of
+# another key with index 8, and the worked example's pair.
+POOL = [
+    CoverType(7, 3, 39, 3),
+    CoverType(9, 6, 28, 3),
+    CoverType(14, 5, 17, 4),
+    CoverType(15, 6, 16, 3),
+    SMALL,
+    TYPE_1,
+    TYPE_2,
+]
+
+
+def pairwise_failures(types: list[CoverType]) -> dict[str, tuple[int, int]]:
+    """The failure string of every failing pair of members, with the pair:
+    the definition of a Catanese tuple, kept as the verdict's oracle."""
+    invariants = [surface_invariants(t) for t in types]
+    keys = [homeo_class_key(inv) for inv in invariants]
+    failures: dict[str, tuple[int, int]] = {}
+    for (i, ki), (j, kj) in combinations(enumerate(keys), 2):
+        if ki != kj:
+            failures[
+                f"members {i} and {j}: homeomorphism keys differ "
+                f"({tuple(ki)} vs {tuple(kj)})"
+            ] = (i, j)
+    for (i, vi), (j, vj) in combinations(enumerate(invariants), 2):
+        if vi.r == vj.r:
+            failures[f"members {i} and {j}: equal divisibility index {vi.r}"] = (i, j)
+    return failures
+
+
+@given(st.lists(st.sampled_from(POOL), min_size=2, max_size=8))
+def test_verdict_agrees_with_the_pairwise_definition(types: list[CoverType]) -> None:
+    verdict = is_catanese_tuple(types)
+    oracle = pairwise_failures(types)
+    assert verdict.is_catanese == (not oracle)
+    assert len(verdict.failures) == len(verdict.pairs) <= 2 * (len(types) - 1)
+    if len(types) == 2:
+        assert list(verdict.failures) == list(oracle)
+    # Each failure is the pairwise string of the two members its pair holds.
+    for failure, pair in zip(verdict.failures, verdict.pairs):
+        assert oracle[failure] == pair
+    # Every failing pair of the definition has a member that a failure names.
+    named = {member for pair in verdict.pairs for member in pair}
+    assert all(named.intersection(pair) for pair in oracle.values())
 
 
 def test_inadmissible_member_is_rejected() -> None:
