@@ -2,7 +2,8 @@
 
 One JSON object per line, each with exactly the keys ``schema_version``,
 ``kind``, ``payload``, ``created_at``.  Reads are strict: any malformed line
-raises :class:`SchemaMismatch` naming the line number.  Writes take an
+raises :class:`SchemaMismatch` naming the line number, and writes refuse in
+the same words every record whose line a read would refuse.  Writes take an
 exclusive ``flock`` on the file, so concurrent appenders to one path
 serialize instead of interleaving partial lines.
 """
@@ -40,18 +41,19 @@ class CatalogRecord:
 
 
 def record_to_line(record: CatalogRecord) -> str:
-    if record.kind not in KINDS:
-        raise SchemaMismatch(f"unknown record kind {record.kind!r}")
-    return json.dumps(
-        {
-            "schema_version": SCHEMA_VERSION,
-            "kind": record.kind,
-            "payload": record.payload,
-            "created_at": record.created_at,
-        },
-        sort_keys=True,
-        separators=(",", ":"),
-    )
+    """The record's line, without a newline; refused in :func:`read_catalog`'s words."""
+    obj = {"schema_version": SCHEMA_VERSION, "kind": record.kind,
+           "payload": record.payload, "created_at": record.created_at}
+    reason = _record_error(obj)
+    if reason is None:
+        try:
+            return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False)
+        except ValueError:  # NaN or an infinity, named as the reader names it
+            try:
+                json.loads(json.dumps(obj, sort_keys=True), parse_constant=_reject_constant)
+            except ValueError as exc:
+                reason = f"invalid JSON ({exc})"
+    raise SchemaMismatch(reason)
 
 
 #: Records :func:`write_catalog` renders and writes per chunk under the lock, or
@@ -119,6 +121,24 @@ def _finite_float(text: str) -> float:
     return value
 
 
+def _record_error(obj: Any) -> str | None:
+    """Why the parsed line ``obj`` is not a catalog record, or None if it is one."""
+    if not isinstance(obj, dict):
+        return "expected an object"
+    if set(obj) != _RECORD_KEYS:
+        return f"expected keys {sorted(_RECORD_KEYS)}, got {sorted(obj)}"
+    version = obj["schema_version"]
+    if not is_int(version) or version != SCHEMA_VERSION:
+        return f"unsupported schema_version {version!r} (expected {SCHEMA_VERSION})"
+    if obj["kind"] not in KINDS:
+        return f"unknown record kind {obj['kind']!r}"
+    if not isinstance(obj["payload"], dict):
+        return "payload must be an object"
+    if not isinstance(obj["created_at"], str):
+        return "created_at must be a string"
+    return None
+
+
 def read_catalog(path: str | PathLike[str]) -> list[CatalogRecord]:
     """Parse the JSONL file at ``path`` into records, strictly.
 
@@ -142,27 +162,7 @@ def read_catalog(path: str | PathLike[str]) -> list[CatalogRecord]:
                 )
             except ValueError as exc:  # also UnicodeDecodeError and JSONDecodeError
                 raise SchemaMismatch(f"line {lineno}: invalid JSON ({exc})") from exc
-            if not isinstance(obj, dict):
-                raise SchemaMismatch(f"line {lineno}: expected an object")
-            if set(obj) != _RECORD_KEYS:
-                raise SchemaMismatch(
-                    f"line {lineno}: expected keys {sorted(_RECORD_KEYS)}, "
-                    f"got {sorted(obj)}"
-                )
-            version = obj["schema_version"]
-            if not is_int(version) or version != SCHEMA_VERSION:
-                raise SchemaMismatch(
-                    f"line {lineno}: unsupported schema_version {version!r} "
-                    f"(expected {SCHEMA_VERSION})"
-                )
-            kind = obj["kind"]
-            if kind not in KINDS:
-                raise SchemaMismatch(f"line {lineno}: unknown record kind {kind!r}")
-            payload = obj["payload"]
-            if not isinstance(payload, dict):
-                raise SchemaMismatch(f"line {lineno}: payload must be an object")
-            created_at = obj["created_at"]
-            if not isinstance(created_at, str):
-                raise SchemaMismatch(f"line {lineno}: created_at must be a string")
-            records.append(CatalogRecord(kind, payload, created_at))
+            if (reason := _record_error(obj)) is not None:
+                raise SchemaMismatch(f"line {lineno}: {reason}")
+            records.append(CatalogRecord(obj["kind"], obj["payload"], obj["created_at"]))
     return records

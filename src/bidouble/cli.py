@@ -7,13 +7,13 @@ bytes.  ``invariants``, ``search`` and ``certify`` take ``--out``, which
 appends records to a JSONL catalog, stamped unless ``--no-timestamp`` is
 given; no other command accepts either flag.  Exit codes: 0 success; 1 a
 domain or I/O error (an ``error:`` line on stderr and a JSON error object on
-stdout, whatever the ``--format``) or a reader of stdout gone early; 2 a
-usage error: an unknown option, a flag argparse rejects, an integer not
-spelt as ``str()`` writes it (:func:`~bidouble.errors.int_from_text`), a
+stdout, whatever the ``--format``) or a reader of stdout gone early; 2 a usage
+error: an unknown or abbreviated option, a flag argparse rejects, an integer
+not spelt as ``str()`` writes it (:func:`~bidouble.errors.int_from_text`), a
 ``--type`` count off the command's arity, or a ``search`` range that
 :class:`~bidouble.search.SearchConfig` refuses, each reported under the
-subcommand's usage line.  Only ``_emit`` writes stdout, under one guard,
-so a closed stdout never ends in a traceback.
+subcommand's usage line.  Only ``_emit`` writes stdout, under one guard, so a
+closed stdout never ends in a traceback.
 
 The parser is built once per process, on the first call to :func:`main`,
 and holds no command function: each call looks ``cmd_<command>`` up by name
@@ -54,7 +54,6 @@ from dataclasses import fields
 from datetime import datetime, timezone
 from functools import cache
 from itertools import chain
-from pathlib import Path
 from typing import Any, Iterable, Iterator, Sequence
 
 from . import catalog, serialize
@@ -308,7 +307,6 @@ def _add_common_flags(parser: argparse.ArgumentParser, *, out: bool = False) -> 
         )
         parser.add_argument(
             "--out",
-            type=Path,
             metavar="CATALOG",
             help="append result records to this JSONL catalog",
         )
@@ -316,7 +314,7 @@ def _add_common_flags(parser: argparse.ArgumentParser, *, out: bool = False) -> 
 
 def _add_command(sub: Any, name: str, help_text: str) -> argparse.ArgumentParser:
     """A subcommand parser that reports usage errors itself; it holds no function."""
-    p = sub.add_parser(name, help=help_text)
+    p = sub.add_parser(name, help=help_text, allow_abbrev=False)
     p.set_defaults(command_parser=p)
     return p
 
@@ -325,13 +323,15 @@ def _add_command(sub: Any, name: str, help_text: str) -> argparse.ArgumentParser
 def build_parser() -> argparse.ArgumentParser:
     """The command line parser, built on the first call and shared by every later one.
 
-    Parsing does not change it: each call fills a new namespace, and an
-    ``append`` flag copies its default list before it appends.  A call without
-    the flag gets the default list itself, so commands only read
-    ``args.types`` and ``args.mults``.
+    Options are read only as declared, never by a prefix.  Parsing does not
+    change the parser: each call fills a new namespace, and an ``append``
+    flag copies its default list before it appends.  A call without the flag
+    gets the default list itself, so commands only read ``args.types`` and
+    ``args.mults``.
     """
     parser = argparse.ArgumentParser(
         prog="bidouble",
+        allow_abbrev=False,
         description=(
             "Invariants, homeomorphism classes, and Catanese tuples of simple "
             "bidouble covers of the quadric, with Zariski certificates for "

@@ -423,13 +423,21 @@ def _step_from_json(payload: Any, where: str) -> ArgumentStep:
     )
 
 
+def _indices(obj: Mapping[str, Any], members: tuple[Any, ...], where: str) -> tuple[int, ...]:
+    """The array ``indices``, one integer per member."""
+    indices = _items(obj, "indices", where, _int_item)
+    if len(indices) != len(members):
+        raise SchemaMismatch(f"{where}: {len(indices)} indices for {len(members)} members")
+    return indices
+
+
 def tuple_from_json(payload: Any, where: str = "tuple") -> CataneseTuple:
     obj = _require_mapping(payload, where)
     members = _items(obj, "members", where, cover_type_from_json)
     return CataneseTuple(
         key=key_from_json(obj.get("key"), f"{where}.key"),
         members=members,
-        indices=_items(obj, "indices", where, _int_item),
+        indices=_indices(obj, members, where),
     )
 
 
@@ -441,7 +449,7 @@ def certificate_from_json(payload: Any, where: str = "certificate") -> ZariskiCe
     return ZariskiCertificate(
         members=members,
         shared=key_from_json(obj.get("shared"), f"{where}.shared"),
-        indices=_items(obj, "indices", where, _int_item),
+        indices=_indices(obj, members, where),
         profiles=profiles,
         argument=argument,
     )

@@ -4,10 +4,13 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from pathlib import Path
 from typing import Any, Callable, Iterator
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from bidouble import (
     CatalogRecord,
@@ -21,7 +24,7 @@ from bidouble import (
     write_catalog,
     zariski_certificate,
 )
-from bidouble.catalog import RECORDS_PER_CHUNK, record_to_line, write_chunks
+from bidouble.catalog import KINDS, RECORDS_PER_CHUNK, record_to_line, write_chunks
 from bidouble.search import CataneseTuple
 from bidouble.serialize import (
     certificate_from_json,
@@ -107,13 +110,42 @@ def test_json_parsers_refuse_a_bool_or_float_field(
             parse({**payload, field: value})
 
 
-def test_tuple_parser_refuses_a_bool_index() -> None:
-    payload = tuple_to_json(
-        CataneseTuple(key=HomeoClassKey(10368, 1856), members=(TYPE_1, TYPE_2), indices=(18, 36))
-    )
-    payload["indices"] = [18, True]
-    with pytest.raises(SchemaMismatch, match=r"tuple\.indices\[1\] must be an integer, got True"):
-        tuple_from_json(payload)
+@pytest.mark.parametrize(
+    ("indices", "error"),
+    [
+        ([18, True], "{where}.indices[1] must be an integer, got True"),
+        # One index per member, so neither parser takes a misaligned tuple.
+        ([18], "{where}: 1 indices for 2 members"),
+        ([18, 36, 2], "{where}: 3 indices for 2 members"),
+        ([], "{where}: 0 indices for 2 members"),
+    ],
+    ids=["bool", "too-few", "too-many", "none"],
+)
+@pytest.mark.parametrize(
+    ("payload", "parse", "where"),
+    [
+        (
+            tuple_to_json(CataneseTuple(HomeoClassKey(10368, 1856), (TYPE_1, TYPE_2), (18, 36))),
+            tuple_from_json,
+            "tuple",
+        ),
+        (
+            certificate_to_json(zariski_certificate([TYPE_1, TYPE_2], [5])),
+            certificate_from_json,
+            "certificate",
+        ),
+    ],
+    ids=["tuple", "certificate"],
+)
+def test_tuple_parsers_refuse_bad_indices(
+    payload: dict[str, Any],
+    parse: Callable[[Any], Any],
+    where: str,
+    indices: list[Any],
+    error: str,
+) -> None:
+    with pytest.raises(SchemaMismatch, match=re.escape(error.format(where=where))):
+        parse({**payload, "indices": indices})
 
 
 def test_tuple_json_round_trip() -> None:
@@ -152,6 +184,31 @@ def test_catalog_round_trip(tmp_path: Path) -> None:
     ]
     assert write_catalog(records, path) == 2
     assert read_catalog(path) == records
+
+
+# JSON-native payloads: objects with string keys over ints, finite floats,
+# strings, bools, null, arrays and nested objects.
+json_values = st.recursive(
+    st.integers() | st.floats(allow_nan=False, allow_infinity=False) | st.text()
+    | st.booleans() | st.none(),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=12,
+)
+catalog_records = st.builds(
+    CatalogRecord,
+    kind=st.sampled_from(KINDS),
+    payload=st.dictionaries(st.text(), json_values, max_size=5),
+    created_at=st.text(),
+)
+
+
+@settings(max_examples=60, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.lists(catalog_records, max_size=4))
+def test_catalog_reads_back_what_it_writes(tmp_path: Path, written: list[CatalogRecord]) -> None:
+    path = tmp_path / "catalog.jsonl"
+    path.unlink(missing_ok=True)
+    assert write_catalog(written, path) == len(written)
+    assert read_catalog(path) == written
 
 
 def test_catalog_appends_instead_of_overwriting(tmp_path: Path) -> None:
@@ -281,20 +338,69 @@ def test_catalog_rejects_unexpected_keys(tmp_path: Path) -> None:
         read_catalog(path)
 
 
-def test_catalog_write_rejects_unknown_kind(tmp_path: Path) -> None:
+# Each record the writer refuses, with the reason the reader gives for its
+# line after "line N: ".  The writer refuses exactly these, in those words,
+# so no write can leave a line that stops every later read of the file.
+REFUSED_RECORDS: dict[str, tuple[CatalogRecord, str]] = {
+    "unknown-kind": (CatalogRecord("bogus", {}), "unknown record kind 'bogus'"),
+    "NaN": (
+        CatalogRecord("tuple", {"n": 1, "x": [math.nan]}),
+        "invalid JSON (NaN is not a JSON value)",
+    ),
+    "Infinity": (
+        CatalogRecord("tuple", {"x": {"y": math.inf}}),
+        "invalid JSON (Infinity is not a JSON value)",
+    ),
+    "-Infinity": (
+        CatalogRecord("tuple", {"x": -math.inf}),
+        "invalid JSON (-Infinity is not a JSON value)",
+    ),
+    # Two records that break the field annotations, which nothing enforces.
+    "list-payload": (CatalogRecord("tuple", [1]), "payload must be an object"),  # type: ignore
+    "None-stamp": (CatalogRecord("tuple", {}, None), "created_at must be a string"),  # type: ignore
+}
+refused = pytest.mark.parametrize(
+    ("bad", "reason"), list(REFUSED_RECORDS.values()), ids=list(REFUSED_RECORDS)
+)
+
+
+@refused
+def test_catalog_write_refuses_what_the_read_refuses(
+    tmp_path: Path, bad: CatalogRecord, reason: str
+) -> None:
+    # The line json.dumps would have written, appended by hand after a good one.
     path = tmp_path / "catalog.jsonl"
-    with pytest.raises(SchemaMismatch):
-        write_catalog([CatalogRecord(kind="bogus", payload={})], path)
+    write_catalog([CatalogRecord("tuple", {"n": 0})], path)
+    with open(path, "a") as handle:
+        line = {"schema_version": 1, "kind": bad.kind, "payload": bad.payload,
+                "created_at": bad.created_at}
+        handle.write(json.dumps(line, sort_keys=True, separators=(",", ":")) + "\n")
+    with pytest.raises(SchemaMismatch) as excinfo:
+        read_catalog(path)
+    assert str(excinfo.value) == f"line 2: {reason}"
+    with pytest.raises(SchemaMismatch) as excinfo:
+        record_to_line(bad)
+    assert str(excinfo.value) == reason
+
+
+@refused
+def test_catalog_write_rejects_unknown_kind(
+    tmp_path: Path, bad: CatalogRecord, reason: str
+) -> None:
+    path = tmp_path / "catalog.jsonl"
+    with pytest.raises(SchemaMismatch, match=re.escape(reason)):
+        write_catalog([bad], path)
     assert not path.exists()
 
 
-def records_failing_at(position: int) -> Iterator[CatalogRecord]:
-    """A stream of valid records whose record number ``position`` has an unknown kind."""
+def records_failing_at(position: int, bad: CatalogRecord) -> Iterator[CatalogRecord]:
+    """A stream of valid records whose record number ``position`` is ``bad``."""
     for number in range(1, position):
         yield CatalogRecord(kind="tuple", payload={"n": number})
-    yield CatalogRecord(kind="bogus", payload={})
+    yield bad
 
 
+@refused
 @pytest.mark.parametrize(
     "position",
     # In the first chunk, rendered before the file is opened; then past the
@@ -302,23 +408,26 @@ def records_failing_at(position: int) -> Iterator[CatalogRecord]:
     [3, RECORDS_PER_CHUNK + 2],
 )
 def test_catalog_write_failing_midway_leaves_the_file_as_it_was(
-    tmp_path: Path, position: int
+    tmp_path: Path, position: int, bad: CatalogRecord, reason: str
 ) -> None:
     path = tmp_path / "catalog.jsonl"
     write_catalog([CatalogRecord(kind="invariants", payload={"kk": 512})], path)
     before = path.read_bytes()
-    with pytest.raises(SchemaMismatch, match="bogus"):
-        write_catalog(records_failing_at(position), path)
+    with pytest.raises(SchemaMismatch, match=re.escape(reason)):
+        write_catalog(records_failing_at(position, bad), path)
     assert path.read_bytes() == before
 
 
+@refused
 @pytest.mark.parametrize("position", [3, RECORDS_PER_CHUNK + 2])
-def test_catalog_write_failing_midway_on_a_new_file(tmp_path: Path, position: int) -> None:
+def test_catalog_write_failing_midway_on_a_new_file(
+    tmp_path: Path, position: int, bad: CatalogRecord, reason: str
+) -> None:
     # A failure in the first chunk creates no file; one past the first chunk
     # leaves the created file empty, a catalog of no records.
     path = tmp_path / "catalog.jsonl"
-    with pytest.raises(SchemaMismatch, match="bogus"):
-        write_catalog(records_failing_at(position), path)
+    with pytest.raises(SchemaMismatch, match=re.escape(reason)):
+        write_catalog(records_failing_at(position, bad), path)
     if position <= RECORDS_PER_CHUNK:
         assert not path.exists()
     else:

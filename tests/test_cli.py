@@ -726,6 +726,92 @@ def test_each_subcommand_has_exactly_its_options() -> None:
     assert got == OPTIONS
 
 
+# An otherwise valid command line of each subcommand, and a valid value of
+# each option; with --k 3, each option changes what a command line parses to.
+VALID_ARGV = {
+    "invariants": ["--type", "16,22,52,4"],
+    "check-pair": ["--type", "16,22,52,4", "--type", "28,10,28,10"],
+    "check-tuple": ["--type", "16,22,52,4", "--type", "28,10,28,10"],
+    "discriminant": ["--type", "16,22,52,4", "--m", "5"],
+    "search": ["--bound", "60"],
+    "certify": ["--type", "16,22,52,4", "--type", "28,10,28,10"],
+    "verify-paper-example": [],
+}
+OPTION_VALUES = {
+    "--type": ["7,3,7,3"], "--m": ["6"], "--bound": ["20"], "--k": ["3"],
+    "--max-results": ["5"], "--format": ["csv"], "--out": ["catalog.jsonl"],
+    "--no-timestamp": [], "--help": [],
+}
+
+
+def abbreviations() -> list[tuple[str, str, str]]:
+    """Each ``(command, prefix, option)`` whose prefix starts the long option
+    and no other option of the command, and is not the whole option: each
+    spelling that an abbreviating parser would read as the option."""
+    cases = []
+    for command, subparser in subcommands().items():
+        options = [s for s in subparser._option_string_actions if s.startswith("--")]
+        for option in options:
+            for end in range(len("--x"), len(option)):
+                if [o for o in options if o.startswith(option[:end])] == [option]:
+                    cases.append((command, option[:end], option))
+    return cases
+
+
+def test_abbreviations_cover_every_option() -> None:
+    # 103 prefixes of the 24 option strings, and --h, --he, --hel in each of
+    # the 7 subcommands.
+    cases = abbreviations()
+    assert {(command, option) for command, _, option in cases} == {
+        (command, option) for command, options in OPTIONS.items()
+        for option in [*options, "--help"] if len(option) > len("--x")
+    }
+    assert sum(option != "--help" for _, _, option in cases) == 103
+    assert len(cases) == 103 + 3 * 7
+
+
+@pytest.mark.parametrize(
+    ("command", "prefix", "option"),
+    [pytest.param(*case, id=" ".join(case[:2])) for case in abbreviations()],
+)
+def test_an_abbreviated_option_is_a_usage_error(
+    capsys: pytest.CaptureFixture[str], monkeypatch: pytest.MonkeyPatch, tmp_path: Path,
+    command: str, prefix: str, option: str,
+) -> None:
+    # `search --bound 60 --m 5` was once read as --max-results 5, and a new
+    # option could have made any prefix ambiguous: options are read only as
+    # declared.
+    monkeypatch.chdir(tmp_path)
+    unknown = [prefix, *OPTION_VALUES[option]]
+    with pytest.raises(SystemExit) as excinfo:
+        main([command, *VALID_ARGV[command], *unknown])
+    assert excinfo.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"usage: bidouble {command} ")
+    error = f"unrecognized arguments: {' '.join(unknown)}"
+    assert err.endswith(f"\nbidouble {command}: error: {error}\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    ("command", "option"),
+    [
+        pytest.param(command, option, id=f"{command} {option}")
+        for command, options in OPTIONS.items() for option in options
+    ],
+)
+def test_each_option_parses_as_declared(command: str, option: str) -> None:
+    # Spelt in full, and as --option=value when it takes a value.
+    def parsed(*spelling: str) -> dict[str, Any]:
+        return vars(build_parser().parse_args([command, *VALID_ARGV[command], *spelling]))
+
+    values = OPTION_VALUES[option]
+    assert parsed(option, *values) != parsed()
+    if values:
+        assert parsed(f"{option}={values[0]}") == parsed(option, *values)
+
+
 def test_no_flag_reads_integers_with_int() -> None:
     # int() also reads "1_0", "+2" and non-ASCII digits; every integer flag
     # goes through the one reader that refuses them, as the catalog does.
