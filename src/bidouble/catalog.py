@@ -41,13 +41,20 @@ class CatalogRecord:
 
 
 def record_to_line(record: CatalogRecord) -> str:
-    """The record's line, without a newline; refused in :func:`read_catalog`'s words."""
+    """The record's line, without a newline; refused in :func:`read_catalog`'s words.
+
+    A payload that :mod:`json` cannot encode at all, such as one holding an
+    ``object()`` or mixing ``int`` and ``str`` keys, which ``sort_keys``
+    cannot order, is refused too, as not encodable.
+    """
     obj = {"schema_version": SCHEMA_VERSION, "kind": record.kind,
            "payload": record.payload, "created_at": record.created_at}
     reason = _record_error(obj)
     if reason is None:
         try:
             return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False)
+        except TypeError as exc:
+            reason = f"not encodable as JSON ({exc})"
         except ValueError:  # NaN or an infinity, named as the reader names it
             try:
                 json.loads(json.dumps(obj, sort_keys=True), parse_constant=_reject_constant)

@@ -31,10 +31,12 @@ before that, through :func:`bidouble.serialize.search_to_catalog_chunks`
 (byte-identical to :func:`bidouble.catalog.record_to_line` lines), and
 :func:`bidouble.catalog.write_chunks` appends those chunks as they come,
 under one lock.  No cover type or tuple object is built and the whole
-output is never held in memory.  Every
+output is never held in memory.  A large run makes each pass on two
+processes, with the same bytes (:mod:`bidouble.search`).  Every
 ``search`` then writes one JSON line on stderr, after any ``appended``
-note: the run's counts and the wall time of the kernel pass and of the
-stdout emit pass.
+note: the run's counts, ``workers`` (1 or 2: the processes the kernel pass
+ran in, so that a fallback to one shows) and the wall time of the kernel
+pass and of the stdout emit pass.
 
 CSV rows are read off the same views, so each field is declared once:
 nested objects flatten into columns and each view in a list is a row.
@@ -221,15 +223,21 @@ def cmd_search(args: argparse.Namespace) -> tuple[Iterator[str], None, int]:
 
 def _then_report(items: Iterator[str], run: SearchScan, kernel_s: float) -> Iterator[str]:
     """``items``, then the run's report on stderr: one JSON line of its
-    :class:`~bidouble.search.SearchStats` fields, ``kernel_s`` and ``emit_s``.
+    :class:`~bidouble.search.SearchStats` fields, ``workers``, ``kernel_s``
+    and ``emit_s``.
 
+    ``workers`` is the number of processes the kernel pass ran in.
     ``emit_s`` runs from the first item asked for to the last, so it covers
     the stdout rendering and not a catalog write made before.
     """
     begun = time.perf_counter()
     yield from items
     report = {field.name: getattr(run.stats, field.name) for field in fields(run.stats)}
-    report.update(kernel_s=round(kernel_s, 6), emit_s=round(time.perf_counter() - begun, 6))
+    report.update(
+        workers=run.workers,
+        kernel_s=round(kernel_s, 6),
+        emit_s=round(time.perf_counter() - begun, 6),
+    )
     print(json.dumps(report), file=sys.stderr)
 
 

@@ -59,6 +59,20 @@ its bucket by its shape's positions into :class:`CataneseTuple` objects;
 every output of the command line joins each bucket's text at once from a
 plan of its shape (:mod:`bidouble.serialize`).
 
+A run of at least :data:`FORK_MIN_TYPES` types runs its kernel pass on two
+processes, and :mod:`bidouble.serialize` does the same for an emit of many
+tuples.  One helper, :func:`_forked`, owns the child's life: a fork, an exit
+by ``os._exit`` that runs no ``atexit`` handler and writes nothing of this
+process's buffers, the child's part handed back through an unlinked
+temporary file, and a reap on every way out, a killed one when the caller
+stops early.  The kernel splits its ascending products where their
+estimated cost passes half, and :meth:`_Kernel.join` appends the child's
+part, its pattern ids mapped into this process's table, so the run is
+field for field the one a single process builds.  When ``os.fork`` is
+missing or fails, another thread runs, or the child fails, this process
+does the child's half itself: what a run returns and writes never depends
+on how many processes made it.
+
 The kernel is the package's only path to the buckets.  The readable path,
 which lists P(bound), pairs its members into canonical cover types and
 buckets them by (K^2, chi) through :mod:`bidouble.covers` and
@@ -73,12 +87,15 @@ from __future__ import annotations
 
 import gc
 import itertools
+import os
+import sys
 from array import array
+from bisect import bisect_left
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import gcd
 from operator import itemgetter
-from typing import Any, Callable, Iterable, Iterator, Sequence, TypeVar
+from typing import Any, BinaryIO, Callable, Iterable, Iterator, Sequence, TypeVar
 
 from .covers import DEFAULT_FIELD_CAP, CoverType
 from .errors import BoundTooLarge, int_text, is_int
@@ -91,6 +108,14 @@ DEFAULT_TUPLES_PER_BUCKET = 10_000
 #: lower it.  Bound 253 (29,556,516 types) is the largest admitted; bound 250
 #: (28,151,256 types) took 22 s and 110 MB on a 2-core x86-64 VM.
 MAX_SEARCH_TYPES = 30_000_000
+
+#: The fewest types for which :func:`scan` runs in two processes, read at run
+#: time so that tests can lower it.  A fork and a reap, with the copy-on-write
+#: faults that follow, cost a few milliseconds on a 2-core x86-64 VM: bound 40
+#: (11,781 types) lost 3 ms in two processes, bound 60 (71,631 types) gained
+#: 5 ms on one day and lost 7 ms on another, and bound 80 (247,456 types) and
+#: above gained in every run.
+FORK_MIN_TYPES = 100_000
 
 #: What a caller of :meth:`SearchScan.buckets` prepares once per shape.
 Prepared = TypeVar("Prepared")
@@ -183,7 +208,9 @@ class SearchScan:
     those of the buckets before it: cell c has the fields
     ``fields[4c:4c+4]``, and the cells of a bucket are in member order.
     Fields are 16-bit, which :data:`~bidouble.covers.DEFAULT_FIELD_CAP`
-    keeps in range.
+    keeps in range.  ``workers`` is the number of processes the kernel pass
+    ran in, 1 or 2; it takes no part in equality, as nothing else of the run
+    depends on it.
     """
 
     config: SearchConfig
@@ -194,16 +221,21 @@ class SearchScan:
     patterns: array
     index_tuples: tuple[tuple[int, ...], ...]
     tuple_counts: tuple[int, ...]
+    workers: int = field(default=1, compare=False)
 
     def buckets(
         self,
         prepare: Callable[[bytes, int], Prepared],
         member: Callable[[tuple[int, int, int, int]], Any],
+        first: int = 0,
+        stop: int | None = None,
     ) -> Iterator[tuple[int, int, tuple[int, ...], tuple[Any, ...], Prepared, int]]:
         """The buckets of the run's tuples as ``(kk, chi, indices, members, prepared, count)``.
 
         Buckets come in key order, up to the run's last tuple, and the run
-        keeps ``count`` tuples of each.  ``members`` are ``member`` of each
+        keeps ``count`` tuples of each; only buckets ``first`` to ``stop``
+        (exclusive, None for all) are handed over, with the counts the whole
+        run gives them.  ``members`` are ``member`` of each
         cell's fields (a, b, m2, n2) in member order, called once per cell
         yielded.  ``prepared`` is ``prepare(positions, cells)``: the member
         positions of the first ``count`` tuples of the bucket's :func:`walk`,
@@ -211,14 +243,17 @@ class SearchScan:
         :func:`shape`, and once more for a bucket that ``max_results`` cuts.
         """
         k, index_tuples, tuple_counts = self.config.k, self.index_tuples, self.tuple_counts
-        # One cursor per array: each bucket takes its cells off the front.
-        keys = zip(*[iter(self.keys)] * 2)
-        members = map(member, zip(*[iter(self.fields)] * 4))
+        before = memoryview(self.patterns)[:first]
+        cells = sum(map(len, map(index_tuples.__getitem__, before)))
+        left = self.stats.tuples - sum(map(tuple_counts.__getitem__, before))
+        # One cursor per array, each from bucket ``first``: each bucket takes
+        # its cells off the front.
+        keys = zip(*[iter(memoryview(self.keys)[2 * first :])] * 2)
+        members = map(member, zip(*[iter(memoryview(self.fields)[4 * cells :])] * 4))
         by_shape: dict[bytes, Prepared] = {}
         by_pattern: list[Prepared | None] = [None] * len(index_tuples)
-        left = self.stats.tuples
-        for (kk, chi), pattern in zip(keys, self.patterns):
-            if not left:
+        for (kk, chi), pattern in zip(keys, memoryview(self.patterns)[first:stop]):
+            if left <= 0:
                 return
             indices = index_tuples[pattern]
             count = tuple_counts[pattern]
@@ -307,6 +342,66 @@ def _collector_paused() -> Iterator[None]:
             gc.enable()
 
 
+@contextmanager
+def _forked(work: Callable[[BinaryIO], object]) -> Iterator[Callable[[], BinaryIO | None] | None]:
+    """Run ``work(handle)`` in a forked child while the body runs; ``handle``
+    is an unlinked temporary file.
+
+    Yields None, and forks nothing, when ``os.fork`` is missing or raises,
+    when no temporary file can be made, or when other threads run (a child
+    would hold only this one).  Otherwise
+    yields ``finish``: it waits for the child and returns ``handle`` at its
+    start, or None when the child did not exit with 0.  The child never
+    returns: it leaves by ``os._exit``, so it runs no ``atexit`` handler and
+    flushes no buffer of this process, stdout's included, and an error in
+    ``work`` is its exit code 1.  On any exit from the body, a generator
+    closed early included, a child not yet waited for is killed and reaped.
+    """
+    threading = sys.modules.get("threading")
+    if not hasattr(os, "fork") or (threading is not None and threading.active_count() > 1):
+        yield None
+        return
+    import tempfile
+
+    try:
+        handle = tempfile.TemporaryFile()
+    except OSError:
+        yield None
+        return
+    with handle:
+        try:
+            pid = os.fork()
+        except OSError:
+            yield None
+            return
+        if pid == 0:
+            code = 1
+            try:
+                work(handle)
+                handle.flush()
+                code = 0
+            finally:
+                os._exit(code)
+        status: int | None = None
+
+        def finish() -> BinaryIO | None:
+            nonlocal status
+            status = os.waitpid(pid, 0)[1]
+            if os.waitstatus_to_exitcode(status):
+                return None
+            handle.seek(0)
+            return handle
+
+        try:
+            yield finish
+        finally:
+            if status is None:
+                import signal
+
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+
+
 def scan(config: SearchConfig) -> SearchScan:
     """The kernel pass: bucket s-class pairs by product and store multi-index buckets.
 
@@ -318,6 +413,16 @@ def scan(config: SearchConfig) -> SearchScan:
     bucket's index tuple is a slice of the indices.  Every count of the run
     is known when it returns; no tuple is built until
     :meth:`SearchScan.buckets` is walked.
+
+    A run of at least :data:`FORK_MIN_TYPES` types scans its products in
+    two processes: they are split in ascending order where their estimated
+    cost passes half of the whole, a child forked by
+    :func:`_forked` scans the upper ones while this process scans the lower
+    ones, and :meth:`_Kernel.join` appends the child's part as one process
+    would have built it.  When the child cannot run or fails, this process
+    scans the upper products itself.  The result is equal either way;
+    ``workers`` says which way it went.
+
     Raises :class:`BoundTooLarge` above the global field cap, before any
     work, or when the run would visit more than :data:`MAX_SEARCH_TYPES`
     types, counted from :func:`_s_classes` before any lane work;
@@ -341,26 +446,103 @@ def scan(config: SearchConfig) -> SearchScan:
     for position, sa in enumerate(s_values):
         for sb in s_values[position:]:
             by_product.setdefault(sa * sb, []).append((sa, sb))
-    # Each s-class's member ends (x, y, d), built once per run, d descending
-    # as the lanes of a row ascend: pair (s, d) is (x, y) = ((s + 2 + d)/2,
-    # (s + 2 - d)/2).
-    ends = {
-        s: [((s + 2 + d) // 2, (s + 2 - d) // 2, d) for d in ds[::-1]]
-        for s, ds in classes.items()
-    }
-    k, cap = config.k, DEFAULT_TUPLES_PER_BUCKET
-    # Maps a lane's count of index groups to 1 when it is at least k.
-    at_least_k = bytes(min(k, 256)).ljust(256, b"\x01")
-    keys, fields, patterns = array("q"), array("H"), array("L")
-    truncated: list[HomeoClassKey] = []
-    bucket_count = tuple_count = 0
-    # The run's distinct index tuples, each with its pattern id, and the
-    # e_k of each: it depends only on a bucket's member indices, and many
-    # buckets share them.
-    pattern_ids: dict[tuple[int, ...], int] = {}
-    e_ks: list[int] = []
+    products = sorted(by_product)
+    split = len(products)
+    if type_count >= FORK_MIN_TYPES:
+        split = _split_by_cost(products, by_product)
+    lower, upper = products[:split], products[split:]
+    layout = (by_product, classes, config.k, DEFAULT_TUPLES_PER_BUCKET)
+    kernel = _Kernel(*layout)
+    workers = 1
     with _collector_paused():
-        for product in sorted(by_product):
+        if upper:
+            with _forked(lambda handle: _Kernel(*layout).scan(upper).send(handle)) as finish:
+                kernel.scan(lower)
+                if finish is not None and kernel.join(finish()):
+                    workers = 2
+            if workers == 1:
+                kernel.scan(upper)
+        else:
+            kernel.scan(lower)
+    limit, cap = config.max_results, kernel.cap
+    clipped = limit is not None and kernel.tuple_count > limit
+    stats = SearchStats(
+        pairs=pair_count,
+        types=type_count,
+        buckets=kernel.bucket_count,
+        multi_index_buckets=len(kernel.patterns),
+        cells=len(kernel.fields) // 4,
+        tuples=limit if clipped else kernel.tuple_count,
+        truncated=len(kernel.truncated),
+        clipped=clipped,
+    )
+    return SearchScan(
+        config,
+        stats,
+        tuple(kernel.truncated),
+        kernel.keys,
+        kernel.fields,
+        kernel.patterns,
+        tuple(kernel.pattern_ids),
+        tuple(min(cap, e_k) for e_k in kernel.e_ks),
+        workers,
+    )
+
+
+def _split_by_cost(products: list[int], by_product: dict[int, list[tuple[int, int]]]) -> int:
+    """How many of the ascending ``products`` hold half of their estimated cost.
+
+    A product's cost is estimated by its number of class pairs: at bounds
+    60 to 200, the products below the half of that estimate took 47 to 49% of
+    the kernel's time, and those below the half of their types 68 to 75%.
+    """
+    costs = list(itertools.accumulate(map(len, map(by_product.__getitem__, products))))
+    return bisect_left(costs, costs[-1] / 2) + 1
+
+
+class _Kernel:
+    """What the kernel pass has built over the products scanned so far.
+
+    The arrays, the truncated keys and the counts are those of
+    :class:`SearchScan` and :class:`SearchStats`.  ``pattern_ids`` numbers
+    the distinct index tuples met, in the order first met, and ``e_ks``
+    holds the e_k of each: it depends only on a bucket's member indices,
+    and many buckets share them.
+    """
+
+    __slots__ = (
+        "by_product", "classes", "ends", "k", "cap", "keys", "fields", "patterns",
+        "truncated", "bucket_count", "tuple_count", "pattern_ids", "e_ks",
+    )
+
+    def __init__(
+        self, by_product: dict[int, list[tuple[int, int]]], classes: dict[int, range], k: int,
+        cap: int,
+    ) -> None:
+        self.by_product, self.classes, self.k, self.cap = by_product, classes, k, cap
+        # Each s-class's member ends (x, y, d), d descending as the lanes of
+        # a row ascend: pair (s, d) is (x, y) = ((s + 2 + d)/2, (s + 2 - d)/2).
+        self.ends = {
+            s: [((s + 2 + d) // 2, (s + 2 - d) // 2, d) for d in ds[::-1]]
+            for s, ds in classes.items()
+        }
+        self.keys, self.fields, self.patterns = array("q"), array("H"), array("L")
+        self.truncated: list[HomeoClassKey] = []
+        self.bucket_count = self.tuple_count = 0
+        self.pattern_ids: dict[tuple[int, ...], int] = {}
+        self.e_ks: list[int] = []
+
+    def scan(self, products: list[int]) -> _Kernel:
+        """Scan ``products``, ascending and above every product scanned before."""
+        by_product, classes, ends, k, cap = (
+            self.by_product, self.classes, self.ends, self.k, self.cap
+        )
+        keys, fields, patterns, truncated = self.keys, self.fields, self.patterns, self.truncated
+        pattern_ids, e_ks = self.pattern_ids, self.e_ks
+        bucket_count, tuple_count = self.bucket_count, self.tuple_count
+        # Maps a lane's count of index groups to 1 when it is at least k.
+        at_least_k = bytes(min(k, 256)).ljust(256, b"\x01")
+        for product in products:
             # One row layout per class pair, which the lane fill and
             # _shared_buckets both read: (r, top, ds_a, last, span, diagonal,
             # ends_a, ends_b).  Cell (da, db) has the index r and 2*chi =
@@ -442,28 +624,62 @@ def scan(config: SearchConfig) -> SearchScan:
                 tuple_count += count
                 product_patterns.append(pattern)
             patterns.fromlist(product_patterns)
-    limit = config.max_results
-    clipped = limit is not None and tuple_count > limit
-    stats = SearchStats(
-        pairs=pair_count,
-        types=type_count,
-        buckets=bucket_count,
-        multi_index_buckets=len(patterns),
-        cells=len(fields) // 4,
-        tuples=limit if clipped else tuple_count,
-        truncated=len(truncated),
-        clipped=clipped,
-    )
-    return SearchScan(
-        config,
-        stats,
-        tuple(truncated),
-        keys,
-        fields,
-        patterns,
-        tuple(pattern_ids),
-        tuple(min(cap, e_k) for e_k in e_ks),
-    )
+        self.bucket_count, self.tuple_count = bucket_count, tuple_count
+        return self
+
+    def send(self, handle: BinaryIO) -> None:
+        """Write what was built to ``handle``, for :meth:`join` in another process."""
+        import marshal
+
+        head = marshal.dumps((
+            len(self.keys), len(self.fields), len(self.patterns), tuple(self.pattern_ids),
+            self.e_ks, list(itertools.chain.from_iterable(self.truncated)),
+            self.bucket_count, self.tuple_count,
+        ))
+        # Its length first, so that join reads it in one call.
+        handle.write(len(head).to_bytes(8, "little") + head)
+        for built in (self.keys, self.fields, self.patterns):
+            built.tofile(handle)
+
+    def join(self, handle: BinaryIO | None) -> bool:
+        """Append what :meth:`send` wrote to ``handle``, from a kernel over higher products.
+
+        The result is what scanning those products here would have built:
+        the sender's pattern ids are mapped through this table, and the
+        index tuples new to it are appended in the sender's order, which is
+        the order they were first met.  Returns False, with nothing changed,
+        when ``handle`` is None or holds less than :meth:`send` writes.
+        """
+        if handle is None:
+            return False
+        import marshal
+
+        lengths = len(self.keys), len(self.fields)
+        patterns = array("L")
+        try:
+            head = handle.read(int.from_bytes(handle.read(8), "little"))
+            key_count, field_count, pattern_count, tuples, e_ks, truncated, buckets, kept = (
+                marshal.loads(head)
+            )
+            self.keys.fromfile(handle, key_count)
+            self.fields.fromfile(handle, field_count)
+            patterns.fromfile(handle, pattern_count)
+        except (EOFError, ValueError, TypeError):
+            del self.keys[lengths[0] :], self.fields[lengths[1] :]
+            return False
+        pattern_ids = self.pattern_ids
+        remap = []
+        for indices, e_k in zip(tuples, e_ks):
+            pattern = pattern_ids.get(indices)
+            if pattern is None:
+                pattern = pattern_ids[indices] = len(self.e_ks)
+                self.e_ks.append(e_k)
+            remap.append(pattern)
+        self.patterns.fromlist(list(map(remap.__getitem__, patterns)))
+        self.truncated += itertools.starmap(HomeoClassKey, zip(*[iter(truncated)] * 2))
+        self.bucket_count += buckets
+        self.tuple_count += kept
+        return True
 
 
 def search(config: SearchConfig) -> SearchResult:

@@ -14,7 +14,12 @@ bucket with its count of kept tuples.  Each output is its text of one
 tuple, cut once into pieces at its slots (:func:`_cut`), and each bucket's
 text is one join of those pieces, by a plan built once per index shape
 (:func:`_search_chunks`).  Every output is written in the chunks that
-function yields, the catalog's included.
+function yields, the catalog's included.  A run that keeps at least
+:data:`FORK_MIN_TUPLES` tuples is rendered on two processes: a forked child
+renders the upper half of the buckets into a temporary file while this
+process renders and yields the lower half, then the file's text.  The text
+is the same as from one process, which renders the whole when the child
+cannot run or fails; only where it is cut into chunks differs.
 """
 
 from __future__ import annotations
@@ -22,8 +27,9 @@ from __future__ import annotations
 import csv
 import dataclasses
 import io
+import itertools
 import json
-from functools import cache
+from functools import cache, partial
 from operator import itemgetter
 from typing import Any, Callable, Iterable, Iterator, Mapping
 
@@ -32,8 +38,19 @@ from .covers import CoverType, DerivedParams, SurfaceInvariants
 from .discriminant import ArgumentStep, DiscriminantProfile, ZariskiCertificate
 from .errors import SchemaMismatch, int_from_text, is_int
 from .paper_check import PaperExampleReport
-from .search import CataneseTuple, SearchScan
+from .search import CataneseTuple, SearchScan, _forked
 from .topology import HomeoClassKey, TupleVerdict
+
+#: The fewest kept tuples for which a search output is rendered in two
+#: processes, read at run time so that tests can lower it.  On a 2-core x86-64
+#: VM the JSON of bound 60 (6,856 tuples) gained 5 ms in two processes on one
+#: day and lost 6 ms on another; that of bound 80 (30,911 tuples) and above
+#: gained in every run.
+FORK_MIN_TUPLES = 20_000
+
+#: The most bytes of a child's rendered text held at once, less than one chunk
+#: of a JSON search output at k = 2 (about 350 KB).
+_PIECE_BYTES = 1 << 18
 
 _PROFILE_BIG_FIELDS = ("deg_f", "deg_b", "half_deg", "genus", "cusps", "nodes")
 _TYPE_FIELDS = tuple(field.name for field in dataclasses.fields(CoverType))
@@ -272,14 +289,64 @@ def _search_chunks(run: SearchScan, cut: _Cut, separator: bytes = b"") -> Iterat
     """The run's tuples as text, in chunks, by the pieces ``cut`` from an output.
 
     Tuples come sorted by key and then by members, as
-    :meth:`SearchScan.buckets` hands them over, ``max_results`` applied.
+    :meth:`SearchScan.buckets` hands them over, ``max_results`` applied, and
+    are rendered by :func:`_rendered`.  A run that keeps at least
+    :data:`FORK_MIN_TUPLES` tuples is rendered in two processes: its buckets
+    are split where the kept tuples pass half, and a child forked by
+    :func:`~bidouble.search._forked`, which holds the finished run as this
+    process does, renders the upper buckets into a temporary file while this
+    process renders and yields the lower ones.  The file's text follows, in
+    pieces of at most :data:`_PIECE_BYTES`; should the child fail, this
+    process renders the upper buckets itself.  The text is the same either
+    way; only where it is cut into chunks differs.
+    """
+    render = partial(_rendered, run, cut, separator)
+    split = _split_at_half(run) if run.stats.tuples >= FORK_MIN_TUPLES else None
+    if split is None:
+        yield from map(bytes.decode, render())
+        return
+    with _forked(lambda handle: handle.writelines(render(split, None, True))) as finish:
+        yield from map(bytes.decode, render(0, split if finish else None))
+        if finish is None:
+            return
+        written = finish()
+        if written is None:
+            yield from map(bytes.decode, render(split, None, True))
+        else:
+            yield from map(bytes.decode, iter(partial(written.read, _PIECE_BYTES), b""))
+
+
+def _split_at_half(run: SearchScan) -> int | None:
+    """The first bucket after those that keep half the run's tuples, or None
+    when the buckets after it keep none.
+
+    The running total is taken as it goes, not held: a list of it would
+    hold an integer object per bucket, about 20 MB at bound 200.
+    """
+    kept = itertools.accumulate(map(run.tuple_counts.__getitem__, run.patterns))
+    half = (run.stats.tuples + 1) // 2
+    split, total = next((i, total) for i, total in enumerate(kept, 1) if total >= half)
+    return split if total < run.stats.tuples and split < len(run.patterns) else None
+
+
+def _rendered(
+    run: SearchScan,
+    cut: _Cut,
+    separator: bytes,
+    first: int = 0,
+    stop: int | None = None,
+    leading: bool = False,
+) -> Iterator[bytes]:
+    """The text of the run's buckets ``first`` to ``stop`` (exclusive, None for
+    all), in ASCII chunks; the separator leads the first chunk too when ``leading``.
+
     Each member text of a bucket handed over is rendered once, and each
     index once.  A bucket's text, its tuples separated by ``separator``, is
     one join of those pieces by the plan ``buckets`` prepares with the
     planner of ``cut``: one ``%`` for its key, one ``itemgetter`` and one
     ``b"".join``, and no per-tuple object.  A chunk holds whole buckets, at
     most :data:`~bidouble.catalog.RECORDS_PER_CHUNK` tuples unless one bucket holds
-    more, and is joined as bytes and decoded once.  The separator leads every chunk
+    more, and is joined once.  The separator leads every chunk
     after the first, so no chunk waits for the next, and at most one chunk's text
     is alive at a time when the caller takes each before asking for another.
     """
@@ -287,13 +354,14 @@ def _search_chunks(run: SearchScan, cut: _Cut, separator: bytes = b"") -> Iterat
     pieces = (*constants, constants[-1] + separator)
     # Each index's text, at its own position.
     digits = [b"%d" % r for r in range(max(map(max, run.index_tuples)) + 1)]
-    chunk: list[bytes] = []
+    chunk: list[bytes] = [b""] if leading else []
     in_chunk = 0
-    for kk, chi, indices, members, plan, count in run.buckets(planner, member_template.__mod__):
+    buckets = run.buckets(planner, member_template.__mod__, first, stop)
+    for kk, chi, indices, members, plan, count in buckets:
         if in_chunk + count > RECORDS_PER_CHUNK and in_chunk:
             text = separator.join(chunk)
             chunk, in_chunk = [b""], 0
-            yield text.decode("ascii")
+            yield text
             # Its bytes go before the next chunk is built.
             del text
         parts = (*pieces, key_template % (kk, chi)[order], *members, *map(digits.__getitem__, indices))
@@ -301,7 +369,7 @@ def _search_chunks(run: SearchScan, cut: _Cut, separator: bytes = b"") -> Iterat
         in_chunk += count
     text = separator.join(chunk)
     del chunk
-    yield text.decode("ascii")
+    yield text
 
 
 def verdict_to_json(verdict: TupleVerdict) -> dict[str, Any]:

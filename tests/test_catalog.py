@@ -393,6 +393,36 @@ def test_catalog_write_rejects_unknown_kind(
     assert not path.exists()
 
 
+# Payloads json cannot encode at all, so that no line holds them.
+UNENCODABLE_RECORDS: dict[str, tuple[CatalogRecord, str]] = {
+    "mixed-keys": (
+        CatalogRecord("tuple", {1: 2, "a": 3}),
+        "not encodable as JSON ('<' not supported between instances of 'str' and 'int')",
+    ),
+    "object": (
+        CatalogRecord("tuple", {"x": [object()]}),
+        "not encodable as JSON (Object of type object is not JSON serializable)",
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    ("bad", "reason"), list(UNENCODABLE_RECORDS.values()), ids=list(UNENCODABLE_RECORDS)
+)
+def test_catalog_write_refuses_a_payload_json_cannot_encode(
+    tmp_path: Path, bad: CatalogRecord, reason: str
+) -> None:
+    with pytest.raises(SchemaMismatch) as excinfo:
+        record_to_line(bad)
+    assert str(excinfo.value) == reason
+    path = tmp_path / "catalog.jsonl"
+    write_catalog([CatalogRecord(kind="invariants", payload={"kk": 512})], path)
+    before = path.read_bytes()
+    with pytest.raises(SchemaMismatch, match=re.escape(reason)):
+        write_catalog(records_failing_at(RECORDS_PER_CHUNK + 2, bad), path)
+    assert path.read_bytes() == before
+
+
 def records_failing_at(position: int, bad: CatalogRecord) -> Iterator[CatalogRecord]:
     """A stream of valid records whose record number ``position`` is ``bad``."""
     for number in range(1, position):

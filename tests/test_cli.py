@@ -559,7 +559,7 @@ def search_report(err: str) -> dict[str, Any]:
     """The JSON report line a search writes last on stderr."""
     report = json.loads(err.splitlines()[-1])
     assert list(report) == [
-        *(field.name for field in dataclasses.fields(SearchStats)), "kernel_s", "emit_s",
+        *(field.name for field in dataclasses.fields(SearchStats)), "workers", "kernel_s", "emit_s",
     ]
     return report
 
@@ -575,6 +575,8 @@ def test_search_reports_its_run_on_stderr(capsys: pytest.CaptureFixture[str]) ->
             "pairs": 153, "types": 11_781, "buckets": 8_416, "tuples": 709,
         }
         assert report["multi_index_buckets"] <= report["cells"]
+        # Bound 40 is below the size at which the kernel pass forks.
+        assert report["workers"] == 1
         assert report["kernel_s"] >= 0 and report["emit_s"] >= 0
 
 

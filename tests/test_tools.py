@@ -145,6 +145,73 @@ def test_bench_search_keeps_the_report_line_times_to_the_microsecond(tmp_path: P
     assert "kernel_s" not in run["stats"] and "emit_s" not in run["stats"]
 
 
+STUB_FORKING_CLI = '''
+import json, os, sys
+
+def main(argv):
+    # A child that holds 64 MiB, as a process forked by search holds its part.
+    pid = os.fork()
+    if pid == 0:
+        block = bytearray(64 << 20)
+        block[::4096] = b"\\1" * len(block[::4096])
+        os._exit(0)
+    os.waitpid(pid, 0)
+    report = {"types": 406, "buckets": 356, "tuples": 6, "kernel_s": 0.0, "emit_s": 0.0}
+    print(json.dumps(report), file=sys.stderr)
+    return 0
+'''
+
+
+def test_bench_search_counts_the_memory_of_a_forked_child(tmp_path: Path) -> None:
+    package = tmp_path / "bidouble"
+    package.mkdir()
+    (package / "__init__.py").write_text("")
+    (package / "cli.py").write_text(STUB_FORKING_CLI)
+    (run,) = bench_search("--src", str(tmp_path), "20")["runs"]
+    assert run["peak_rss_mb"] >= 64
+
+
+def test_bench_search_repeats_the_calls_in_one_process() -> None:
+    report = bench_search("--repeat", "3", "--catalog", "20")
+    assert report["repeat"] == 3
+    (run,) = report["runs"]
+    assert (run["types"], run["buckets"], run["tuples"]) == (406, 356, 6)
+    assert run["stdout_sha256"] == (
+        "a1264d036001e0cd653d060b1b12719e05896fb2d01805a618bf0e11c7f4e331"
+    )
+    # Each call writes a catalog of its own six lines.
+    assert run["catalog_bytes"] == 1078
+    assert set(run["rest_median"]) == {"kernel_s", "emit_s", "total_s"}
+    assert all(value >= 0 for value in run["rest_median"].values())
+    assert "rest_median" not in bench_search("20")["runs"][0]
+
+
+STUB_DRIFTING_CLI = '''
+import json, sys
+
+calls = []
+
+def main(argv):
+    calls.append(1)
+    sys.stdout.write("call %d\\n" % len(calls))
+    report = {"types": 406, "buckets": 356, "tuples": 6, "kernel_s": 0.0, "emit_s": 0.0}
+    print(json.dumps(report), file=sys.stderr)
+    return 0
+'''
+
+
+def test_bench_search_refuses_calls_whose_stdout_differs(tmp_path: Path) -> None:
+    package = tmp_path / "bidouble"
+    package.mkdir()
+    (package / "__init__.py").write_text("")
+    (package / "cli.py").write_text(STUB_DRIFTING_CLI)
+    argv = [sys.executable, str(ROOT / "tools" / "bench_search.py"), "--src", str(tmp_path)]
+    done = subprocess.run([*argv, "--repeat", "2", "20"], capture_output=True, text=True)
+    assert done.returncode != 0 and done.stdout == ""
+    assert "stdout_sha256 differs between the 2 calls" in done.stderr
+    assert bench_search("--src", str(tmp_path), "20")["runs"][0]["stdout_bytes"] == 7
+
+
 def bench_pairs(*args: str) -> dict:
     done = subprocess.run(
         [sys.executable, str(ROOT / "tools" / "bench_pairs.py"), *args],
