@@ -52,12 +52,12 @@ def record_to_line(record: CatalogRecord) -> str:
     reason = _record_error(obj)
     if reason is None:
         try:
-            return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False)
+            return _encode(obj)
         except TypeError as exc:
             reason = f"not encodable as JSON ({exc})"
         except ValueError:  # NaN or an infinity, named as the reader names it
             try:
-                json.loads(json.dumps(obj, sort_keys=True), parse_constant=_reject_constant)
+                _decode(json.dumps(obj, sort_keys=True))
             except ValueError as exc:
                 reason = f"invalid JSON ({exc})"
     raise SchemaMismatch(reason)
@@ -95,24 +95,27 @@ def write_chunks(chunks: Iterable[str], path: str | PathLike[str]) -> int:
     chunks = iter(chunks)
     first = list(islice(chunks, 1))
     written = 0
-    # Unbuffered, so that nothing written can linger in a buffer past the
-    # truncation.
-    with open(path, "ab", buffering=0) as handle:
-        fcntl.flock(handle, fcntl.LOCK_EX)
+    # A bare descriptor, opened as open(path, "ab") opens it: nothing written
+    # can linger in a buffer past the truncation.
+    fd = os.open(path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o666)
+    try:
+        fcntl.flock(fd, fcntl.LOCK_EX)
         try:
-            start = os.fstat(handle.fileno()).st_size
+            start = os.fstat(fd).st_size
             try:
                 for chunk in chain(first, chunks):
                     data = chunk.encode()
                     view = memoryview(data)
                     while view:
-                        view = view[handle.write(view) :]
+                        view = view[os.write(fd, view) :]
                     written += data.count(b"\n")
             except BaseException:
-                os.ftruncate(handle.fileno(), start)
+                os.ftruncate(fd, start)
                 raise
         finally:
-            fcntl.flock(handle, fcntl.LOCK_UN)
+            fcntl.flock(fd, fcntl.LOCK_UN)
+    finally:
+        os.close(fd)
     return written
 
 
@@ -128,11 +131,24 @@ def _finite_float(text: str) -> float:
     return value
 
 
+#: One codec per process: ``json.dumps`` and ``json.loads`` with keyword
+#: arguments would build an encoder or decoder on every call.
+_encode = json.JSONEncoder(sort_keys=True, separators=(",", ":"), allow_nan=False).encode
+_raw_decode = json.JSONDecoder(parse_constant=_reject_constant, parse_float=_finite_float).decode
+
+
+def _decode(text: str) -> Any:
+    """``json.loads(text)`` with the hooks above, a leading BOM refused in its words."""
+    if text.startswith("\ufeff"):
+        raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)
+    return _raw_decode(text)
+
+
 def _record_error(obj: Any) -> str | None:
     """Why the parsed line ``obj`` is not a catalog record, or None if it is one."""
     if not isinstance(obj, dict):
         return "expected an object"
-    if set(obj) != _RECORD_KEYS:
+    if obj.keys() != _RECORD_KEYS:
         return f"expected keys {sorted(_RECORD_KEYS)}, got {sorted(obj)}"
     version = obj["schema_version"]
     if not is_int(version) or version != SCHEMA_VERSION:
@@ -164,9 +180,7 @@ def read_catalog(path: str | PathLike[str]) -> list[CatalogRecord]:
                 line = raw.decode("utf-8").strip(" \t\n\r")
                 if not line:
                     continue
-                obj = json.loads(
-                    line, parse_constant=_reject_constant, parse_float=_finite_float
-                )
+                obj = _decode(line)
             except ValueError as exc:  # also UnicodeDecodeError and JSONDecodeError
                 raise SchemaMismatch(f"line {lineno}: invalid JSON ({exc})") from exc
             if (reason := _record_error(obj)) is not None:

@@ -98,19 +98,27 @@ def validate_type(a: int, b: int, m2: int, n2: int) -> CoverType:
     for name, value in fields:
         if value > DEFAULT_FIELD_CAP:
             raise OutOfRange(f"{name}={int_text(value)} exceeds the field cap {DEFAULT_FIELD_CAP}")
-    # Each value as message text; str() refuses one of more than 4300 digits.
-    a_, b_, m2_, n2_ = map(int_text, (a, b, m2, n2))
-    checks = (
-        (a > 2 * n2, f"a > 2*n2 (got a={a_}, n2={n2_})"),
-        (n2 >= 3, f"n2 >= 3 (got n2={n2_})"),
-        (m2 > 2 * b, f"m2 > 2*b (got m2={m2_}, b={b_})"),
-        (b >= 3, f"b >= 3 (got b={b_})"),
-        ((a - n2) % 2 == 0, f"a == n2 (mod 2) (got a={a_}, n2={n2_})"),
-        ((b - m2) % 2 == 0, f"b == m2 (mod 2) (got b={b_}, m2={m2_})"),
+    holds = (
+        a > 2 * n2,
+        n2 >= 3,
+        m2 > 2 * b,
+        b >= 3,
+        (a - n2) % 2 == 0,
+        (b - m2) % 2 == 0,
     )
-    violations = [message for ok, message in checks if not ok]
-    if violations:
-        raise ConstraintViolation(violations)
+    if not all(holds):
+        # The messages, in the constraints' order, only once one fails.  Each
+        # value is message text; str() refuses one of more than 4300 digits.
+        a_, b_, m2_, n2_ = map(int_text, (a, b, m2, n2))
+        messages = (
+            f"a > 2*n2 (got a={a_}, n2={n2_})",
+            f"n2 >= 3 (got n2={n2_})",
+            f"m2 > 2*b (got m2={m2_}, b={b_})",
+            f"b >= 3 (got b={b_})",
+            f"a == n2 (mod 2) (got a={a_}, n2={n2_})",
+            f"b == m2 (mod 2) (got b={b_}, m2={m2_})",
+        )
+        raise ConstraintViolation([m for ok, m in zip(holds, messages) if not ok])
     return CoverType(a, b, m2, n2)
 
 
@@ -130,7 +138,11 @@ def canonicalize(t: CoverType) -> CoverType:
 
 def derive_params(t: CoverType) -> DerivedParams:
     """u = n2 + a - 2, v = m2 + b - 2, w = a - n2, z = m2 - b."""
-    return DerivedParams(u=t.n2 + t.a - 2, v=t.m2 + t.b - 2, w=t.a - t.n2, z=t.m2 - t.b)
+    return DerivedParams(*_uvwz(t))
+
+
+def _uvwz(t: CoverType) -> tuple[int, int, int, int]:
+    return t.n2 + t.a - 2, t.m2 + t.b - 2, t.a - t.n2, t.m2 - t.b
 
 
 def divisibility_index(p: DerivedParams) -> int:
@@ -154,26 +166,18 @@ def surface_invariants(t: CoverType) -> SurfaceInvariants:
     pair (K^2, chi): e = 12*chi - K^2 by Noether's formula, sigma = K^2 -
     8*chi, b2 = e - 2, b+ = 2*chi - 1, b- = b2 - b+, p_g = chi - 1.
     """
-    p = derive_params(t)
-    half_3uv, rem_uv = divmod(3 * p.u * p.v, 2)
-    half_wz, rem_wz = divmod(p.w * p.z, 2)
+    # The parameters of derive_params, without a DerivedParams object.
+    u, v, w, z = _uvwz(t)
+    half_3uv, rem_uv = divmod(3 * u * v, 2)
+    half_wz, rem_wz = divmod(w * z, 2)
     if rem_uv or rem_wz:
         # Only reachable when the parity constraints were never checked.
         raise ValueError(f"type {t.as_tuple()} violates the parity constraints")
-    kk = 8 * p.u * p.v
-    chi = half_3uv + p.u + p.v + 2 - half_wz
+    kk = 8 * u * v
+    chi = half_3uv + u + v + 2 - half_wz
     euler = 12 * chi - kk
     sigma = kk - 8 * chi
     b2 = euler - 2
     b_plus = 2 * chi - 1
-    return SurfaceInvariants(
-        kk=kk,
-        chi=chi,
-        euler=euler,
-        sigma=sigma,
-        b2=b2,
-        b_plus=b_plus,
-        b_minus=b2 - b_plus,
-        p_g=chi - 1,
-        r=divisibility_index(p),
-    )
+    # In field order, ending in b_minus, p_g and r, the divisibility index gcd(u, v).
+    return SurfaceInvariants(kk, chi, euler, sigma, b2, b_plus, b2 - b_plus, chi - 1, gcd(u, v))

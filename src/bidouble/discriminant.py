@@ -136,16 +136,7 @@ def discriminant_profile(inv: SurfaceInvariants, mult: int) -> DiscriminantProfi
     genus = ram_mult * (ram_mult + 1) * kk // 2 + 1
     cusps = cusp_count_general(deg_f, genus, inv.euler)
     nodes = node_count(deg_b, genus, cusps)
-    return DiscriminantProfile(
-        mult=mult,
-        ram_mult=ram_mult,
-        deg_f=deg_f,
-        deg_b=deg_b,
-        half_deg=deg_b // 2,
-        genus=genus,
-        cusps=cusps,
-        nodes=nodes,
-    )
+    return DiscriminantProfile(mult, ram_mult, deg_f, deg_b, deg_b // 2, genus, cusps, nodes)
 
 
 def zariski_certificate(

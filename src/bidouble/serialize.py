@@ -29,6 +29,7 @@ import dataclasses
 import io
 import itertools
 import json
+from collections import abc
 from functools import cache, partial
 from operator import itemgetter
 from typing import Any, Callable, Iterable, Iterator, Mapping
@@ -53,11 +54,15 @@ FORK_MIN_TUPLES = 20_000
 _PIECE_BYTES = 1 << 18
 
 _PROFILE_BIG_FIELDS = ("deg_f", "deg_b", "half_deg", "genus", "cusps", "nodes")
+#: A profile's fields in the order they are checked, and the exact type of
+#: each: for its two int fields, is_int's rule.
+_PROFILE_CHECKED = (*_PROFILE_BIG_FIELDS, "mult", "ram_mult")
+_PROFILE_TYPES = [str] * len(_PROFILE_BIG_FIELDS) + [int, int]
 _TYPE_FIELDS = tuple(field.name for field in dataclasses.fields(CoverType))
 
 
 def cover_type_to_json(t: CoverType) -> dict[str, int]:
-    return dict(zip(_TYPE_FIELDS, t.as_tuple()))
+    return {"a": t.a, "b": t.b, "m2": t.m2, "n2": t.n2}
 
 
 def key_to_json(key: HomeoClassKey) -> dict[str, int]:
@@ -84,11 +89,18 @@ def invariants_to_json(t: CoverType, p: DerivedParams, inv: SurfaceInvariants) -
     }
 
 
-def profile_to_json(profile: DiscriminantProfile) -> dict[str, Any]:
-    payload: dict[str, Any] = {"mult": profile.mult, "ram_mult": profile.ram_mult}
-    for field in _PROFILE_BIG_FIELDS:
-        payload[field] = str(getattr(profile, field))
-    return payload
+def profile_to_json(p: DiscriminantProfile) -> dict[str, Any]:
+    """The profile with its :data:`_PROFILE_BIG_FIELDS` as decimal strings, in field order."""
+    return {
+        "mult": p.mult,
+        "ram_mult": p.ram_mult,
+        "deg_f": str(p.deg_f),
+        "deg_b": str(p.deg_b),
+        "half_deg": str(p.half_deg),
+        "genus": str(p.genus),
+        "cusps": str(p.cusps),
+        "nodes": str(p.nodes),
+    }
 
 
 def tuple_to_json(t: CataneseTuple) -> dict[str, Any]:
@@ -411,9 +423,11 @@ def report_to_json(report: PaperExampleReport) -> dict[str, Any]:
 
 
 def _require_mapping(value: Any, where: str) -> Mapping[str, Any]:
-    if not isinstance(value, Mapping):
-        raise SchemaMismatch(f"{where}: expected an object, got {type(value).__name__}")
-    return value
+    # A dict first, then collections.abc's check: that of typing.Mapping runs
+    # in Python.
+    if type(value) is dict or isinstance(value, abc.Mapping):
+        return value
+    raise SchemaMismatch(f"{where}: expected an object, got {type(value).__name__}")
 
 
 def _int_field(obj: Mapping[str, Any], field: str, where: str) -> int:
@@ -423,7 +437,15 @@ def _int_field(obj: Mapping[str, Any], field: str, where: str) -> int:
     return value
 
 
-def _int_item(value: Any, where: str) -> int:
+def _int_fields(obj: Mapping[str, Any], fields: tuple[str, ...], where: str) -> list[int]:
+    """Each of ``fields`` as :func:`_int_field` reads it; the first one refused is reported."""
+    values = list(map(obj.get, fields))
+    if all(map(is_int, values)):
+        return values
+    return [_int_field(obj, field, where) for field in fields]
+
+
+def _int_item(value: Any, where: str = "index") -> int:
     if not is_int(value):
         raise SchemaMismatch(f"{where} must be an integer, got {value!r}")
     return value
@@ -455,39 +477,61 @@ def _list_field(obj: Mapping[str, Any], field: str, where: str) -> list[Any]:
 
 
 def _items(
-    obj: Mapping[str, Any], field: str, where: str, parse: Callable[[Any, str], Any]
+    obj: Mapping[str, Any], field: str, where: str, parse: Callable[..., Any]
 ) -> tuple[Any, ...]:
-    """Each element of the array ``field``, parsed at ``{where}.{field}[i]``."""
+    """Each element of the array ``field``, parsed at ``{where}.{field}[i]``.
+
+    The elements are parsed first under ``parse``'s own default path, so
+    that no path is built for an element that parses.  ``parse`` is a pure
+    function of the element, so when one is refused, parsing them again,
+    each under its path, refuses the same element in the same words.
+    """
     items = _list_field(obj, field, where)
+    try:
+        return tuple(map(parse, items))
+    except SchemaMismatch:
+        pass
     return tuple(parse(item, f"{where}.{field}[{i}]") for i, item in enumerate(items))
 
 
 def cover_type_from_json(payload: Any, where: str = "type") -> CoverType:
-    obj = _require_mapping(payload, where)
-    return CoverType(*(_int_field(obj, f, where) for f in _TYPE_FIELDS))
+    return CoverType(*_int_fields(_require_mapping(payload, where), _TYPE_FIELDS, where))
 
 
 def key_from_json(payload: Any, where: str = "key") -> HomeoClassKey:
-    obj = _require_mapping(payload, where)
-    return HomeoClassKey(_int_field(obj, "kk", where), _int_field(obj, "chi", where))
+    return HomeoClassKey(*_int_fields(_require_mapping(payload, where), ("kk", "chi"), where))
 
 
 def profile_from_json(payload: Any, where: str = "profile") -> DiscriminantProfile:
+    """The profile at ``where``; the six decimal strings are checked before
+    ``mult`` and ``ram_mult``.
+
+    All eight fields are read at once when each has its exact type and each
+    string spells its int as :func:`~bidouble.errors.int_from_text`
+    requires, and one by one otherwise, so that the first fault is the one
+    reported.
+    """
     obj = _require_mapping(payload, where)
-    big = {f: _big_field(obj, f, where) for f in _PROFILE_BIG_FIELDS}
-    return DiscriminantProfile(
-        mult=_int_field(obj, "mult", where),
-        ram_mult=_int_field(obj, "ram_mult", where),
-        **big,
-    )
+    values = list(map(obj.get, _PROFILE_CHECKED))
+    if list(map(type, values)) == _PROFILE_TYPES:
+        texts = values[:6]
+        try:
+            big = list(map(int, texts))
+        except ValueError:  # not a number, or more digits than int() reads
+            big = None
+        if big is not None and list(map(str, big)) == texts:
+            return DiscriminantProfile(values[6], values[7], *big)
+    big = [_big_field(obj, field, where) for field in _PROFILE_BIG_FIELDS]
+    mult, ram_mult = (_int_field(obj, field, where) for field in ("mult", "ram_mult"))
+    return DiscriminantProfile(mult, ram_mult, *big)
 
 
-def _step_from_json(payload: Any, where: str) -> ArgumentStep:
+def _step_from_json(payload: Any, where: str = "step") -> ArgumentStep:
     step = _require_mapping(payload, where)
     return ArgumentStep(
-        step=_int_field(step, "step", where),
-        name=_str_field(step, "name", where),
-        statement=_str_field(step, "statement", where),
+        _int_field(step, "step", where),
+        _str_field(step, "name", where),
+        _str_field(step, "statement", where),
     )
 
 

@@ -103,11 +103,13 @@ def is_catanese_tuple(types: Sequence[CoverType]) -> TupleVerdict:
     # All keys equal member 0's exactly when they are pairwise equal, and no
     # index has an earlier holder exactly when the indices are pairwise
     # distinct, so these witnesses decide the pairwise definition.
+    shared: HomeoClassKey | None = keys[0]
     first_holder: dict[int, int] = {}
     pairs: list[tuple[int, int]] = []
     failures: list[str] = []
     for j, (key, inv) in enumerate(zip(keys, invariants)):
         if key != keys[0]:
+            shared = None
             pairs.append((0, j))
             failures.append(
                 f"members 0 and {j}: homeomorphism keys differ "
@@ -117,11 +119,7 @@ def is_catanese_tuple(types: Sequence[CoverType]) -> TupleVerdict:
         if i != j:
             pairs.append((i, j))
             failures.append(f"members {i} and {j}: equal divisibility index {inv.r}")
-    shared = keys[0] if all(k == keys[0] for k in keys) else None
+    # Positional, in field order: is_catanese, shared_key, indices, failures, pairs.
     return TupleVerdict(
-        is_catanese=not failures,
-        shared_key=shared,
-        indices=tuple(inv.r for inv in invariants),
-        failures=tuple(failures),
-        pairs=tuple(pairs),
+        not failures, shared, tuple(inv.r for inv in invariants), tuple(failures), tuple(pairs)
     )

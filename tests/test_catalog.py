@@ -290,6 +290,18 @@ def test_catalog_rejects_invalid_json(tmp_path: Path, line: str) -> None:
     assert str(excinfo.value).startswith("line 1: invalid JSON")
 
 
+def test_catalog_refuses_a_leading_byte_order_mark_in_json_loads_words(tmp_path: Path) -> None:
+    path = tmp_path / "catalog.jsonl"
+    good = record_to_line(CatalogRecord("tuple", {"x": 1}))
+    path.write_text(good + "\n\ufeff" + good + "\n", encoding="utf-8")
+    with pytest.raises(SchemaMismatch) as excinfo:
+        read_catalog(path)
+    assert str(excinfo.value) == (
+        "line 2: invalid JSON (Unexpected UTF-8 BOM (decode using utf-8-sig): "
+        "line 1 column 1 (char 0))"
+    )
+
+
 def test_catalog_reads_finite_floats_as_before(tmp_path: Path) -> None:
     path = tmp_path / "catalog.jsonl"
     path.write_text(

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from bidouble import (
     ConstraintViolation,
@@ -66,6 +68,33 @@ def test_validate_names_fields_past_the_digit_limit() -> None:
         "a > 2*n2 (got a=-<16610-bit integer>, n2=3)",
         "a == n2 (mod 2) (got a=-<16610-bit integer>, n2=3)",
     ]
+
+
+def _violations(a: int, b: int, m2: int, n2: int) -> list[str]:
+    """The six constraints' messages, restated here in order, kept where the constraint fails."""
+    checks = [
+        (a > 2 * n2, f"a > 2*n2 (got a={a}, n2={n2})"),
+        (n2 >= 3, f"n2 >= 3 (got n2={n2})"),
+        (m2 > 2 * b, f"m2 > 2*b (got m2={m2}, b={b})"),
+        (b >= 3, f"b >= 3 (got b={b})"),
+        ((a - n2) % 2 == 0, f"a == n2 (mod 2) (got a={a}, n2={n2})"),
+        ((b - m2) % 2 == 0, f"b == m2 (mod 2) (got b={b}, m2={m2})"),
+    ]
+    return [message for ok, message in checks if not ok]
+
+
+@given(st.tuples(*[st.integers(-5, 60)] * 4))
+def test_validate_reports_exactly_the_failing_constraints_in_order(
+    fields: tuple[int, int, int, int],
+) -> None:
+    expected = _violations(*fields)
+    if not expected:
+        assert validate_type(*fields) == CoverType(*fields)
+        return
+    with pytest.raises(ConstraintViolation) as excinfo:
+        validate_type(*fields)
+    assert excinfo.value.violations == expected
+    assert str(excinfo.value) == "; ".join(expected)
 
 
 def test_validate_rejects_non_integers() -> None:

@@ -183,7 +183,38 @@ def test_bench_search_repeats_the_calls_in_one_process() -> None:
     assert run["catalog_bytes"] == 1078
     assert set(run["rest_median"]) == {"kernel_s", "emit_s", "total_s"}
     assert all(value >= 0 for value in run["rest_median"].values())
-    assert "rest_median" not in bench_search("20")["runs"][0]
+    assert 0 < run["first_call_peak_rss_mb"] <= run["peak_rss_mb"]
+    single = bench_search("20")["runs"][0]
+    assert "rest_median" not in single and "first_call_peak_rss_mb" not in single
+
+
+STUB_GROWING_CLI = '''
+import json, sys
+
+held = []
+
+def main(argv):
+    # Each call keeps 16 MiB more, as a heap that grows between calls does.
+    block = bytearray(16 << 20)
+    block[::4096] = b"\\1" * len(block[::4096])
+    held.append(block)
+    sys.stdout.write("tuples\\n")
+    report = {"types": 406, "buckets": 356, "tuples": 6, "kernel_s": 0.0, "emit_s": 0.0}
+    print(json.dumps(report), file=sys.stderr)
+    return 0
+'''
+
+
+def test_bench_search_reports_the_first_call_peak_beside_that_of_all(tmp_path: Path) -> None:
+    package = tmp_path / "bidouble"
+    package.mkdir()
+    (package / "__init__.py").write_text("")
+    (package / "cli.py").write_text(STUB_GROWING_CLI)
+    (run,) = bench_search("--src", str(tmp_path), "--repeat", "3", "20")["runs"]
+    (single,) = bench_search("--src", str(tmp_path), "20")["runs"]
+    # Three calls hold 48 MiB, the first 16 MiB, as one call alone does.
+    assert run["peak_rss_mb"] - run["first_call_peak_rss_mb"] >= 30
+    assert abs(run["first_call_peak_rss_mb"] - single["peak_rss_mb"]) < 4
 
 
 STUB_DRIFTING_CLI = '''
