@@ -59,19 +59,22 @@ its bucket by its shape's positions into :class:`CataneseTuple` objects;
 every output of the command line joins each bucket's text at once from a
 plan of its shape (:mod:`bidouble.serialize`).
 
-A run of at least :data:`FORK_MIN_TYPES` types runs its kernel pass on two
-processes, and :mod:`bidouble.serialize` does the same for an emit of many
-tuples.  One helper, :func:`_forked`, owns the child's life: a fork, an exit
-by ``os._exit`` that runs no ``atexit`` handler and writes nothing of this
-process's buffers, the child's part handed back through an unlinked
-temporary file, and a reap on every way out, a killed one when the caller
-stops early.  The kernel splits its ascending products where their
-estimated cost passes half, and :meth:`_Kernel.join` appends the child's
-part, its pattern ids mapped into this process's table, so the run is
-field for field the one a single process builds.  When ``os.fork`` is
-missing or fails, another thread runs, or the child fails, this process
-does the child's half itself: what a run returns and writes never depends
-on how many processes made it.
+This module alone decides how a pass runs on processes, and both passes run
+alike: :func:`scan` from :data:`FORK_MIN_TYPES` types, and
+:meth:`SearchScan.emit` of an output's text, which :mod:`bidouble.serialize`
+renders a range of buckets at a time, from :data:`FORK_MIN_TUPLES` kept
+tuples.  :func:`_half` splits the costs in order (products by their class
+pairs, buckets by their kept tuples) where they first reach half.  A child
+forked by :func:`_forked` does the upper part while this process does the
+lower one, then takes the child's part, or does the upper part itself when
+``os.fork`` is missing or fails, no temporary file can be made, another
+thread runs or the child fails.  :func:`_forked` owns the child's life: a
+fork, an exit by ``os._exit`` that runs no ``atexit`` handler and writes
+nothing of this process's buffers, the child's part handed back through an
+unlinked temporary file under ``TMPDIR``, and a reap on every way out, a
+killed one when the caller stops early.  :meth:`_Kernel.join` maps the
+kernel child's pattern ids into this process's table, so what a run returns
+and writes never depends on how many processes made it.
 
 The kernel is the package's only path to the buckets.  The readable path,
 which lists P(bound), pairs its members into canonical cover types and
@@ -90,9 +93,9 @@ import itertools
 import os
 import sys
 from array import array
-from bisect import bisect_left
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from functools import partial
 from math import gcd
 from operator import itemgetter
 from typing import Any, BinaryIO, Callable, Iterable, Iterator, Sequence, TypeVar
@@ -116,6 +119,17 @@ MAX_SEARCH_TYPES = 30_000_000
 #: 5 ms on one day and lost 7 ms on another, and bound 80 (247,456 types) and
 #: above gained in every run.
 FORK_MIN_TYPES = 100_000
+
+#: The fewest kept tuples for which :meth:`SearchScan.emit` renders in two
+#: processes, read at run time so that tests can lower it.  On a 2-core x86-64
+#: VM the JSON of bound 60 (6,856 tuples) gained 5 ms in two processes on one
+#: day and lost 6 ms on another; that of bound 80 (30,911 tuples) and above
+#: gained in every run.
+FORK_MIN_TUPLES = 20_000
+
+#: The most bytes of an emit child's text held at once, less than one chunk
+#: of a JSON search output at k = 2 (about 350 KB).
+_PIECE_BYTES = 1 << 18
 
 #: What a caller of :meth:`SearchScan.buckets` prepares once per shape.
 Prepared = TypeVar("Prepared")
@@ -272,6 +286,30 @@ class SearchScan:
             left -= count
             yield kk, chi, indices, tuple(itertools.islice(members, len(indices))), prepared, count
 
+    def emit(self, render: Callable[[int, int | None], Iterable[bytes]]) -> Iterator[bytes]:
+        """The run's text in chunks, by ``render(first, stop)``: the text of buckets
+        ``first`` to ``stop`` (exclusive, None for all), as it follows those before.
+
+        A run that keeps at least :data:`FORK_MIN_TUPLES` tuples is split by
+        :func:`_half` where its kept tuples first reach half, and a child
+        forked by :func:`_forked` renders the upper buckets while this process
+        renders and yields the lower ones.  The child's text follows in pieces
+        of at most :data:`_PIECE_BYTES`; with no child, or a failed one, this
+        process renders the upper buckets itself.  The text is the same either
+        way; only its chunks differ.  ``workers`` does not count this pass.
+        """
+        split = None
+        if self.stats.tuples >= FORK_MIN_TUPLES:
+            split = _half(map(self.tuple_counts.__getitem__, self.patterns), self.stats.tuples)
+        child = None if split is None else lambda handle: handle.writelines(render(split, None))
+        with _forked(child) as finish:
+            yield from render(0, split)
+            written = finish and finish()
+            if written is not None:
+                yield from iter(partial(written.read, _PIECE_BYTES), b"")
+            elif split is not None:
+                yield from render(split, None)
+
 
 def shape(indices: tuple[int, ...]) -> bytes:
     """``indices`` relabelled by first occurrence: (18, 18, 36) is bytes (0, 0, 1).
@@ -343,13 +381,15 @@ def _collector_paused() -> Iterator[None]:
 
 
 @contextmanager
-def _forked(work: Callable[[BinaryIO], object]) -> Iterator[Callable[[], BinaryIO | None] | None]:
+def _forked(
+    work: Callable[[BinaryIO], object] | None,
+) -> Iterator[Callable[[], BinaryIO | None] | None]:
     """Run ``work(handle)`` in a forked child while the body runs; ``handle``
     is an unlinked temporary file.
 
-    Yields None, and forks nothing, when ``os.fork`` is missing or raises,
-    when no temporary file can be made, or when other threads run (a child
-    would hold only this one).  Otherwise
+    Yields None, and forks nothing, when there is no ``work``, when
+    ``os.fork`` is missing or raises, when no temporary file can be made, or
+    when other threads run (a child would hold only this one).  Otherwise
     yields ``finish``: it waits for the child and returns ``handle`` at its
     start, or None when the child did not exit with 0.  The child never
     returns: it leaves by ``os._exit``, so it runs no ``atexit`` handler and
@@ -358,7 +398,7 @@ def _forked(work: Callable[[BinaryIO], object]) -> Iterator[Callable[[], BinaryI
     closed early included, a child not yet waited for is killed and reaped.
     """
     threading = sys.modules.get("threading")
-    if not hasattr(os, "fork") or (threading is not None and threading.active_count() > 1):
+    if work is None or not hasattr(os, "fork") or (threading and threading.active_count() > 1):
         yield None
         return
     import tempfile
@@ -415,8 +455,8 @@ def scan(config: SearchConfig) -> SearchScan:
     :meth:`SearchScan.buckets` is walked.
 
     A run of at least :data:`FORK_MIN_TYPES` types scans its products in
-    two processes: they are split in ascending order where their estimated
-    cost passes half of the whole, a child forked by
+    two processes: :func:`_half` splits them in ascending order where their
+    estimated cost reaches half of the whole, a child forked by
     :func:`_forked` scans the upper ones while this process scans the lower
     ones, and :meth:`_Kernel.join` appends the child's part as one process
     would have built it.  When the child cannot run or fails, this process
@@ -447,23 +487,24 @@ def scan(config: SearchConfig) -> SearchScan:
         for sb in s_values[position:]:
             by_product.setdefault(sa * sb, []).append((sa, sb))
     products = sorted(by_product)
-    split = len(products)
+    split = None
     if type_count >= FORK_MIN_TYPES:
-        split = _split_by_cost(products, by_product)
-    lower, upper = products[:split], products[split:]
+        # A product's cost is estimated by its class pairs: at bounds 60 to
+        # 200, the products below the half of that estimate took 47 to 49% of
+        # the kernel's time, and those below the half of their types 68 to 75%.
+        pairs = map(len, map(by_product.__getitem__, products))
+        split = _half(pairs, sum(map(len, by_product.values())))
+    lower, upper = (products, []) if split is None else (products[:split], products[split:])
     layout = (by_product, classes, config.k, DEFAULT_TUPLES_PER_BUCKET)
     kernel = _Kernel(*layout)
     workers = 1
-    with _collector_paused():
-        if upper:
-            with _forked(lambda handle: _Kernel(*layout).scan(upper).send(handle)) as finish:
-                kernel.scan(lower)
-                if finish is not None and kernel.join(finish()):
-                    workers = 2
-            if workers == 1:
-                kernel.scan(upper)
+    child = None if split is None else lambda handle: _Kernel(*layout).scan(upper).send(handle)
+    with _collector_paused(), _forked(child) as finish:
+        kernel.scan(lower)
+        if finish is not None and kernel.join(finish()):
+            workers = 2
         else:
-            kernel.scan(lower)
+            kernel.scan(upper)
     limit, cap = config.max_results, kernel.cap
     clipped = limit is not None and kernel.tuple_count > limit
     stats = SearchStats(
@@ -489,15 +530,19 @@ def scan(config: SearchConfig) -> SearchScan:
     )
 
 
-def _split_by_cost(products: list[int], by_product: dict[int, list[tuple[int, int]]]) -> int:
-    """How many of the ascending ``products`` hold half of their estimated cost.
+def _half(costs: Iterable[int], total: int) -> int | None:
+    """How many of ``costs``, in order, first reach half of ``total``, or None
+    when the costs after them hold nothing of it.
 
-    A product's cost is estimated by its number of class pairs: at bounds
-    60 to 200, the products below the half of that estimate took 47 to 49% of
-    the kernel's time, and those below the half of their types 68 to 75%.
+    The running sum is taken as it goes, not held: a list of it would hold
+    an integer object per bucket, about 20 MB at bound 200.
     """
-    costs = list(itertools.accumulate(map(len, map(by_product.__getitem__, products))))
-    return bisect_left(costs, costs[-1] / 2) + 1
+    held = 0
+    for count, cost in enumerate(costs, 1):
+        held += cost
+        if 2 * held >= total:
+            return count if held < total else None
+    return None
 
 
 class _Kernel:

@@ -14,12 +14,10 @@ bucket with its count of kept tuples.  Each output is its text of one
 tuple, cut once into pieces at its slots (:func:`_cut`), and each bucket's
 text is one join of those pieces, by a plan built once per index shape
 (:func:`_search_chunks`).  Every output is written in the chunks that
-function yields, the catalog's included.  A run that keeps at least
-:data:`FORK_MIN_TUPLES` tuples is rendered on two processes: a forked child
-renders the upper half of the buckets into a temporary file while this
-process renders and yields the lower half, then the file's text.  The text
-is the same as from one process, which renders the whole when the child
-cannot run or fails; only where it is cut into chunks differs.
+function yields, the catalog's included.  This module only renders text,
+a range of buckets at a time (:func:`_rendered`);
+:meth:`~bidouble.search.SearchScan.emit` decides which ranges are rendered
+in which process, and the text does not depend on it.
 """
 
 from __future__ import annotations
@@ -27,7 +25,6 @@ from __future__ import annotations
 import csv
 import dataclasses
 import io
-import itertools
 import json
 from collections import abc
 from functools import cache, partial
@@ -39,19 +36,8 @@ from .covers import CoverType, DerivedParams, SurfaceInvariants
 from .discriminant import ArgumentStep, DiscriminantProfile, ZariskiCertificate
 from .errors import SchemaMismatch, int_from_text, is_int
 from .paper_check import PaperExampleReport
-from .search import CataneseTuple, SearchScan, _forked
+from .search import CataneseTuple, SearchScan
 from .topology import HomeoClassKey, TupleVerdict
-
-#: The fewest kept tuples for which a search output is rendered in two
-#: processes, read at run time so that tests can lower it.  On a 2-core x86-64
-#: VM the JSON of bound 60 (6,856 tuples) gained 5 ms in two processes on one
-#: day and lost 6 ms on another; that of bound 80 (30,911 tuples) and above
-#: gained in every run.
-FORK_MIN_TUPLES = 20_000
-
-#: The most bytes of a child's rendered text held at once, less than one chunk
-#: of a JSON search output at k = 2 (about 350 KB).
-_PIECE_BYTES = 1 << 18
 
 _PROFILE_BIG_FIELDS = ("deg_f", "deg_b", "half_deg", "genus", "cusps", "nodes")
 #: A profile's fields in the order they are checked, and the exact type of
@@ -302,55 +288,19 @@ def _search_chunks(run: SearchScan, cut: _Cut, separator: bytes = b"") -> Iterat
 
     Tuples come sorted by key and then by members, as
     :meth:`SearchScan.buckets` hands them over, ``max_results`` applied, and
-    are rendered by :func:`_rendered`.  A run that keeps at least
-    :data:`FORK_MIN_TUPLES` tuples is rendered in two processes: its buckets
-    are split where the kept tuples pass half, and a child forked by
-    :func:`~bidouble.search._forked`, which holds the finished run as this
-    process does, renders the upper buckets into a temporary file while this
-    process renders and yields the lower ones.  The file's text follows, in
-    pieces of at most :data:`_PIECE_BYTES`; should the child fail, this
-    process renders the upper buckets itself.  The text is the same either
-    way; only where it is cut into chunks differs.
+    are rendered by :func:`_rendered`, a range of buckets at a time, as
+    :meth:`~bidouble.search.SearchScan.emit` asks: that method decides
+    whether the ranges are rendered in one process or two.
     """
-    render = partial(_rendered, run, cut, separator)
-    split = _split_at_half(run) if run.stats.tuples >= FORK_MIN_TUPLES else None
-    if split is None:
-        yield from map(bytes.decode, render())
-        return
-    with _forked(lambda handle: handle.writelines(render(split, None, True))) as finish:
-        yield from map(bytes.decode, render(0, split if finish else None))
-        if finish is None:
-            return
-        written = finish()
-        if written is None:
-            yield from map(bytes.decode, render(split, None, True))
-        else:
-            yield from map(bytes.decode, iter(partial(written.read, _PIECE_BYTES), b""))
-
-
-def _split_at_half(run: SearchScan) -> int | None:
-    """The first bucket after those that keep half the run's tuples, or None
-    when the buckets after it keep none.
-
-    The running total is taken as it goes, not held: a list of it would
-    hold an integer object per bucket, about 20 MB at bound 200.
-    """
-    kept = itertools.accumulate(map(run.tuple_counts.__getitem__, run.patterns))
-    half = (run.stats.tuples + 1) // 2
-    split, total = next((i, total) for i, total in enumerate(kept, 1) if total >= half)
-    return split if total < run.stats.tuples and split < len(run.patterns) else None
+    return map(bytes.decode, run.emit(partial(_rendered, run, cut, separator)))
 
 
 def _rendered(
-    run: SearchScan,
-    cut: _Cut,
-    separator: bytes,
-    first: int = 0,
-    stop: int | None = None,
-    leading: bool = False,
+    run: SearchScan, cut: _Cut, separator: bytes, first: int = 0, stop: int | None = None
 ) -> Iterator[bytes]:
     """The text of the run's buckets ``first`` to ``stop`` (exclusive, None for
-    all), in ASCII chunks; the separator leads the first chunk too when ``leading``.
+    all), in ASCII chunks; the separator leads the first chunk too when
+    ``first`` is not 0, as the text follows that of the buckets before.
 
     Each member text of a bucket handed over is rendered once, and each
     index once.  A bucket's text, its tuples separated by ``separator``, is
@@ -366,7 +316,7 @@ def _rendered(
     pieces = (*constants, constants[-1] + separator)
     # Each index's text, at its own position.
     digits = [b"%d" % r for r in range(max(map(max, run.index_tuples)) + 1)]
-    chunk: list[bytes] = [b""] if leading else []
+    chunk: list[bytes] = [b""] if first else []
     in_chunk = 0
     buckets = run.buckets(planner, member_template.__mod__, first, stop)
     for kk, chi, indices, members, plan, count in buckets:

@@ -88,3 +88,39 @@ def test_the_package_imports_only_the_standard_library() -> None:
                 if name.partition(".")[0] not in sys.stdlib_module_names
             ]
     assert outside == []
+
+
+def test_no_module_takes_a_private_name_of_another() -> None:
+    # A module's underscore names may change with that module alone, so no
+    # other module of the package imports one or reads one off the module.
+    taken = []
+    for path in sorted(SOURCE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        imports = [
+            node
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom)
+            and (node.level or (node.module or "").partition(".")[0] == bidouble.__name__)
+        ]
+        # Names bound to modules of the package, as in ``from . import serialize``.
+        modules = {
+            alias.asname or alias.name
+            for node in imports
+            if node.module in (None, bidouble.__name__)
+            for alias in node.names
+        }
+        taken += [
+            f"{path.name}:{node.lineno} {alias.name}"
+            for node in imports
+            for alias in node.names
+            if alias.name.startswith("_") and not alias.name.startswith("__")
+        ]
+        taken += [
+            f"{path.name}:{node.lineno} {node.value.id}.{node.attr}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id in modules
+            and node.attr.startswith("_")
+        ]
+    assert taken == []

@@ -7,14 +7,18 @@ forked it.
 
 from __future__ import annotations
 
+import bisect
 import hashlib
 import importlib
 import io
+import itertools
 import json
 import os
 import subprocess
 import sys
+import tempfile
 import threading
+from collections import Counter
 from pathlib import Path
 from typing import Any, Callable, Iterator
 
@@ -54,7 +58,7 @@ def each_test_leaves_no_child() -> Iterator[None]:
 def forking(monkeypatch: pytest.MonkeyPatch, kernel: bool, emit: bool) -> None:
     """Fork the kernel pass, the emit pass, both or neither, whatever the run's size."""
     monkeypatch.setattr(search_module, "FORK_MIN_TYPES", 0 if kernel else NEVER)
-    monkeypatch.setattr(serialize_module, "FORK_MIN_TUPLES", 0 if emit else NEVER)
+    monkeypatch.setattr(search_module, "FORK_MIN_TUPLES", 0 if emit else NEVER)
 
 
 def cap_buckets_at(monkeypatch: pytest.MonkeyPatch, cap: int) -> None:
@@ -77,8 +81,8 @@ def split_product(config: SearchConfig) -> int:
     for position, sa in enumerate(s_values):
         for sb in s_values[position:]:
             by_product.setdefault(sa * sb, []).append((sa, sb))
-    products = sorted(by_product)
-    return products[search_module._split_by_cost(products, by_product)]
+    costs = [len(pairs) for _, pairs in sorted(by_product.items())]
+    return sorted(by_product)[search_module._half(costs, sum(costs))]
 
 
 @pytest.mark.parametrize("cap", [2, DEFAULT_TUPLES_PER_BUCKET])
@@ -112,7 +116,7 @@ def test_scan_of_a_few_products_is_equal_either_way(monkeypatch: pytest.MonkeyPa
 
 
 def kept_before_split(run: SearchScan) -> int:
-    split = serialize_module._split_at_half(run)
+    split = search_module._half(map(run.tuple_counts.__getitem__, run.patterns), run.stats.tuples)
     assert split is not None
     return sum(run.tuple_counts[pattern] for pattern in run.patterns[:split])
 
@@ -137,6 +141,39 @@ def test_emit_in_two_processes_gives_the_bytes_of_one(
         one = "".join(render(run))
         forking(monkeypatch, kernel=False, emit=True)
         assert "".join(render(run)) == one, limit
+
+
+def test_half_splits_the_products_where_the_kernel_split_them() -> None:
+    # The kernel's rule before _half served it: a bisect over the prefix
+    # sums of each product's class pairs, with no fork when the split
+    # leaves the child no product.
+    for bound in range(7, 254):
+        s_values = sorted(search_module._s_classes(bound))
+        pairs = Counter(sa * sb for sa, sb in itertools.combinations_with_replacement(s_values, 2))
+        costs = [pairs[product] for product in sorted(pairs)]
+        sums = list(itertools.accumulate(costs))
+        split = bisect.bisect_left(sums, sums[-1] / 2) + 1
+        expected = split if split < len(costs) else None
+        assert search_module._half(iter(costs), sums[-1]) == expected, bound
+
+
+def split_at_half(run: SearchScan) -> int | None:
+    """The emit's rule before _half served it."""
+    kept = itertools.accumulate(map(run.tuple_counts.__getitem__, run.patterns))
+    half = (run.stats.tuples + 1) // 2
+    split, total = next((i, total) for i, total in enumerate(kept, 1) if total >= half)
+    return split if total < run.stats.tuples and split < len(run.patterns) else None
+
+
+@pytest.mark.parametrize("bound", [40, 60, 80])
+def test_half_splits_the_buckets_where_the_emit_split_them(bound: int) -> None:
+    whole = scan(SearchConfig(bound=bound))
+    at_split = sum(whole.tuple_counts[p] for p in whole.patterns[: split_at_half(whole)])
+    last = whole.stats.tuples
+    for limit in [None, 0, 1, at_split - 1, at_split, at_split + 1, last - 1, last]:
+        run = scan(SearchConfig(bound=bound, max_results=limit))
+        costs = map(run.tuple_counts.__getitem__, run.patterns)
+        assert search_module._half(costs, run.stats.tuples) == split_at_half(run), limit
 
 
 def test_buckets_of_two_ranges_are_the_buckets_of_the_whole() -> None:
@@ -261,6 +298,52 @@ def test_a_child_that_exits_1_leaves_its_range_to_the_parent(
     assert code == 0
     assert sink.sha.hexdigest() == BOUND_80_JSON
     assert report(err)["workers"] == 1
+
+
+def failing_file() -> Any:
+    raise OSError(28, "No space left on device")
+
+
+#: Each way an emit that would fork renders its upper buckets in this process.
+#: The test makes every emit child fail, so the last needs no patch of its own.
+EMIT_FALLBACKS: dict[str, Callable[[pytest.MonkeyPatch], None]] = {
+    "no os.fork": lambda patch: patch.delattr(os, "fork"),
+    "no temporary file": lambda patch: patch.setattr(tempfile, "TemporaryFile", failing_file),
+    "a child that exits 1": lambda patch: None,
+}
+
+
+@pytest.mark.parametrize("output", list(OUTPUTS))
+def test_every_emit_fallback_is_one_path(output: str, monkeypatch: pytest.MonkeyPatch) -> None:
+    render = OUTPUTS[output]
+    run = scan(SearchConfig(bound=80))
+    with monkeypatch.context() as patch:
+        forking(patch, kernel=False, emit=False)
+        whole = "".join(render(run))
+    if output == "json":
+        # The command writes a newline after the view.
+        assert hashlib.sha256(f"{whole}\n".encode()).hexdigest() == BOUND_80_JSON
+    split = search_module._half(map(run.tuple_counts.__getitem__, run.patterns), run.stats.tuples)
+    assert split is not None
+    ranges: list[tuple[int, int | None]] = []
+    real_rendered = serialize_module._rendered
+
+    def rendered(run: SearchScan, cut: Any, separator: bytes, *first_stop: Any) -> Any:
+        ranges.append(first_stop)
+        return real_rendered(run, cut, separator, *first_stop)
+
+    monkeypatch.setattr(serialize_module, "_rendered", in_child_only(rendered))
+    chunk_lists = []
+    for fallback in EMIT_FALLBACKS.values():
+        ranges.clear()
+        with monkeypatch.context() as patch:
+            fallback(patch)
+            chunks = list(render(run))
+        # The lower buckets, then the upper ones, both rendered here.
+        assert ranges == [(0, split), (split, None)]
+        assert "".join(chunks) == whole
+        chunk_lists.append(chunks)
+    assert chunk_lists[1] == chunk_lists[0] and chunk_lists[2] == chunk_lists[0]
 
 
 def test_a_child_that_sends_short_output_leaves_its_range_to_the_parent(
