@@ -29,9 +29,9 @@ class ConstraintViolation(BidoubleError):
 class OutOfRange(BidoubleError):
     """A value lies above the range the package computes with.
 
-    Raised for a branch-data field above the configured per-field cap and
-    for a canonical multiple of :data:`~bidouble.discriminant.MAX_MULT` or
-    more.
+    Raised for a branch-data field above the per-field cap,
+    :data:`~bidouble.covers.DEFAULT_FIELD_CAP`, and for a canonical multiple
+    of :data:`~bidouble.discriminant.MAX_MULT` or more.
     """
 
 

@@ -113,18 +113,19 @@ DEFAULT_TUPLES_PER_BUCKET = 10_000
 MAX_SEARCH_TYPES = 30_000_000
 
 #: The fewest types for which :func:`scan` runs in two processes, read at run
-#: time so that tests can lower it.  A fork and a reap, with the copy-on-write
-#: faults that follow, cost a few milliseconds on a 2-core x86-64 VM: bound 40
-#: (11,781 types) lost 3 ms in two processes, bound 60 (71,631 types) gained
-#: 5 ms on one day and lost 7 ms on another, and bound 80 (247,456 types) and
-#: above gained in every run.
+#: time so that tests can lower it.  A fork and a reap cost a few milliseconds
+#: on a 2-core x86-64 VM: in fresh processes bound 40 lost 3 ms and bound 60
+#: gained or lost up to 7 ms.  Warm in one process, as the benchmark repeats
+#: it, ``search --bound 80`` (247,456 types) took a median of 96.7 and 113.6 ms
+#: a call with this fork and 108.2 and 134.1 ms without (``BENCH_31.json``).
 FORK_MIN_TYPES = 100_000
 
 #: The fewest kept tuples for which :meth:`SearchScan.emit` renders in two
-#: processes, read at run time so that tests can lower it.  On a 2-core x86-64
-#: VM the JSON of bound 60 (6,856 tuples) gained 5 ms in two processes on one
-#: day and lost 6 ms on another; that of bound 80 (30,911 tuples) and above
-#: gained in every run.
+#: processes, read at run time so that tests can lower it.  In fresh processes
+#: on a 2-core x86-64 VM the JSON of bound 60 (6,856 tuples) gained or lost up
+#: to 6 ms.  Warm in one process, ``search --bound 80`` (30,911 tuples) took a
+#: median of 87.4 and 99.9 ms a call with this fork and 106.2 and 112.1 ms
+#: without (``BENCH_31.json``).
 FORK_MIN_TUPLES = 20_000
 
 #: The most bytes of an emit child's text held at once, less than one chunk
@@ -304,7 +305,7 @@ class SearchScan:
         child = None if split is None else lambda handle: handle.writelines(render(split, None))
         with _forked(child) as finish:
             yield from render(0, split)
-            written = finish and finish()
+            written = finish()
             if written is not None:
                 yield from iter(partial(written.read, _PIECE_BYTES), b"")
             elif split is not None:
@@ -383,15 +384,15 @@ def _collector_paused() -> Iterator[None]:
 @contextmanager
 def _forked(
     work: Callable[[BinaryIO], object] | None,
-) -> Iterator[Callable[[], BinaryIO | None] | None]:
+) -> Iterator[Callable[[], BinaryIO | None]]:
     """Run ``work(handle)`` in a forked child while the body runs; ``handle``
     is an unlinked temporary file.
 
-    Yields None, and forks nothing, when there is no ``work``, when
-    ``os.fork`` is missing or raises, when no temporary file can be made, or
-    when other threads run (a child would hold only this one).  Otherwise
-    yields ``finish``: it waits for the child and returns ``handle`` at its
-    start, or None when the child did not exit with 0.  The child never
+    Yields ``finish``: it waits for the child and returns ``handle`` at its
+    start, or None when the child did not exit with 0 or none was forked.
+    Nothing is forked when there is no ``work``, when ``os.fork`` is missing
+    or raises, when no temporary file can be made, or when other threads run
+    (a child would hold only this one).  The child never
     returns: it leaves by ``os._exit``, so it runs no ``atexit`` handler and
     flushes no buffer of this process, stdout's included, and an error in
     ``work`` is its exit code 1.  On any exit from the body, a generator
@@ -399,20 +400,20 @@ def _forked(
     """
     threading = sys.modules.get("threading")
     if work is None or not hasattr(os, "fork") or (threading and threading.active_count() > 1):
-        yield None
+        yield lambda: None
         return
     import tempfile
 
     try:
         handle = tempfile.TemporaryFile()
     except OSError:
-        yield None
+        yield lambda: None
         return
     with handle:
         try:
             pid = os.fork()
         except OSError:
-            yield None
+            yield lambda: None
             return
         if pid == 0:
             code = 1
@@ -495,13 +496,13 @@ def scan(config: SearchConfig) -> SearchScan:
         pairs = map(len, map(by_product.__getitem__, products))
         split = _half(pairs, sum(map(len, by_product.values())))
     lower, upper = (products, []) if split is None else (products[:split], products[split:])
-    layout = (by_product, classes, config.k, DEFAULT_TUPLES_PER_BUCKET)
-    kernel = _Kernel(*layout)
+    kernel = _Kernel(by_product, classes, config.k, DEFAULT_TUPLES_PER_BUCKET)
     workers = 1
-    child = None if split is None else lambda handle: _Kernel(*layout).scan(upper).send(handle)
+    # The child forks before this process scans, so its copy of the kernel is still empty.
+    child = None if split is None else lambda handle: kernel.scan(upper).send(handle)
     with _collector_paused(), _forked(child) as finish:
         kernel.scan(lower)
-        if finish is not None and kernel.join(finish()):
+        if kernel.join(finish()):
             workers = 2
         else:
             kernel.scan(upper)
@@ -681,8 +682,9 @@ class _Kernel:
             self.e_ks, list(itertools.chain.from_iterable(self.truncated)),
             self.bucket_count, self.tuple_count,
         ))
-        # Its length first, so that join reads it in one call.
-        handle.write(len(head).to_bytes(8, "little") + head)
+        # As one bytes object, which marshal.load reads from a file in three
+        # calls; the tuple itself takes one call per number.
+        marshal.dump(head, handle)
         for built in (self.keys, self.fields, self.patterns):
             built.tofile(handle)
 
@@ -702,9 +704,8 @@ class _Kernel:
         lengths = len(self.keys), len(self.fields)
         patterns = array("L")
         try:
-            head = handle.read(int.from_bytes(handle.read(8), "little"))
             key_count, field_count, pattern_count, tuples, e_ks, truncated, buckets, kept = (
-                marshal.loads(head)
+                marshal.loads(marshal.load(handle))
             )
             self.keys.fromfile(handle, key_count)
             self.fields.fromfile(handle, field_count)

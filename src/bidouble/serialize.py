@@ -380,31 +380,24 @@ def _require_mapping(value: Any, where: str) -> Mapping[str, Any]:
     raise SchemaMismatch(f"{where}: expected an object, got {type(value).__name__}")
 
 
-def _int_field(obj: Mapping[str, Any], field: str, where: str) -> int:
+#: Each kind of field :func:`_field` reads: the type its value must have, an
+#: int by :func:`~bidouble.errors.is_int`'s rule, and the noun a refusal
+#: names.  A decimal is a string that :func:`~bidouble.errors.int_from_text`
+#: reads, and is read as its int.
+_INT = (int, "an integer")
+_STR = (str, "a string")
+_LIST = (list, "an array")
+_DECIMAL = (str, "a decimal string")
+
+
+def _field(obj: Mapping[str, Any], field: str, kind: tuple[type, str], where: str) -> Any:
+    """The value of ``field`` in ``obj``, refused unless it is of ``kind``."""
     value = obj.get(field)
-    if not is_int(value):
-        raise SchemaMismatch(f"{where}: field {field!r} must be an integer, got {value!r}")
-    return value
-
-
-def _int_fields(obj: Mapping[str, Any], fields: tuple[str, ...], where: str) -> list[int]:
-    """Each of ``fields`` as :func:`_int_field` reads it; the first one refused is reported."""
-    values = list(map(obj.get, fields))
-    if all(map(is_int, values)):
-        return values
-    return [_int_field(obj, field, where) for field in fields]
-
-
-def _int_item(value: Any, where: str = "index") -> int:
-    if not is_int(value):
-        raise SchemaMismatch(f"{where} must be an integer, got {value!r}")
-    return value
-
-
-def _big_field(obj: Mapping[str, Any], field: str, where: str) -> int:
-    value = obj.get(field)
-    if not isinstance(value, str):
-        raise SchemaMismatch(f"{where}: field {field!r} must be a decimal string, got {value!r}")
+    cls, noun = kind
+    if not (is_int(value) if cls is int else isinstance(value, cls)):
+        raise SchemaMismatch(f"{where}: field {field!r} must be {noun}, got {value!r}")
+    if kind is not _DECIMAL:
+        return value
     try:
         return int_from_text(value)
     except ValueError:
@@ -412,17 +405,17 @@ def _big_field(obj: Mapping[str, Any], field: str, where: str) -> int:
     raise SchemaMismatch(f"{where}: field {field!r} is not a decimal string: {value!r}")
 
 
-def _str_field(obj: Mapping[str, Any], field: str, where: str) -> str:
-    value = obj.get(field)
-    if not isinstance(value, str):
-        raise SchemaMismatch(f"{where}: field {field!r} must be a string, got {value!r}")
-    return value
+def _int_fields(obj: Mapping[str, Any], fields: tuple[str, ...], where: str) -> list[int]:
+    """Each of ``fields`` as :func:`_field` reads an int; the first one refused is reported."""
+    values = list(map(obj.get, fields))
+    if all(map(is_int, values)):
+        return values
+    return [_field(obj, field, _INT, where) for field in fields]
 
 
-def _list_field(obj: Mapping[str, Any], field: str, where: str) -> list[Any]:
-    value = obj.get(field)
-    if not isinstance(value, list):
-        raise SchemaMismatch(f"{where}: field {field!r} must be an array, got {value!r}")
+def _int_item(value: Any, where: str = "index") -> int:
+    if not is_int(value):
+        raise SchemaMismatch(f"{where} must be an integer, got {value!r}")
     return value
 
 
@@ -436,7 +429,7 @@ def _items(
     function of the element, so when one is refused, parsing them again,
     each under its path, refuses the same element in the same words.
     """
-    items = _list_field(obj, field, where)
+    items = _field(obj, field, _LIST, where)
     try:
         return tuple(map(parse, items))
     except SchemaMismatch:
@@ -471,17 +464,17 @@ def profile_from_json(payload: Any, where: str = "profile") -> DiscriminantProfi
             big = None
         if big is not None and list(map(str, big)) == texts:
             return DiscriminantProfile(values[6], values[7], *big)
-    big = [_big_field(obj, field, where) for field in _PROFILE_BIG_FIELDS]
-    mult, ram_mult = (_int_field(obj, field, where) for field in ("mult", "ram_mult"))
+    big = [_field(obj, field, _DECIMAL, where) for field in _PROFILE_BIG_FIELDS]
+    mult, ram_mult = _int_fields(obj, ("mult", "ram_mult"), where)
     return DiscriminantProfile(mult, ram_mult, *big)
 
 
 def _step_from_json(payload: Any, where: str = "step") -> ArgumentStep:
     step = _require_mapping(payload, where)
     return ArgumentStep(
-        _int_field(step, "step", where),
-        _str_field(step, "name", where),
-        _str_field(step, "statement", where),
+        _field(step, "step", _INT, where),
+        _field(step, "name", _STR, where),
+        _field(step, "statement", _STR, where),
     )
 
 

@@ -5,7 +5,8 @@
 and :func:`group_by_homeo_class` buckets them by (K^2, chi) through
 :mod:`bidouble.covers` and :mod:`bidouble.topology`.  None of it shares code
 with the integer kernel in :mod:`bidouble.search`, which the tests check
-against it.
+against it.  :func:`brute_force_canonical` checks the enumeration in turn,
+by a quadruple loop over the raw constraints.
 """
 
 from __future__ import annotations
@@ -46,6 +47,23 @@ def branch_pairs(bound: int) -> list[tuple[int, int]]:
         for x in range(3, bound + 1)
         if 2 * y < x and (x - y) % 2 == 0
     ]
+
+
+def brute_force_canonical(bound: int) -> set[CoverType]:
+    """Every admissible type with fields up to ``bound``, in canonical form: a
+    quadruple loop over the raw constraints, independent of the library."""
+    found: set[CoverType] = set()
+    for a in range(3, bound + 1):
+        for n2 in range(3, bound + 1):
+            if a <= 2 * n2 or (a - n2) % 2:
+                continue
+            for b in range(3, bound + 1):
+                for m2 in range(3, bound + 1):
+                    if m2 <= 2 * b or (b - m2) % 2:
+                        continue
+                    # The lesser of the type and its branch swap.
+                    found.add(min(CoverType(a, b, m2, n2), CoverType(m2, n2, a, b)))
+    return found
 
 
 def enumerate_admissible(bound: int) -> Iterator[CoverType]:

@@ -33,7 +33,7 @@ from bidouble import (
 )
 from bidouble.serialize import certificate_from_json, certificate_to_json
 from bidouble.topology import HomeoClassKey
-from oracle import enumerate_admissible, group_by_homeo_class
+from oracle import brute_force_canonical, enumerate_admissible, group_by_homeo_class
 
 TYPE_1 = CoverType(16, 22, 52, 4)
 TYPE_2 = CoverType(28, 10, 28, 10)
@@ -172,17 +172,7 @@ def test_criterion_5_bounded_search_recovers_the_worked_example_pair() -> None:
 
 def test_criterion_6_enumeration_matches_the_brute_force_oracle() -> None:
     bound = 40
-    brute: set[CoverType] = set()
-    for a in range(3, bound + 1):
-        for n2 in range(3, bound + 1):
-            if a <= 2 * n2 or (a - n2) % 2:
-                continue
-            for b in range(3, bound + 1):
-                for m2 in range(3, bound + 1):
-                    if m2 <= 2 * b or (b - m2) % 2:
-                        continue
-                    t = CoverType(a, b, m2, n2)
-                    brute.add(min(t, swap(t)))
+    brute = brute_force_canonical(bound)
     fast = set(enumerate_admissible(bound))
     ok = fast == brute and len(fast) == 11781
     _report(

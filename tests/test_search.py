@@ -33,7 +33,13 @@ from bidouble.search import (
     shape,
     walk,
 )
-from oracle import HomeoClassBucket, branch_pairs, enumerate_admissible, group_by_homeo_class
+from oracle import (
+    HomeoClassBucket,
+    branch_pairs,
+    brute_force_canonical,
+    enumerate_admissible,
+    group_by_homeo_class,
+)
 
 TYPE_1 = CoverType(16, 22, 52, 4)
 TYPE_2 = CoverType(28, 10, 28, 10)
@@ -44,25 +50,6 @@ def cap_buckets_at(monkeypatch: pytest.MonkeyPatch, cap: int) -> None:
     # By import path: the package's ``search`` function shadows the module.
     search_module = importlib.import_module("bidouble.search")
     monkeypatch.setattr(search_module, "DEFAULT_TUPLES_PER_BUCKET", cap)
-
-
-def brute_force_canonical(bound: int) -> set[CoverType]:
-    """Quadruple loop over the raw constraints, independent of the library."""
-    found: set[CoverType] = set()
-    for a in range(3, bound + 1):
-        for b in range(3, bound + 1):
-            for m2 in range(3, bound + 1):
-                for n2 in range(3, bound + 1):
-                    if (
-                        a > 2 * n2
-                        and m2 > 2 * b
-                        and (a - n2) % 2 == 0
-                        and (b - m2) % 2 == 0
-                    ):
-                        t = CoverType(a, b, m2, n2)
-                        s = CoverType(m2, n2, a, b)
-                        found.add(min(t, s))
-    return found
 
 
 def test_branch_pairs_small_bounds() -> None:

@@ -1,4 +1,4 @@
-"""Smoke test of the search bench script in tools/."""
+"""Smoke tests of the bench scripts in tools/."""
 
 from __future__ import annotations
 
@@ -382,3 +382,22 @@ def test_bench_pairs_compiles_each_checkout_before_every_run(tmp_path: Path) -> 
     report = bench_pairs(*roots, "--workload", "cli-mix", "--seeds", "1-2", "--seconds", "1")
     assert report["invalid"] == []
     assert report["metrics"]["ops_per_s"]["pairs"] == 2
+
+
+def test_bench_certify_times_the_seven_layers_of_the_round_trip() -> None:
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "bench_certify.py"), "--rounds", "2", "--records", "20",
+         "--src", str(ROOT / "src")],
+        check=True,
+        capture_output=True,
+        text=True,
+    )
+    report = json.loads(done.stdout)
+    assert (report["rounds"], report["records"], report["seed"]) == (2, 20, 1)
+    layers = report["us_per_record"]
+    assert list(layers) == [
+        "verdict", "certificate", "view", "line", "append", "read_catalog", "parse",
+    ]
+    assert all(us > 0 for us in layers.values())
+    # A certificate is made with its own verdict, so it costs more.
+    assert layers["certificate"] > layers["verdict"]

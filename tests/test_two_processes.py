@@ -346,22 +346,65 @@ def test_every_emit_fallback_is_one_path(output: str, monkeypatch: pytest.Monkey
     assert chunk_lists[1] == chunk_lists[0] and chunk_lists[2] == chunk_lists[0]
 
 
+#: Where a kernel child's part is cut short.
+SHORT_PARTS = [
+    "to nothing", "inside the head", "inside the keys", "inside the fields",
+    "inside the patterns", "by its last byte",
+]
+
+
+def kernel_state(kernel: Any) -> tuple:
+    return (
+        kernel.keys.tobytes(), kernel.fields.tobytes(), kernel.patterns.tobytes(),
+        list(kernel.pattern_ids.items()), list(kernel.e_ks), list(kernel.truncated),
+        kernel.bucket_count, kernel.tuple_count,
+    )
+
+
+@pytest.mark.parametrize("cut", SHORT_PARTS)
 def test_a_child_that_sends_short_output_leaves_its_range_to_the_parent(
-    monkeypatch: pytest.MonkeyPatch,
+    cut: str, monkeypatch: pytest.MonkeyPatch
 ) -> None:
-    real_send = search_module._Kernel.send
+    real_send, real_join = search_module._Kernel.send, search_module._Kernel.join
 
     def short_send(self: Any, handle: Any) -> None:
         real_send(self, handle)
-        handle.truncate(handle.tell() - 1)
+        # The head, then the three arrays.
+        total = handle.tell()
+        keys, fields, patterns = (len(a) * a.itemsize for a in (self.keys, self.fields, self.patterns))
+        # A failed assertion is an exit code 1, which join sees as no handle.
+        assert keys and fields and patterns
+        head = total - keys - fields - patterns
+        ends = dict(zip(SHORT_PARTS, (
+            0, head // 2, head + keys // 2, head + keys + fields // 2, total - patterns // 2,
+            total - 1,
+        )))
+        handle.truncate(ends[cut])
+
+    joins = []
+
+    def checked_join(self: Any, handle: Any) -> bool:
+        before = kernel_state(self)
+        joined = real_join(self, handle)
+        joins.append((handle is not None, joined, kernel_state(self) == before))
+        return joined
 
     monkeypatch.setattr(search_module._Kernel, "send", short_send)
+    monkeypatch.setattr(search_module._Kernel, "join", checked_join)
     config = SearchConfig(bound=80, k=3)
     forking(monkeypatch, kernel=False, emit=False)
     one = scan(config)
+    joins.clear()
     forking(monkeypatch, kernel=True, emit=False)
     two = scan(config)
+    # The child exited 0 and its part was refused, leaving the kernel as it was.
+    assert joins == [(True, False, True)]
     assert two == one and two.workers == 1
+
+
+def test_half_of_no_costs_is_no_split() -> None:
+    assert search_module._half(iter(()), 0) is None
+    assert search_module._half([], 10) is None
 
 
 def test_a_stdout_closed_early_leaves_no_child(monkeypatch: pytest.MonkeyPatch) -> None:
