@@ -15,9 +15,11 @@ not spelt as ``str()`` writes it (:func:`~bidouble.errors.int_from_text`), a
 subcommand's usage line.  Only ``_emit`` writes stdout, under one guard, so a
 closed stdout never ends in a traceback.
 
-The parser is built once per process, on the first call to :func:`main`,
-and holds no command function: each call looks ``cmd_<command>`` up by name
-when it runs.
+Every option is declared once, in ``_COMMANDS``.  A valid command line is
+read from it in one pass (:func:`_read_argv`); any other goes to argparse,
+which words every refusal and ``--help``.  The parser is built from the same
+table once per process, on the first refusal or ``--help``, and holds no
+command function: each call looks ``cmd_<command>`` up by name when it runs.
 
 JSON output is ``json.dumps(payload, indent=2)``, except for ``search``,
 which streams.  It runs the kernel pass (:func:`bidouble.search.scan`),
@@ -56,7 +58,7 @@ from dataclasses import fields
 from datetime import datetime, timezone
 from functools import cache
 from itertools import chain
-from typing import Any, Iterable, Iterator, Sequence
+from typing import Any, Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from . import catalog, serialize
 from .covers import CoverType, derive_params, surface_invariants, validate_type
@@ -273,69 +275,113 @@ def _type_count_text(low: int, high: int | None) -> str:
     return f"exactly {low}" if high == low else f"at least {low}"
 
 
-def _add_type_flag(parser: argparse.ArgumentParser, low: int, high: int | None) -> None:
-    """``--type``, repeated ``low`` to ``high`` (None: any number of) times."""
-    parser.add_argument(
-        "--type",
-        dest="types",
-        action="append",
-        default=[],
-        type=cover_type_argument,
-        metavar="a,b,m2,n2",
+class _Option(NamedTuple):
+    """One option of a subcommand, as :func:`_read_argv` reads it and as
+    argparse declares it, each field but ``flag`` under its argparse keyword
+    (None: not given): ``action`` is ``store`` (one value), ``append`` (one
+    value, repeatable) or ``store_true`` (a flag)."""
+
+    flag: str
+    dest: str
+    action: str = "store"
+    type: Callable[[str], Any] | None = None
+    default: Any = None
+    required: bool = False
+    choices: tuple[str, ...] | None = None
+    metavar: str | None = None
+    help: str | None = None
+
+
+class _Command(NamedTuple):
+    """A subcommand's help, its options in declared order and, for a command
+    that reads ``--type``, how many it takes: ``(low, high)``, high None for
+    any number."""
+
+    help: str
+    options: tuple[_Option, ...]
+    arity: tuple[int, int | None] | None = None
+
+
+def _typed(help_text: str, low: int, high: int | None, *options: _Option) -> _Command:
+    """A command that reads ``--type`` ``low`` to ``high`` times, then ``options``."""
+    types = _Option(
+        "--type", "types", "append", cover_type_argument, [], metavar="a,b,m2,n2",
         help=f"a cover type (give {_type_count_text(low, high)})",
     )
-    parser.set_defaults(arity=(low, high))
+    return _Command(help_text, (types, *options), (low, high))
 
 
-def _add_mult_flag(parser: argparse.ArgumentParser, help_text: str, **count: Any) -> None:
+def _mults(help_text: str, **count: Any) -> _Option:
     """``--m``; ``count`` is ``required=True`` or the ``default`` when absent."""
-    parser.add_argument(
-        "--m",
-        dest="mults",
-        action="append",
-        type=integer_argument,
-        metavar="MULT",
-        help=help_text,
-        **count,
-    )
+    return _Option("--m", "mults", "append", integer_argument, metavar="MULT",
+                   help=help_text, **count)
 
 
-def _add_common_flags(parser: argparse.ArgumentParser, *, out: bool = False) -> None:
-    parser.add_argument(
-        "--format",
-        choices=("json", "csv"),
-        default="json",
-        help="output format on stdout (default json)",
-    )
-    if out:
-        parser.add_argument(
-            "--no-timestamp",
-            action="store_true",
-            help="write empty created_at fields in catalog records",
-        )
-        parser.add_argument(
-            "--out",
-            metavar="CATALOG",
-            help="append result records to this JSONL catalog",
-        )
+_FORMAT = _Option("--format", "format", default="json", choices=("json", "csv"),
+                  help="output format on stdout (default json)")
+_CATALOG = (
+    _Option("--no-timestamp", "no_timestamp", "store_true", default=False,
+            help="write empty created_at fields in catalog records"),
+    _Option("--out", "out", metavar="CATALOG",
+            help="append result records to this JSONL catalog"),
+)
 
-
-def _add_command(sub: Any, name: str, help_text: str) -> argparse.ArgumentParser:
-    """A subcommand parser that reports usage errors itself; it holds no function."""
-    p = sub.add_parser(name, help=help_text, allow_abbrev=False)
-    p.set_defaults(command_parser=p)
-    return p
+#: Every subcommand and its options, the one declaration that both
+#: :func:`build_parser` and :func:`_read_argv` read.
+_COMMANDS = {
+    "invariants": _typed(
+        "derived parameters and surface invariants of one type", 1, 1,
+        _FORMAT, *_CATALOG,
+    ),
+    "check-pair": _typed(
+        "homeomorphism and diffeomorphism verdict for two types", 2, 2, _FORMAT,
+    ),
+    "check-tuple": _typed("Catanese verdict for two or more types", 2, None, _FORMAT),
+    "discriminant": _typed(
+        "discriminant-curve profiles of one type", 1, 1,
+        _mults("canonical multiple >= 5 (repeatable, required)", required=True),
+        _FORMAT,
+    ),
+    "search": _Command(
+        "enumerate types up to a bound and extract Catanese k-tuples",
+        (
+            _Option("--bound", "bound", type=integer_argument, required=True,
+                    help="field bound, >= 3"),
+            _Option("--k", "k", type=integer_argument, default=2,
+                    help="tuple size (default 2)"),
+            _Option("--max-results", "max_results", type=integer_argument,
+                    help="truncate the sorted output"),
+            _FORMAT,
+            *_CATALOG,
+        ),
+    ),
+    "certify": _typed(
+        "Zariski certificate for a Catanese tuple", 2, None,
+        _mults("canonical multiple >= 5 (repeatable)", default=[]),
+        _FORMAT, *_CATALOG,
+    ),
+    "verify-paper-example": _Command(
+        "recompute the published worked example and report the match pattern",
+        (
+            _mults(f"canonical multiple >= 5 (repeatable, default {list(DEFAULT_REPORT_MULTS)})"),
+            _FORMAT,
+        ),
+    ),
+}
+_OPTIONS = {name: {o.flag: o for o in command.options} for name, command in _COMMANDS.items()}
 
 
 @cache
 def build_parser() -> argparse.ArgumentParser:
-    """The command line parser, built on the first call and shared by every later one.
+    """The command line parser, built from ``_COMMANDS`` on the first refusal
+    or ``--help`` and shared by every later one.
 
     Options are read only as declared, never by a prefix.  Parsing does not
     change the parser: each call fills a new namespace, and an ``append``
     flag copies its default list before it appends.  A call without the flag
     gets the default list itself, so commands only read ``args.types`` and
-    ``args.mults``.
+    ``args.mults``.  Each subparser reports usage errors itself and holds no
+    command function.
     """
     parser = argparse.ArgumentParser(
         prog="bidouble",
@@ -347,70 +393,89 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = _add_command(
-        sub, "invariants",
-        "derived parameters and surface invariants of one type",
-    )
-    _add_type_flag(p, 1, 1)
-    _add_common_flags(p, out=True)
-
-    p = _add_command(
-        sub, "check-pair",
-        "homeomorphism and diffeomorphism verdict for two types",
-    )
-    _add_type_flag(p, 2, 2)
-    _add_common_flags(p)
-
-    p = _add_command(
-        sub, "check-tuple",
-        "Catanese verdict for two or more types",
-    )
-    _add_type_flag(p, 2, None)
-    _add_common_flags(p)
-
-    p = _add_command(
-        sub, "discriminant",
-        "discriminant-curve profiles of one type",
-    )
-    _add_type_flag(p, 1, 1)
-    _add_mult_flag(p, "canonical multiple >= 5 (repeatable, required)", required=True)
-    _add_common_flags(p)
-
-    p = _add_command(
-        sub, "search",
-        "enumerate types up to a bound and extract Catanese k-tuples",
-    )
-    p.add_argument("--bound", type=integer_argument, required=True, help="field bound, >= 3")
-    p.add_argument("--k", type=integer_argument, default=2, help="tuple size (default 2)")
-    p.add_argument(
-        "--max-results", type=integer_argument, default=None, help="truncate the sorted output"
-    )
-    _add_common_flags(p, out=True)
-
-    p = _add_command(
-        sub, "certify",
-        "Zariski certificate for a Catanese tuple",
-    )
-    _add_type_flag(p, 2, None)
-    _add_mult_flag(p, "canonical multiple >= 5 (repeatable)", default=[])
-    _add_common_flags(p, out=True)
-
-    p = _add_command(
-        sub, "verify-paper-example",
-        "recompute the published worked example and report the match pattern",
-    )
-    _add_mult_flag(
-        p, f"canonical multiple >= 5 (repeatable, default {list(DEFAULT_REPORT_MULTS)})"
-    )
-    _add_common_flags(p)
-
+    for name, command in _COMMANDS.items():
+        p = sub.add_parser(name, help=command.help, allow_abbrev=False)
+        p.set_defaults(command_parser=p)
+        for option in command.options:
+            declared = {k: v for k, v in option._asdict().items() if v is not None}
+            p.add_argument(declared.pop("flag"), **declared)
+        if command.arity is not None:
+            p.set_defaults(arity=command.arity)
     return parser
 
 
+def _read_argv(argv: Sequence[str]) -> argparse.Namespace | None:
+    """The namespace that argparse and :func:`_check_usage` give ``argv``, read
+    in one pass; None for a command line not read exactly as argparse reads it.
+
+    Read: an exact subcommand name, then exact option strings, each but a flag
+    followed by one value that does not start with ``-`` and that its
+    ``type`` and ``choices`` accept, with every required option present and
+    the ``--type`` count and search range passing.  Anything else (``-h``,
+    ``--opt=value``, ``--``, a value such as ``-5``, an unknown option, a bad
+    value) is None, and goes to argparse, so that argparse alone words every
+    refusal and ``--help``.  Linear in ``argv``, where argparse's scan for the
+    next option is quadratic in the number of options.
+    """
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    command, options = _COMMANDS[argv[0]], _OPTIONS[argv[0]]
+    given: dict[str, Any] = {}
+    tokens = iter(argv[1:])
+    for flag in tokens:
+        option = options.get(flag)
+        if option is None:
+            return None
+        if option.action == "store_true":
+            given[option.dest] = True
+            continue
+        text = next(tokens, None)
+        if text is None or text.startswith("-"):
+            return None
+        try:
+            value = text if option.type is None else option.type(text)
+        except argparse.ArgumentTypeError:
+            return None
+        if option.choices is not None and value not in option.choices:
+            return None
+        if option.action == "append":
+            if option.dest not in given:  # as argparse, a copy of the default
+                given[option.dest] = list(option.default or ())
+            given[option.dest].append(value)
+        else:
+            given[option.dest] = value
+    if any(o.required and o.dest not in given for o in command.options):
+        return None
+    args = argparse.Namespace(
+        command=argv[0], **{o.dest: given.get(o.dest, o.default) for o in command.options}
+    )
+    if command.arity is not None:
+        args.arity = command.arity
+    return None if _usage_fault(args) is not None else args
+
+
+def _usage_fault(args: argparse.Namespace) -> str | None:
+    """The fault argparse leaves to the caller in a parsed command line, a
+    ``--type`` count off the command's arity or a search range that
+    :class:`~bidouble.search.SearchConfig` refuses, or None; a search's
+    ``args.config`` is set."""
+    if "arity" in args:
+        low, high = args.arity
+        got = len(args.types)
+        if got < low or (high is not None and got != high):
+            wanted = _type_count_text(low, high)
+            return f"{args.command} takes {wanted} --type flag(s), got {got}"
+    if args.command == "search":
+        try:
+            args.config = SearchConfig(args.bound, args.k, args.max_results)
+        except ValueError as exc:
+            return str(exc)
+    return None
+
+
 def _check_usage(args: argparse.Namespace, extras: list[str]) -> None:
-    """The usage rules argparse leaves to the caller: unknown options,
-    ``--type`` counts and search ranges.
+    """The usage rules argparse leaves to the caller: unknown options and
+    :func:`_usage_fault`.
 
     Reported through the subcommand's parser, as argparse reports its own
     errors, so the usage line printed is the subcommand's.
@@ -418,17 +483,9 @@ def _check_usage(args: argparse.Namespace, extras: list[str]) -> None:
     parser = args.command_parser
     if extras:
         parser.error(f"unrecognized arguments: {' '.join(extras)}")
-    if "arity" in args:
-        low, high = args.arity
-        got = len(args.types)
-        if got < low or (high is not None and got != high):
-            wanted = _type_count_text(low, high)
-            parser.error(f"{args.command} takes {wanted} --type flag(s), got {got}")
-    if args.command == "search":
-        try:
-            args.config = SearchConfig(args.bound, args.k, args.max_results)
-        except ValueError as exc:
-            parser.error(str(exc))
+    fault = _usage_fault(args)
+    if fault is not None:
+        parser.error(fault)
 
 
 def _emit(payload: dict[str, Any] | Iterable[str], rows: CsvRows | None, fmt: str) -> None:
@@ -459,8 +516,10 @@ def _error_view(exc: BidoubleError | OSError) -> dict[str, Any]:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    args, extras = build_parser().parse_known_args(argv)
-    _check_usage(args, extras)
+    args = _read_argv(sys.argv[1:] if argv is None else argv)
+    if args is None:
+        args, extras = build_parser().parse_known_args(argv)
+        _check_usage(args, extras)
     # Looked up on every call, so a command patched after the first call runs.
     command = globals()["cmd_" + args.command.replace("-", "_")]
     try:

@@ -14,10 +14,13 @@ import re
 import subprocess
 import sys
 import tracemalloc
+from itertools import chain
 from pathlib import Path
 from typing import Any
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 import bidouble
 from bidouble import (
@@ -1089,6 +1092,113 @@ def test_a_command_patched_after_the_first_call_is_the_one_that_runs(
     assert main(["invariants", "--type", "16,22,52,4"]) == 0
     assert json.loads(capsys.readouterr().out) == {"patched": True}
     assert seen == [[bidouble.CoverType(16, 22, 52, 4)]]
+
+
+def test_a_valid_call_never_builds_the_parser(
+    capsys: pytest.CaptureFixture[str], monkeypatch: pytest.MonkeyPatch, tmp_path: Path
+) -> None:
+    # Each valid command line is read in one pass over the declared options;
+    # argparse is built only to word a refusal or --help.
+    monkeypatch.chdir(tmp_path)
+    build_parser.cache_clear()
+    for command, valid in VALID_ARGV.items():
+        for option in OPTIONS[command]:
+            if option == "--type" and command not in ("check-tuple", "certify"):
+                continue  # the command already has its exact count
+            argv = [command, *valid, option, *OPTION_VALUES[option]]
+            assert main(argv) in (0, 1), argv  # a third type is not Catanese
+    capsys.readouterr()
+    assert build_parser.cache_info().misses == 0
+    for refused, code in [(["search", "--bound", "2"], 2), (["invariants", "--help"], 0)]:
+        build_parser.cache_clear()
+        with pytest.raises(SystemExit) as excinfo:
+            main(refused)
+        assert excinfo.value.code == code
+        assert build_parser.cache_info().misses == 1
+
+
+def test_a_long_type_list_is_read_in_linear_time(
+    capsys: pytest.CaptureFixture[str], monkeypatch: pytest.MonkeyPatch
+) -> None:
+    # argparse finds each next option with min() over all of them; 20,000
+    # members took 10 to 13 s through it.  The field a cycles below the field
+    # cap.
+    def refuse() -> None:
+        raise AssertionError("a valid call built the parser")
+
+    monkeypatch.setattr(bidouble.cli, "build_parser", refuse)
+    n = 20_000
+    types = [arg for i in range(n) for arg in ("--type", f"{7 + 2 * (i % 4000)},3,7,3")]
+    code, out, _ = run(capsys, "check-tuple", *types, "--format", "csv")
+    assert code == 0
+    assert len(out.splitlines()) == 1 + n
+
+
+# Drawn command lines: options of their command with values it accepts, and
+# among them at times its options with any value, any option string alone,
+# the spellings that argparse reads on its own (-h, --help, --opt=value, --),
+# and values that argparse reads differently from a plain word or refuses.
+ARGV_VALID = {
+    "--type": ["16,22,52,4", "28,10,28,10", "7,3,7,3"], "--m": ["5", "6"],
+    "--bound": ["3", "20"], "--k": ["2", "3"], "--max-results": ["0", "5"],
+    "--format": ["json", "csv"], "--out": ["catalog.jsonl"], "--no-timestamp": [],
+}
+any_option = st.sampled_from([*ARGV_VALID, "-h", "--help", "--"])
+any_value = st.sampled_from([
+    *chain.from_iterable(ARGV_VALID.values()),
+    "-5", "-", "-x", "", "1_0", "+2", "junk", "1,2",
+])
+
+
+@st.composite
+def argvs(draw: st.DrawFn) -> list[str]:
+    command = draw(st.sampled_from([*OPTIONS, "bogus", "-h", "--type"]))
+    own = st.sampled_from(OPTIONS.get(command, list(ARGV_VALID)))
+    declared = own.flatmap(
+        lambda option: st.sampled_from([[option, value] for value in ARGV_VALID[option]])
+        if ARGV_VALID[option] else st.just([option])
+    )
+    odd = st.one_of(  # the command's own options drawn twice as often
+        st.tuples(own, any_value).map(list),
+        st.tuples(own, any_value).map(list),
+        st.tuples(any_option).map(list),
+        st.tuples(any_value).map(list),
+        st.builds(lambda option, value: [f"{option}={value}"], any_option, any_value),
+    )
+    valid = VALID_ARGV.get(command, []) if draw(st.integers(0, 3)) else []
+    parts = draw(st.lists(declared, max_size=3))
+    for _ in range(draw(st.sampled_from([0, 0, 1, 2]))):
+        parts.insert(draw(st.integers(0, len(parts))), draw(odd))
+    return [command, *valid, *chain.from_iterable(parts)]
+
+
+@settings(
+    max_examples=400, deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(argv=argvs())
+# Lines the reader must leave to argparse, which draws reach only at times:
+# an option-like value, a missing required option, a value off its choices.
+@example(argv=["invariants", *VALID_ARGV["invariants"], "--out", "--no-timestamp"])
+@example(argv=["invariants", *VALID_ARGV["invariants"], "--out", "-x"])
+@example(argv=["discriminant", "--type", "16,22,52,4"])
+@example(argv=["check-pair", *VALID_ARGV["check-pair"], "--format", "xml"])
+def test_the_linear_reader_agrees_with_argparse(
+    capsys: pytest.CaptureFixture[str], monkeypatch: pytest.MonkeyPatch, tmp_path: Path,
+    argv: list[str],
+) -> None:
+    monkeypatch.chdir(tmp_path)
+    read = bidouble.cli._read_argv(argv)
+    if read is not None:
+        args, extras = build_parser().parse_known_args(argv)
+        assert extras == []
+        bidouble.cli._check_usage(args, extras)
+        del args.command_parser
+        assert vars(read) == vars(args)
+    got = outcome(capsys, argv)
+    with monkeypatch.context() as patch:
+        patch.setattr(bidouble.cli, "_read_argv", lambda argv: None)
+        assert outcome(capsys, argv) == got
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv"])
