@@ -17,15 +17,21 @@ a range.  For an unordered pair of s values sa <= sb, every cell has the
 product P = sa*sb, the same index r and 2*chi = top - da*db, with
 top = 3P + 2(sa + sb + 2), so each row da of the pair holds its 2*chi
 values as an arithmetic progression of step 2*da.  As s and d are even,
-every 2*chi is 0 mod 4.  For each P in ascending order the kernel lays out
-each of the product's class pairs once, as one tuple that holds its index,
-its top and its rows, and gives each value from the product's lowest 2*chi
-upward, in steps of 4, a byte lane; each row sets its values with one
-extended slice of lanes.  The product's keys are its lanes that are set.
-When its class pairs carry at least k distinct indices, each index group
-fills its own lane array, and the arrays added as integers count the groups
-of each lane; the lanes that at least k groups share are the multi-index
-keys.  One pass over the same class pair tuples recovers their cells
+every 2*chi is 0 mod 4.  A product of one class pair is one index group,
+which shares no key, so the kernel only counts its keys, the distinct da*db
+(:func:`_distinct_products`): the number of cells when either class has one
+member, and otherwise the set byte lanes of one array from the least da*db
+upward, in steps of 4, each row da setting its values with one extended
+slice; a diagonal pair's full square has the same products as its unordered
+half.  For every other P in ascending order the kernel lays out each of the
+product's class pairs once, as one tuple that holds its index, its top and
+its rows, and gives each value from the product's lowest 2*chi upward, in
+steps of 4, a byte lane; each row sets its values with one extended slice
+of lanes.  The product's keys are its lanes that are set.  When its class
+pairs carry at least k distinct indices, each index group fills its own
+lane array, and the arrays added as integers count the groups of each lane;
+the lanes that at least k groups share are the multi-index keys.  One pass
+over the same class pair tuples recovers their cells
 (:func:`_shared_buckets`): the members (x, y, d) of each s-class are built
 once per run, d descending, and each row picks its cells from them with its
 slice of those lanes.  A diagonal class pair (sa == sb) keeps only the cells
@@ -355,6 +361,27 @@ def _s_classes(bound: int) -> dict[int, range]:
     return classes
 
 
+def _distinct_products(ds_a: range, ds_b: range) -> int:
+    """How many distinct da*db there are for da in ``ds_a`` and db in ``ds_b``.
+
+    Both are ranges of even d >= 4, as :func:`_s_classes` makes them.  A
+    product by one fixed nonzero d is injective, so with a one-member range
+    the count is the number of cells.  Otherwise every product is 0 mod 4
+    and gets a byte lane from the least one, ds_a[0]*ds_b[0], upward, and
+    row da sets its lanes, of step da/2, with one extended slice.
+    """
+    if len(ds_a) == 1 or len(ds_b) == 1:
+        return len(ds_a) * len(ds_b)
+    low, first, span = ds_a[0] * ds_b[0], ds_b[0], len(ds_b) - 1
+    lanes = bytearray((ds_a[-1] * ds_b[-1] - low) // 4 + 1)
+    ones = b"\x01" * (span + 1)
+    for da in ds_a:
+        step = da // 2
+        start = (da * first - low) // 4
+        lanes[start : start + step * span + 1 : step] = ones
+    return len(lanes) - lanes.count(0)
+
+
 def _elementary_symmetric(values: Iterable[int], k: int) -> int:
     """e_k(values): the sum over k-subsets of the product of their values."""
     e = [1] + [0] * k
@@ -447,7 +474,8 @@ def scan(config: SearchConfig) -> SearchScan:
     """The kernel pass: bucket s-class pairs by product and store multi-index buckets.
 
     Each product's keys are counted on byte lanes, one per 2*chi, as the
-    module docstring describes, from one row layout per class pair, built
+    module docstring describes: a product of one class pair straight from
+    its two d ranges, any other from one row layout per class pair, built
     once per product and read again by :func:`_shared_buckets`.  The cells
     of a product's shared keys come from it in key and member order and are
     flattened once: the fields go into their array in one call, and each
@@ -490,9 +518,10 @@ def scan(config: SearchConfig) -> SearchScan:
     products = sorted(by_product)
     split = None
     if type_count >= FORK_MIN_TYPES:
-        # A product's cost is estimated by its class pairs: at bounds 60 to
-        # 200, the products below the half of that estimate took 47 to 49% of
-        # the kernel's time, and those below the half of their types 68 to 75%.
+        # A product's cost is estimated by its class pairs: at bounds 100, 140
+        # and 200, the products below the half of that estimate took 46 to 47%
+        # of the kernel's time, and those below the half of their types 72 to
+        # 73% (medians of one-process runs on a 2-core x86-64 VM).
         pairs = map(len, map(by_product.__getitem__, products))
         split = _half(pairs, sum(map(len, by_product.values())))
     lower, upper = (products, []) if split is None else (products[:split], products[split:])
@@ -589,6 +618,12 @@ class _Kernel:
         # Maps a lane's count of index groups to 1 when it is at least k.
         at_least_k = bytes(min(k, 256)).ljust(256, b"\x01")
         for product in products:
+            pairs = by_product[product]
+            if len(pairs) == 1:
+                # One class pair is one index group, which shares no key.
+                ((sa, sb),) = pairs
+                bucket_count += _distinct_products(classes[sa], classes[sb])
+                continue
             # One row layout per class pair, which the lane fill and
             # _shared_buckets both read: (r, top, ds_a, last, span, diagonal,
             # ends_a, ends_b).  Cell (da, db) has the index r and 2*chi =
@@ -598,7 +633,7 @@ class _Kernel:
             by_index: dict[int, list[tuple]] = {}
             lowest: list[int] = []
             highest: list[int] = []
-            for sa, sb in by_product[product]:
+            for sa, sb in pairs:
                 r = gcd(sa, sb)
                 ds_a, ds_b = classes[sa], classes[sb]
                 top = 3 * product + 2 * (sa + sb + 2)

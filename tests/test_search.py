@@ -27,6 +27,7 @@ from bidouble.search import (
     CataneseTuple,
     SearchScan,
     SearchStats,
+    _distinct_products,
     _elementary_symmetric,
     _s_classes,
     scan,
@@ -606,11 +607,29 @@ def test_search_kernel_counts_match_the_oracle_at_every_bound_to_50(bound: int) 
         for bucket in oracle_buckets(50).values()
         if (indices := [r for t, r in bucket.members() if max(t.as_tuple()) <= bound])
     ]
-    multi = [indices for indices in buckets if len(set(indices)) >= 2]
-    stats = scan(SearchConfig(bound=bound)).stats
-    assert stats.buckets == len(buckets)
-    assert stats.multi_index_buckets == len(multi)
-    assert stats.cells == sum(map(len, multi))
+    # Every k: a product of one class pair is counted apart from the lane
+    # layout of the others, and so, at each k, are those of fewer than k
+    # index groups.
+    for k in range(2, 6):
+        multi = [indices for indices in buckets if len(set(indices)) >= k]
+        stats = scan(SearchConfig(bound=bound, k=k)).stats
+        assert stats.buckets == len(buckets), k
+        assert stats.multi_index_buckets == len(multi), k
+        assert stats.cells == sum(map(len, multi)), k
+
+
+def test_distinct_products_counts_every_class_pair_to_bound_120() -> None:
+    # A single class pair's keys are its distinct 2*chi = top - da*db, so
+    # their count is that of the distinct da*db.  Every pair sa <= sb is
+    # checked, the diagonal ones and those with a one-member class among them.
+    classes = _s_classes(120)
+    s_values = sorted(classes)
+    assert any(len(ds) == 1 for ds in classes.values())
+    for position, sa in enumerate(s_values):
+        for sb in s_values[position:]:
+            ds_a, ds_b = classes[sa], classes[sb]
+            brute = len({da * db for da in ds_a for db in ds_b})
+            assert _distinct_products(ds_a, ds_b) == brute, (sa, sb)
 
 
 def test_search_counts_the_pairs_of_the_definition_at_every_bound_to_60() -> None:

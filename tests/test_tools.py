@@ -398,3 +398,56 @@ def test_bench_certify_times_the_seven_layers_of_the_round_trip() -> None:
         "verdict", "certificate", "view", "line", "append", "read_catalog", "parse",
     ]
     assert all(us > 0 for us in layers.values())
+
+
+def bench_calls(*args: str) -> subprocess.CompletedProcess[str]:
+    return subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "bench_calls.py"), *args],
+        capture_output=True,
+        text=True,
+    )
+
+
+def test_bench_calls_times_each_command_line_on_both_sides(tmp_path: Path) -> None:
+    lines = [["invariants", "--type", "16,22,52,4"], ["search", "--bound", "20", "--k", "3"]]
+    (tmp_path / "argv.json").write_text(json.dumps(lines))
+    done = bench_calls(str(ROOT), str(ROOT), str(tmp_path / "argv.json"), "--rounds", "2")
+    assert done.returncode == 0, done.stderr
+    report = json.loads(done.stdout)
+    assert report["rounds"] == 2
+    assert [row["argv"] for row in report["calls"]] == lines
+    for row in report["calls"]:
+        assert row["parent_ms"] > 0 and row["change_ms"] > 0 and row["ratio"] > 0
+    assert report["total_ratio"] > 0
+
+
+# A stand-in cli whose stdout and exit code are read off its package's path.
+STUB_SIDE_CLI = '''
+from pathlib import Path
+SIDE = Path(__file__).parent.parent.parent.name
+
+def main(argv):
+    print(SIDE if argv == ["text"] else "same")
+    return len(SIDE) if argv == ["code"] else 0
+'''
+
+
+def test_bench_calls_refuses_command_lines_whose_stdout_or_exit_code_differs(
+    tmp_path: Path,
+) -> None:
+    roots = []
+    for side in ("old", "newer"):
+        package = tmp_path / side / "src" / "bidouble"
+        package.mkdir(parents=True)
+        (package / "__init__.py").write_text("")
+        (package / "cli.py").write_text(STUB_SIDE_CLI)
+        roots.append(str(tmp_path / side))
+    cases = [([["same"]], None), ([["same"], ["text"]], "['text']"), ([["code"]], "['code']")]
+    for lines, refused in cases:
+        (tmp_path / "argv.json").write_text(json.dumps(lines))
+        done = bench_calls(*roots, str(tmp_path / "argv.json"), "--rounds", "1")
+        if refused is None:
+            assert done.returncode == 0, done.stderr
+        else:
+            assert done.returncode != 0 and done.stdout == ""
+            assert f"refused: {refused}" in done.stderr
